@@ -34,6 +34,7 @@ from .numerics import (
     RandomStream,
     chi2_cdf,
     chi2_quantile,
+    chi2_sf,
     poisson_pmf,
     poisson_tail_mass,
     reg_lower_gamma,
@@ -44,7 +45,7 @@ from .permutation import (
     PermutationConfig,
     TestResult,
     permutation_pvalue,
-    permuted_table,
+    permuted_tables,
     run_test,
 )
 from .simulate import (
@@ -118,6 +119,7 @@ __all__ = [
     "chi2_cdf",
     "chi2_divergence",
     "chi2_quantile",
+    "chi2_sf",
     "dense_family",
     "dependence_measure",
     "dhat_bruteforce",
@@ -133,7 +135,7 @@ __all__ = [
     "pearson_asymptotic_size",
     "pearson_statistic",
     "permutation_pvalue",
-    "permuted_table",
+    "permuted_tables",
     "poisson_pmf",
     "poisson_tail_mass",
     "power_curve",

@@ -21,6 +21,7 @@ __all__ = [
     "as_generator",
     "reg_lower_gamma",
     "chi2_cdf",
+    "chi2_sf",
     "chi2_quantile",
     "poisson_pmf",
     "poisson_tail_mass",
@@ -163,6 +164,25 @@ def chi2_cdf(x: float, k: float) -> float:
     if not (x >= 0):
         raise DomainError(f"chi2_cdf requires x >= 0, got x={x}")
     return reg_lower_gamma(k / 2.0, x / 2.0)
+
+
+def chi2_sf(x: float, k: float) -> float:
+    """Upper tail 1 - chi2_cdf(x, k) of the chi-squared distribution.
+
+    Computed directly from the continued fraction where the tail is small,
+    so it keeps its relative accuracy far below the 1e-16 that subtracting
+    the CDF from one can resolve.
+    """
+    if not (k >= 1):
+        raise DomainError(f"chi2_sf requires k >= 1, got k={k}")
+    if not (x >= 0):
+        raise DomainError(f"chi2_sf requires x >= 0, got x={x}")
+    a, h = k / 2.0, x / 2.0
+    if h == 0.0:
+        return 1.0
+    if h < a + 1.0:
+        return max(0.0, 1.0 - _gamma_series(a, h))
+    return min(1.0, _gamma_cf(a, h))
 
 
 def chi2_quantile(p: float, k: float) -> float:

@@ -1,11 +1,20 @@
 """Margin-preserving permutation tests and classic chi-squared-quantile tests.
 
-Permuted tables are generated directly from cell counts, one row at a time,
-by multivariate hypergeometric draws conditioned on the remaining column
-margins.  That reproduces exactly the distribution induced by re-pairing the
-column labels with a uniformly random permutation of the row labels, without
-ever materializing the n underlying observations.  A label-shuffle reference
-implementation is kept for distribution-equality testing.
+The permutation engine draws all B permuted tables of a run as one
+(B, I, J) array, straight from the cell counts, with the
+sequential-conditional method of Patefield (Algorithm AS 159, Appl.
+Statist. 30, 1981): each row but the last, given the column counts not yet
+placed, is multivariate hypergeometric, and is drawn one column at a time
+by a hypergeometric call vectorized over the batch.  That reproduces
+exactly the distribution induced by re-pairing the column labels with a
+uniformly random permutation of the row labels, without ever materializing
+the n underlying observations.  Tables are drawn in blocks of bounded cell
+count, so memory does not grow with B.
+
+Each statistic is scored as one reduction over a block, through a key that
+ranks like the statistic among tables with the data's margins (the usp key
+is an exact integer).  One generator per run draws the tables and the
+tie-break, so a run is reproducible from its stream alone.
 
 P-values are rank-based.  With the default randomized tie policy the test is
 exact: under independence the p-value is uniform on {1/(B+1), ..., 1}, so
@@ -22,11 +31,12 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, InvalidMode
-from .numerics import RandomStream, as_generator, chi2_cdf
+from .numerics import RandomStream, as_generator, chi2_sf
 from .stats import (
-    StatisticValue,
     _g_value,
     _pearson_value,
+    _usp_key,
+    _usp_key_dtype,
     g_statistic,
     pearson_statistic,
     usp_statistic,
@@ -36,8 +46,7 @@ from .table import ContingencyTable
 __all__ = [
     "PermutationConfig",
     "TestResult",
-    "permuted_table",
-    "permuted_table_by_shuffle",
+    "permuted_tables",
     "permutation_pvalue",
     "run_test",
     "METHODS",
@@ -46,6 +55,8 @@ __all__ = [
 
 METHODS = ("usp", "pearson", "g")
 MODES = ("permutation", "classic")
+
+_BLOCK_CELLS = 1 << 18  # cells per block of permuted tables (2 MiB of int64)
 
 
 @dataclass(frozen=True)
@@ -105,112 +116,141 @@ class TestResult:
     seed: int
 
 
-def permuted_table(
-    table: ContingencyTable, rng: RandomStream | np.random.Generator
-) -> ContingencyTable:
-    """Draw a table uniformly from the re-pairing distribution given margins.
+def _draw(table: ContingencyTable, size: int, gen: np.random.Generator) -> np.ndarray:
+    # Patefield's sequential-conditional method, vectorized over the batch:
+    # row i given the column counts still unplaced is multivariate
+    # hypergeometric, drawn one column at a time from its marginals.
+    I, J = table.shape
+    out = np.empty((size, I, J), dtype=np.int64)
+    rest = np.repeat(table.col_margins[None, :], size, axis=0)
+    unplaced = table.n
+    for i in range(I - 1):
+        need = np.full(size, table.row_margins[i], dtype=np.int64)
+        left = np.full(size, unplaced, dtype=np.int64)
+        for j in range(J - 1):
+            left -= rest[:, j]
+            x = gen.hypergeometric(rest[:, j], left, need)
+            out[:, i, j] = x
+            need -= x
+        out[:, i, J - 1] = need
+        rest -= out[:, i]
+        unplaced -= int(table.row_margins[i])
+    out[:, I - 1] = rest
+    return out
 
-    The output has exactly the input's row and column margins, distributed
-    as the table obtained by pairing the row labels with a uniformly random
-    permutation of the column labels (multivariate hypergeometric over
-    tables with fixed margins).  Cost is O(IJ)-ish per draw, independent of n.
+
+def _blocks(table: ContingencyTable, B: int, gen: np.random.Generator):
+    # B tables in consecutive blocks of at most _BLOCK_CELLS cells, so peak
+    # memory does not grow with B
+    step = max(1, _BLOCK_CELLS // (table.I * table.J))
+    for start in range(0, B, step):
+        yield _draw(table, min(step, B - start), gen)
+
+
+def permuted_tables(
+    table: ContingencyTable, B: int, rng: RandomStream | np.random.Generator
+) -> np.ndarray:
+    """Draw B tables uniformly from the re-pairing distribution given margins.
+
+    Returns an int64 array of shape (B, I, J).  Every table has exactly the
+    input's row and column margins and is distributed as the table obtained
+    by pairing the row labels with a uniformly random permutation of the
+    column labels (multivariate hypergeometric over tables with fixed
+    margins).  The draw makes (I-1)(J-1) vectorized hypergeometric calls per
+    block, so its cost does not depend on n.
+    ``permutation_pvalue(table, method, config, stream)`` scores exactly the
+    tables of ``permuted_tables(table, config.B, stream)``.
     """
-    gen = as_generator(rng)
-    counts = table.counts
-    n_rows = counts.shape[0]
-    out = np.empty_like(counts)
-    remaining = table.col_margins.copy()
-    for i in range(n_rows - 1):
-        row = gen.multivariate_hypergeometric(
-            remaining, int(table.row_margins[i]), method="marginals"
-        )
-        out[i] = row
-        remaining -= row
-    out[n_rows - 1] = remaining
-    return ContingencyTable._from_valid_counts(out)
+    if B < 1:
+        raise DomainError(f"B must be >= 1, got {B}")
+    return np.concatenate(list(_blocks(table, B, as_generator(rng))))
 
 
-def permuted_table_by_shuffle(
-    table: ContingencyTable, rng: RandomStream | np.random.Generator
-) -> ContingencyTable:
-    """O(n) reference implementation of :func:`permuted_table`.
+def _rank_key(table: ContingencyTable, method: str) -> Callable[[np.ndarray], np.ndarray]:
+    # Returns a reduction from a (B, I*J) batch to B keys that rank like the
+    # method's statistic over tables sharing this table's margins; terms that
+    # depend on the margins alone drop out.
+    n = table.n
+    rc = np.outer(table.row_margins, table.col_margins).ravel()
+    if method == "usp":
+        dtype = _usp_key_dtype(n)
+        rc = rc.astype(dtype)
+        return lambda o: _usp_key(o.astype(dtype, copy=False), rc, n)
+    if method == "pearson":
+        # X^2 = n sum(o^2 / (r_i c_j)) - n; cells of an empty row or column
+        # are zero in every table and get weight 0
+        with np.errstate(divide="ignore"):
+            w = np.where(rc > 0, 1.0 / rc, 0.0)
+        return lambda o: ((o * o) * w).sum(axis=1)
+    # G = 2 sum(o log o) + margin-only terms, with 0 log 0 = 0
+    return lambda o: (o * np.log(np.maximum(o, 1))).sum(axis=1)
 
-    Expands the table to its n (row, column) observations, shuffles the
-    column labels against the row labels, and re-tabulates.  Used to verify
-    the count-only generator samples the same distribution.
-    """
-    gen = as_generator(rng)
-    n_rows, n_cols = table.shape
-    rows = np.repeat(np.arange(n_rows), table.row_margins)
-    cols = np.repeat(np.arange(n_cols), table.col_margins)
-    cols = gen.permutation(cols)
-    flat = np.bincount(rows * n_cols + cols, minlength=n_rows * n_cols)
-    return ContingencyTable._from_valid_counts(
-        flat.reshape(n_rows, n_cols).astype(np.int64)
-    )
+
+def _observed_statistic(table: ContingencyTable, method: str) -> float:
+    # Permutation mode conditions on the margins, which every permuted table
+    # shares with the data, so zero rows/columns stay zero throughout the
+    # run.  Pearson and G are therefore reported in their total form (empty
+    # rows and columns contribute nothing): the procedure is exactly the
+    # permutation test on the nonempty support, and remains defined for
+    # tables where the classic-mode statistics raise UndefinedStatistic.
+    if method == "usp":
+        return usp_statistic(table).value
+    if method == "pearson":
+        return _pearson_value(table.counts, table.n)
+    return _g_value(table.counts, table.n)
 
 
 def permutation_pvalue(
     table: ContingencyTable,
-    statistic: Callable[[ContingencyTable], object],
+    method: str,
     config: PermutationConfig,
     stream: RandomStream,
 ) -> tuple[float, float]:
-    """Rank-based permutation p-value of a statistic on a table.
+    """Rank-based permutation p-value of a method's statistic on a table.
 
-    Computes T0 on the data and T1..TB on B independent margin-preserving
+    Ranks the data's statistic T0 among T1..TB on B margin-preserving
     permuted tables.  With randomized ties,
 
         p = (1 + #{b: Tb > T0} + U) / (B + 1),  U uniform on {0, ..., #ties},
 
     which makes p uniform over {1/(B+1), ..., 1} under the null; the
-    conservative policy counts every tie as an exceedance.
+    conservative policy counts every tie as an exceedance.  Tables are
+    compared through a key that ranks exactly like the statistic given the
+    margins; the usp key is an integer, so usp ties are exact.
 
-    Each permuted table is drawn from its own child stream keyed by the
-    permutation index, so results are identical for any execution order or
-    worker count.
+    One generator, ``stream.generator()``, draws all B tables (see
+    :func:`permuted_tables`) and then the tie-break, so the result depends on
+    the stream alone and not on execution order or worker count.
 
     Returns
     -------
     (statistic, p_value)
+        ``statistic`` is the method's statistic on the data, as in the paper.
     """
+    if method not in METHODS:
+        raise InvalidMode(f"unknown method {method!r}; expected one of {METHODS}")
     if not isinstance(stream, RandomStream):
-        raise TypeError("permutation_pvalue needs a RandomStream to derive per-permutation streams")
-    t0 = float(statistic(table))
-    B = config.B
-    perm_stats = np.empty(B, dtype=np.float64)
-    for b in range(B):
-        # child 0 is reserved for the tie-break draw
-        pt = permuted_table(table, stream.child(b + 1))
-        perm_stats[b] = float(statistic(pt))
-    greater = int(np.count_nonzero(perm_stats > t0))
-    ties = int(np.count_nonzero(perm_stats == t0))
+        raise TypeError("permutation_pvalue needs a RandomStream to derive its generator")
+    t0 = _observed_statistic(table, method)
+    key = _rank_key(table, method)
+    k0 = key(table.counts.reshape(1, -1))[0]
+    gen = stream.generator()
+    greater = ties = 0
+    for block in _blocks(table, config.B, gen):
+        keys = key(block.reshape(len(block), -1))
+        greater += int(np.count_nonzero(keys > k0))
+        ties += int(np.count_nonzero(keys == k0))
     if config.tie_policy == "randomized":
-        u = int(stream.child(0).generator().integers(0, ties + 1)) if ties else 0
-        rank = 1 + greater + u
+        rank = 1 + greater + (int(gen.integers(0, ties + 1)) if ties else 0)
     else:
         rank = 1 + greater + ties
-    return t0, rank / (B + 1.0)
+    return t0, rank / (config.B + 1.0)
 
 
 def _classic_statistic(table: ContingencyTable, method: str) -> float:
     if method == "pearson":
         return pearson_statistic(table).value
     return g_statistic(table).value
-
-
-def _permutation_statistic_fn(method: str) -> Callable[[ContingencyTable], float]:
-    # Permutation mode conditions on the margins, which every permuted table
-    # shares with the data, so zero rows/columns stay zero throughout the
-    # run.  Pearson and G are therefore computed in their total form (empty
-    # rows and columns contribute nothing): the procedure is exactly the
-    # permutation test on the nonempty support, and remains defined for
-    # tables where the classic-mode statistics raise UndefinedStatistic.
-    if method == "usp":
-        return lambda t: usp_statistic(t).value
-    if method == "pearson":
-        return lambda t: _pearson_value(t.counts, t.n)
-    return lambda t: _g_value(t.counts, t.n)
 
 
 def run_test(
@@ -251,7 +291,7 @@ def run_test(
             raise DomainError(
                 f"classic mode needs at least a 2x2 table, got {table.I}x{table.J}"
             )
-        p_value = 1.0 - chi2_cdf(stat, df)
+        p_value = chi2_sf(stat, df)
         return TestResult(
             method=method,
             mode=mode,
@@ -265,9 +305,7 @@ def run_test(
         )
     if stream is None:
         stream = RandomStream(config.seed)
-    stat, p_value = permutation_pvalue(
-        table, _permutation_statistic_fn(method), config, stream
-    )
+    stat, p_value = permutation_pvalue(table, method, config, stream)
     return TestResult(
         method=method,
         mode=mode,

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
 import dataclasses
+import os
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -312,11 +313,18 @@ def _dhat_replicate(task):
     return dhat_statistic(table).value
 
 
+def _worker_count(threads: int, tasks: int) -> int:
+    # a requested thread count never starts more processes than there are
+    # cores or tasks, whatever the caller or USP_THREADS asked for
+    return max(1, min(threads, os.cpu_count() or 1, tasks))
+
+
 def _map_replicates(worker, tasks: list, threads: int) -> list:
-    if threads <= 1 or len(tasks) <= 1:
+    workers = _worker_count(threads, len(tasks))
+    if workers == 1:
         return [worker(t) for t in tasks]
-    chunksize = max(1, len(tasks) // (threads * 8))
-    with ProcessPoolExecutor(max_workers=threads) as pool:
+    chunksize = max(1, len(tasks) // (workers * 8))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, tasks, chunksize=chunksize))
 
 

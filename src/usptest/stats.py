@@ -28,6 +28,8 @@ from .errors import (
 )
 from .table import ContingencyTable, JointDistribution
 
+_INT64_MAX = 2**63 - 1
+
 __all__ = [
     "StatisticValue",
     "chi2_divergence",
@@ -146,12 +148,28 @@ def g_statistic(table: ContingencyTable) -> StatisticValue:
     return StatisticValue(_g_value(table.counts, table.n), "g")
 
 
+def _usp_key_dtype(n: int):
+    # the terms of _usp_key stay below 3n^3 in magnitude: int64 holds them up
+    # to n of about 1.4 million, Python ints (object arrays) beyond
+    return np.int64 if 3 * n**3 <= _INT64_MAX else object
+
+
+def _usp_key(o: np.ndarray, rc: np.ndarray, n: int) -> np.ndarray:
+    # (n-2) sum(o^2) - 2 sum(o_ij r_i c_j) over the last axis, for cells o and
+    # margin products rc of a dtype from _usp_key_dtype: an integer that ranks
+    # like U-hat among tables with the same margins
+    return (n - 2) * (o * o).sum(axis=-1) - 2 * (o * rc).sum(axis=-1)
+
+
 def _usp_value(counts: np.ndarray, n: int) -> float:
-    e = _expected(counts, n)
-    diff = counts - e
-    sq = float(np.sum(diff * diff))
-    cross = float(np.sum(counts * e))
-    return sq / (n * (n - 3.0)) - 4.0 * cross / (n * (n - 2.0) * (n - 3.0))
+    # U-hat = (n^2 K + (n-2) sum(r_i^2) sum(c_j^2)) / (n^3 (n-2)(n-3)) with K
+    # the integer _usp_key: exact integers rounded once, so tables with equal
+    # keys and margins get equal floats
+    o = counts.astype(_usp_key_dtype(n), copy=False)
+    rows, cols = o.sum(axis=1), o.sum(axis=0)
+    key = int(_usp_key(o.ravel(), np.outer(rows, cols).ravel(), n))
+    r2, c2 = int((rows * rows).sum()), int((cols * cols).sum())
+    return (n * n * key + (n - 2) * r2 * c2) / (n**3 * (n - 2) * (n - 3))
 
 
 def usp_statistic(table: ContingencyTable) -> StatisticValue:

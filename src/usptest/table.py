@@ -30,6 +30,7 @@ __all__ = [
     "subsample",
 ]
 
+_INT64_LIMIT = 2**63
 _PROB_SUM_TOL = 1e-12  # family constructors are analytically normalized
 
 
@@ -115,14 +116,19 @@ def _coerce_counts(raw) -> np.ndarray:
         if not np.all(np.isfinite(arr)) or np.any(arr != np.floor(arr)):
             i, j = _first_offender(~np.isfinite(arr) | (arr != np.floor(arr)))
             raise DomainError(f"cell ({i},{j}) is not an integer: {arr[i, j]!r}")
-        arr = arr.astype(np.int64)
     elif not np.issubdtype(arr.dtype, np.integer):
         raise DomainError(f"table entries must be integers, got dtype {arr.dtype}")
+    # check before the cast to int64, which would wrap silently
+    out_of_range = (arr >= _INT64_LIMIT) | (arr < -_INT64_LIMIT)
+    if np.any(out_of_range):
+        i, j = _first_offender(out_of_range)
+        raise DomainError(f"cell ({i},{j}) is outside the int64 range: {arr[i, j].item()!r}")
+    # always copy so freezing never touches a caller-owned buffer
+    arr = np.array(arr, dtype=np.int64, order="C", copy=True)
     if np.any(arr < 0):
         i, j = _first_offender(arr < 0)
         raise NegativeCount(f"cell ({i},{j}) is negative: {arr[i, j]}")
-    # always copy so freezing never touches a caller-owned buffer
-    return np.array(arr, dtype=np.int64, order="C", copy=True)
+    return arr
 
 
 def _first_offender(mask: np.ndarray) -> tuple[int, int]:

@@ -18,7 +18,7 @@ from usptest.asymptotics import (
 )
 from usptest.datasets import get_dataset
 from usptest.numerics import RandomStream, chi2_quantile
-from usptest.permutation import PermutationConfig, permuted_table, run_test
+from usptest.permutation import PermutationConfig, permuted_tables, run_test
 from usptest.simulate import (
     AlternativeFamily,
     dhat_samples,
@@ -101,7 +101,7 @@ def test_criterion_06_uhat_and_dhat_rank_identically():
         table = random_table(rng, max_rows=4, max_cols=5, n_lo=20, n_hi=60)
         u0 = float(usp_statistic(table))
         d0 = float(dhat_statistic(table))
-        shared = [permuted_table(table, rng) for _ in range(200)]
+        shared = [validate_table(c) for c in permuted_tables(table, 200, rng)]
         u = np.array([float(usp_statistic(t)) for t in shared])
         d = np.array([float(dhat_statistic(t)) for t in shared])
         assert int((u > u0).sum()) == int((d > d0).sum())

@@ -10,6 +10,7 @@ from usptest.numerics import (
     RandomStream,
     chi2_cdf,
     chi2_quantile,
+    chi2_sf,
     poisson_pmf,
     poisson_tail_mass,
     reg_lower_gamma,
@@ -85,7 +86,28 @@ class TestChi2:
         # The 95% point of chi-squared with 1 df, a textbook constant.
         assert chi2_quantile(0.95, 1) == pytest.approx(3.841458820694124, abs=1e-8)
 
+    def test_sf_against_scipy(self):
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            k = int(rng.integers(1, 31))
+            x = rng.uniform(0.0, 4.0 * k)
+            want = scipy_stats.chi2.sf(x, k)
+            assert chi2_sf(x, k) == pytest.approx(want, abs=1e-12, rel=1e-10)
+        assert chi2_sf(0.0, 4) == 1.0
+
+    def test_sf_far_tail_keeps_relative_accuracy(self):
+        # where 1 - chi2_cdf is exactly 0.0; values from scipy.stats.chi2.sf
+        assert chi2_sf(1000.0, 1) == pytest.approx(1.795832784800736e-219, rel=1e-12)
+        assert chi2_sf(1386.2943611198905, 1) == pytest.approx(
+            1.9984990900553828e-303, rel=1e-12
+        )
+        assert chi2_sf(300.0, 12) == pytest.approx(scipy_stats.chi2.sf(300.0, 12), rel=1e-12)
+
     def test_domain(self):
+        with pytest.raises(DomainError):
+            chi2_sf(-1.0, 3)
+        with pytest.raises(DomainError):
+            chi2_sf(1.0, 0)
         with pytest.raises(DomainError):
             chi2_cdf(-1.0, 3)
         with pytest.raises(DomainError):

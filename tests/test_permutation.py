@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
+from oracles import permuted_table_by_shuffle, usp_exact
+from usptest import permutation
 from usptest.errors import DomainError, InvalidMode, UndefinedStatistic
 from usptest.numerics import RandomStream, chi2_cdf
 from usptest.permutation import (
     PermutationConfig,
     permutation_pvalue,
-    permuted_table,
-    permuted_table_by_shuffle,
+    permuted_tables,
     run_test,
 )
 from usptest.stats import dhat_statistic, usp_statistic
@@ -26,27 +27,26 @@ MARITAL = validate_table(
 
 
 class TestPermutedTable:
-    def test_margins_preserved(self):
-        base = RandomStream(0)
-        for i in range(50):
-            pt = permuted_table(MARITAL, base.child(i))
-            np.testing.assert_array_equal(pt.row_margins, MARITAL.row_margins)
-            np.testing.assert_array_equal(pt.col_margins, MARITAL.col_margins)
-            assert np.all(pt.counts >= 0)
+    def test_margins_preserved(self, monkeypatch):
+        # a 7-table cap on each block makes 50 tables span eight blocks
+        monkeypatch.setattr(permutation, "_BLOCK_CELLS", 7 * MARITAL.I * MARITAL.J)
+        tables = permuted_tables(MARITAL, 50, RandomStream(0))
+        assert tables.shape == (50, 4, 5) and tables.dtype == np.int64
+        np.testing.assert_array_equal(tables.sum(axis=2), np.tile(MARITAL.row_margins, (50, 1)))
+        np.testing.assert_array_equal(tables.sum(axis=1), np.tile(MARITAL.col_margins, (50, 1)))
+        assert np.all(tables >= 0)
+        assert len({t.tobytes() for t in tables}) > 40  # blocks do not repeat draws
 
     def test_single_row_is_fixed_point(self):
         t = validate_table([[3, 1, 4]])
-        for i in range(10):
-            assert permuted_table(t, RandomStream(1, (i,))) == t
+        tables = permuted_tables(t, 10, RandomStream(1))
+        np.testing.assert_array_equal(tables, np.tile(t.counts, (10, 1, 1)))
 
     def test_two_by_two_unit_margins(self):
         # Margins (1,1)/(1,1) admit exactly two tables, each with mass 1/2.
         t = validate_table([[1, 0], [0, 1]])
         reps = 20_000
-        diag = 0
-        base = RandomStream(2)
-        for i in range(reps):
-            diag += permuted_table(t, base.child(i)).counts[0, 0]
+        diag = permuted_tables(t, reps, RandomStream(2))[:, 0, 0].sum()
         se = np.sqrt(0.25 / reps)
         assert abs(diag / reps - 0.5) <= 3 * se
 
@@ -55,11 +55,7 @@ class TestPermutedTable:
         # hypergeometric probability 4/6 = 2/3.
         t = validate_table([[2, 0], [0, 2]])
         reps = 100_000
-        hits = 0
-        base = RandomStream(3)
-        for i in range(reps):
-            if permuted_table(t, base.child(i)).counts[0, 0] == 1:
-                hits += 1
+        hits = np.count_nonzero(permuted_tables(t, reps, RandomStream(3))[:, 0, 0] == 1)
         se = np.sqrt((2 / 3) * (1 / 3) / reps)
         assert abs(hits / reps - 2 / 3) <= 3 * se
 
@@ -69,13 +65,13 @@ class TestPermutedTable:
         # 2x2 where o_11 determines the table, P(o_11 = k) = (1, 4, 1)/6.
         t = validate_table([[1, 1], [1, 1]])
         reps = 30_000
-        counts = {"mvh": np.zeros(3), "shuffle": np.zeros(3)}
         base = RandomStream(4)
+        counts = {
+            "batch": np.bincount(permuted_tables(t, reps, base.child(0))[:, 0, 0], minlength=3),
+            "shuffle": np.zeros(3),
+        }
         for i in range(reps):
-            counts["mvh"][permuted_table(t, base.child(0, i)).counts[0, 0]] += 1
-            counts["shuffle"][
-                permuted_table_by_shuffle(t, base.child(1, i)).counts[0, 0]
-            ] += 1
+            counts["shuffle"][permuted_table_by_shuffle(t, base.child(1, i)).counts[0, 0]] += 1
         want = np.array([1, 4, 1]) / 6
         for kind in counts:
             freq = counts[kind] / reps
@@ -83,9 +79,9 @@ class TestPermutedTable:
             assert np.all(np.abs(freq - want) <= 4 * se), kind
 
     def test_reproducible(self):
-        a = permuted_table(MARITAL, RandomStream(5, (7,)))
-        b = permuted_table(MARITAL, RandomStream(5, (7,)))
-        assert a == b
+        a = permuted_tables(MARITAL, 20, RandomStream(5, (7,)))
+        b = permuted_tables(MARITAL, 20, RandomStream(5, (7,)))
+        np.testing.assert_array_equal(a, b)
 
 
 class TestPermutationConfig:
@@ -112,19 +108,20 @@ class TestPermutationConfig:
 class TestPermutationPvalue:
     def test_granularity(self):
         cfg = PermutationConfig(B=19, alpha=0.2, seed=0)
-        _, p = permutation_pvalue(MARITAL, usp_statistic, cfg, RandomStream(0))
+        _, p = permutation_pvalue(MARITAL, "usp", cfg, RandomStream(0))
         assert round(p * 20) == pytest.approx(p * 20)
         assert 1 / 20 <= p <= 1.0
 
     def test_full_tie_p_uniform(self):
-        # A constant statistic ties every permutation, so the randomized
-        # p-value must be uniform on {0.1, ..., 1.0}; chi-squared GOF check.
+        # Every permutation of a single-row table is the table itself, so all
+        # B statistics tie and the randomized p-value must be uniform on
+        # {0.1, ..., 1.0}; chi-squared GOF check.
         cfg = PermutationConfig(B=9, alpha=0.9, seed=0)
-        t = validate_table([[2, 2], [2, 2]])
+        t = validate_table([[2, 2, 3]])
         runs = 10_000
         bins = np.zeros(10)
         for i in range(runs):
-            _, p = permutation_pvalue(t, lambda tb: 0.0, cfg, RandomStream(17, (i,)))
+            _, p = permutation_pvalue(t, "usp", cfg, RandomStream(17, (i,)))
             bins[int(round(p * 10)) - 1] += 1
         expected = runs / 10
         stat = float(((bins - expected) ** 2 / expected).sum())
@@ -132,33 +129,82 @@ class TestPermutationPvalue:
 
     def test_conservative_vs_randomized(self):
         cons = PermutationConfig(B=9, alpha=0.9, seed=0, tie_policy="conservative")
-        t = validate_table([[2, 2], [2, 2]])
-        _, p = permutation_pvalue(t, lambda tb: 0.0, cons, RandomStream(0))
-        assert p == 1.0  # all B ties count as exceedances
+        t = validate_table([[2, 2, 3]])
+        for method in ("usp", "pearson", "g"):
+            _, p = permutation_pvalue(t, method, cons, RandomStream(0))
+            assert p == 1.0  # all B ties count as exceedances
 
     def test_deterministic_given_stream(self):
         cfg = PermutationConfig(B=99, seed=3)
-        r1 = permutation_pvalue(MARITAL, usp_statistic, cfg, RandomStream(3))
-        r2 = permutation_pvalue(MARITAL, usp_statistic, cfg, RandomStream(3))
+        r1 = permutation_pvalue(MARITAL, "usp", cfg, RandomStream(3))
+        r2 = permutation_pvalue(MARITAL, "usp", cfg, RandomStream(3))
         assert r1 == r2
 
     def test_needs_stream(self):
         cfg = PermutationConfig(B=9, alpha=0.9)
         with pytest.raises(TypeError):
-            permutation_pvalue(MARITAL, usp_statistic, cfg, np.random.default_rng(0))
+            permutation_pvalue(MARITAL, "usp", cfg, np.random.default_rng(0))
 
     def test_usp_and_dhat_share_rank(self):
-        # The two statistics differ by a margins-only offset, so with shared
-        # permutations their p-values agree exactly, float for float.
+        # The two statistics differ by a margins-only offset, so on shared
+        # permuted tables they count the same exceedances and ties.
         rng = np.random.default_rng(8)
         for trial in range(10):
             counts = rng.integers(0, 7, size=(3, 4))
             counts[0, 0] += 4
             t = validate_table(counts)
-            cfg = PermutationConfig(B=200, alpha=0.05, seed=trial)
-            _, p_usp = permutation_pvalue(t, usp_statistic, cfg, RandomStream(trial))
-            _, p_dhat = permutation_pvalue(t, dhat_statistic, cfg, RandomStream(trial))
-            assert p_usp == p_dhat
+            shared = [validate_table(c) for c in permuted_tables(t, 200, RandomStream(trial))]
+            u0, d0 = float(usp_statistic(t)), float(dhat_statistic(t))
+            u = np.array([float(usp_statistic(c)) for c in shared])
+            d = np.array([float(dhat_statistic(c)) for c in shared])
+            assert int((u > u0).sum()) == int((d > d0).sum())
+            assert int((u == u0).sum()) == int((d == d0).sum())
+
+
+class TestExactTies:
+    # A table with the marital margins; RandomStream(0) draws it once among
+    # 999 permuted tables, together with one other table of exactly equal
+    # U-hat that the textbook float formula rounds to a different value.
+    DATA = validate_table(
+        [[10, 30, 25, 17, 8], [25, 43, 42, 22, 18], [2, 10, 10, 5, 3], [2, 7, 7, 10, 4]]
+    )
+
+    @staticmethod
+    def _float_usp(c):
+        n = c.sum()
+        e = np.outer(c.sum(axis=1), c.sum(axis=0)) / float(n)
+        d = c - e
+        return float(np.sum(d * d)) / (n * (n - 3.0)) - 4.0 * float(np.sum(c * e)) / (
+            n * (n - 2.0) * (n - 3.0)
+        )
+
+    def test_usp_counts_true_ties_exactly(self):
+        B = 999
+        tables = permuted_tables(self.DATA, B, RandomStream(0))
+        u0 = usp_exact(self.DATA.counts)
+        exact = [usp_exact(c) for c in tables]
+        tied = [c for c, u in zip(tables, exact) if u == u0]
+        assert len(tied) >= 2
+        assert len({self._float_usp(c) for c in tied}) > 1  # floats split the class
+        gt = sum(u > u0 for u in exact)
+        cons = PermutationConfig(B=B, seed=0, tie_policy="conservative")
+        _, p = permutation_pvalue(self.DATA, "usp", cons, RandomStream(0))
+        assert p == (1 + gt + len(tied)) / (B + 1)
+        _, p = permutation_pvalue(self.DATA, "usp", PermutationConfig(B=B), RandomStream(0))
+        assert (1 + gt) / (B + 1) <= p <= (1 + gt + len(tied)) / (B + 1)
+
+    def test_python_int_key_ranks_like_int64_key(self, monkeypatch):
+        cfg = PermutationConfig(B=199, seed=4)
+        want = permutation_pvalue(self.DATA, "usp", cfg, RandomStream(4))
+        monkeypatch.setattr(permutation, "_usp_key_dtype", lambda n: object)
+        assert permutation_pvalue(self.DATA, "usp", cfg, RandomStream(4)) == want
+
+    def test_usp_key_exact_past_int64(self):
+        # n = 2 000 008: the key's terms exceed int64, so they are Python ints
+        t = validate_table([[10**6, 3], [5, 10**6]])
+        r = run_test(t, "usp", "permutation", PermutationConfig(B=19, alpha=0.1, seed=1))
+        assert r.p_value == 1 / 20
+        assert r.statistic == float(usp_exact(t.counts))
 
 
 class TestRunTestClassic:
@@ -188,6 +234,17 @@ class TestRunTestClassic:
     def test_one_by_k_rejected(self):
         with pytest.raises(DomainError):
             run_test(validate_table([[4, 5, 6]]), "pearson", "classic")
+
+    def test_tail_does_not_underflow(self):
+        # scipy chi2_contingency(correction=False) on this table gives
+        # p = 1.7958e-219 (pearson) and 1.9985e-303 (g)
+        t = validate_table([[500, 0], [0, 500]])
+        assert run_test(t, "pearson", "classic").p_value == pytest.approx(
+            1.795832784800736e-219, rel=1e-12
+        )
+        assert run_test(t, "g", "classic").p_value == pytest.approx(
+            1.9984990900553828e-303, rel=1e-12
+        )
 
     def test_zero_margin_propagates(self):
         with pytest.raises(UndefinedStatistic):

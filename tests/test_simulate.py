@@ -28,6 +28,7 @@ from usptest.simulate import (
     subsample_study,
     subsample_study_csv,
     _subsample_replicate,
+    _worker_count,
 )
 from usptest.stats import dependence_measure
 from usptest.table import validate_table
@@ -305,6 +306,18 @@ class TestSubsampleStudy:
         serial = subsample_study(MARITAL, **kwargs, threads=1)
         pooled = subsample_study(MARITAL, **kwargs, threads=2)
         assert subsample_study_csv(serial) == subsample_study_csv(pooled)
+
+
+class TestWorkerCount:
+    def test_clamped_to_cores_and_tasks(self, monkeypatch):
+        monkeypatch.setattr("usptest.simulate.os.cpu_count", lambda: 4)
+        assert _worker_count(2, 100) == 2
+        assert _worker_count(10**9, 100) == 4
+        assert _worker_count(8, 3) == 3
+        assert _worker_count(0, 100) == 1
+        assert _worker_count(-5, 100) == 1
+        monkeypatch.setattr("usptest.simulate.os.cpu_count", lambda: None)
+        assert _worker_count(8, 100) == 1
 
 
 class TestCsvEmission:

@@ -12,6 +12,7 @@ from usptest.errors import (
     SampleTooSmall,
     UndefinedStatistic,
 )
+from oracles import usp_exact
 from usptest.table import JointDistribution, validate_table
 from usptest.stats import (
     chi2_divergence,
@@ -186,6 +187,15 @@ class TestUspStatistic:
     def test_small_sample_rejected(self):
         with pytest.raises(SampleTooSmall):
             usp_statistic(validate_table([[1, 1], [1, 0]]))
+
+    def test_rounded_once_from_exact_value(self):
+        # U-hat is the exact rational value rounded once, also for n where the
+        # integer terms leave int64
+        rng = np.random.default_rng(7)
+        tables = [random_table(rng, (4, 5), 60) for _ in range(25)]
+        tables.append(validate_table([[10**6, 3], [5, 10**6]]))
+        for t in tables:
+            assert float(usp_statistic(t)) == float(usp_exact(t.counts))
 
     def test_direct_formula_random(self):
         rng = np.random.default_rng(6)

@@ -54,6 +54,13 @@ class TestValidation:
         with pytest.raises(DomainError, match=r"\(1,0\)"):
             validate_table([[1, 2], [3.5, 4]])
 
+    def test_counts_past_int64_rejected(self):
+        # a cast to int64 would wrap these and misreport them as negative
+        for raw in ([[1e20, 1], [1, 1]], [[1, -1e20]], np.array([[1, 2**63]], dtype=np.uint64)):
+            with pytest.raises(DomainError, match="outside the int64 range"):
+                validate_table(raw)
+        assert validate_table([[2**63 - 1]]).counts[0, 0] == 2**63 - 1
+
     def test_ragged_rejected(self):
         with pytest.raises(DomainError):
             validate_table([[1, 2], [3]])
