@@ -193,8 +193,6 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_power(args) -> int:
-    if args.reps < 1:
-        raise _UsageError(f"--reps must be >= 1, got {args.reps}")
     family = _family_from_args(args)
     grid = (
         _parse_grid(args.eps_grid, "eps-grid")
@@ -236,8 +234,6 @@ def _cmd_asymsize(args) -> int:
 
 
 def _cmd_subsample(args) -> int:
-    if args.reps < 1:
-        raise _UsageError(f"--reps must be >= 1, got {args.reps}")
     table = _resolve_table(args)
     config = PermutationConfig(B=args.B, alpha=args.alpha, seed=args.seed)
     study = subsample_study(
@@ -255,8 +251,6 @@ def _cmd_subsample(args) -> int:
 
 
 def _cmd_dhat(args) -> int:
-    if args.reps < 1:
-        raise _UsageError(f"--reps must be >= 1, got {args.reps}")
     family = _family_from_args(args)
     values = dhat_samples(
         family, n=args.n, epsilon=args.eps, reps=args.reps, seed=args.seed, threads=args.threads

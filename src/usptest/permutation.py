@@ -11,10 +11,13 @@ uniformly random permutation of the row labels, without ever materializing
 the n underlying observations.  Tables are drawn in blocks of bounded cell
 count, so memory does not grow with B.
 
-Each statistic is scored as one reduction over a block, through a key that
-ranks like the statistic among tables with the data's margins (the usp key
-is an exact integer).  One generator per run draws the tables and the
-tie-break, so a run is reproducible from its stream alone.
+The same sampler serves a batch of source tables, each with its own
+margins: the Monte Carlo studies draw B permuted tables for every sampled
+table of a block in one pass.  Each statistic is scored as one reduction
+over a block, through a key that ranks like the statistic among tables with
+the source's margins (the usp key is an exact integer).  One generator per
+run draws the tables and the tie-break, so a run is reproducible from its
+stream alone.
 
 P-values are rank-based.  With the default randomized tie policy the test is
 exact: under independence the p-value is uniform on {1/(B+1), ..., 1}, so
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Callable
+from typing import Sequence
 
 import numpy as np
 
@@ -57,6 +60,7 @@ METHODS = ("usp", "pearson", "g")
 MODES = ("permutation", "classic")
 
 _BLOCK_CELLS = 1 << 18  # cells per block of permuted tables (2 MiB of int64)
+_HYPERGEOMETRIC_LIMIT = 10**9  # numpy's hypergeometric takes ngood, nbad below this
 
 
 @dataclass(frozen=True)
@@ -116,17 +120,29 @@ class TestResult:
     seed: int
 
 
-def _draw(table: ContingencyTable, size: int, gen: np.random.Generator) -> np.ndarray:
-    # Patefield's sequential-conditional method, vectorized over the batch:
-    # row i given the column counts still unplaced is multivariate
+def _draw(rows: np.ndarray, cols: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+    # M tables, table m drawn with row margins rows[m] and column margins
+    # cols[m], by Patefield's sequential-conditional method vectorized over
+    # the batch: row i given the column counts still unplaced is multivariate
     # hypergeometric, drawn one column at a time from its marginals.
-    I, J = table.shape
-    out = np.empty((size, I, J), dtype=np.int64)
-    rest = np.repeat(table.col_margins[None, :], size, axis=0)
-    unplaced = table.n
+    M, I = rows.shape
+    J = cols.shape[1]
+    unplaced = np.einsum("mi->m", rows)  # table totals; sum(axis=1) is slow on short rows
+    if I > 1 and J > 1:
+        # numpy's draws see ngood = c_j and nbad = c_{j+1} + ... + c_{J-1};
+        # the largest are c_0 and n - c_0, which bounds every later c_j
+        big = max(cols[:, 0].max(), (unplaced - cols[:, 0]).max())
+        if big >= _HYPERGEOMETRIC_LIMIT:
+            raise DomainError(
+                f"permutation mode needs the first column margin, and the total of "
+                f"the other columns, below 10^9 (numpy's hypergeometric sampler "
+                f"takes no larger counts); this table has {big}"
+            )
+    out = np.empty((M, I, J), dtype=np.int64)
+    rest = cols.copy()
     for i in range(I - 1):
-        need = np.full(size, table.row_margins[i], dtype=np.int64)
-        left = np.full(size, unplaced, dtype=np.int64)
+        need = rows[:, i].copy()
+        left = unplaced.copy()
         for j in range(J - 1):
             left -= rest[:, j]
             x = gen.hypergeometric(rest[:, j], left, need)
@@ -134,17 +150,28 @@ def _draw(table: ContingencyTable, size: int, gen: np.random.Generator) -> np.nd
             need -= x
         out[:, i, J - 1] = need
         rest -= out[:, i]
-        unplaced -= int(table.row_margins[i])
+        unplaced -= rows[:, i]
     out[:, I - 1] = rest
     return out
 
 
-def _blocks(table: ContingencyTable, B: int, gen: np.random.Generator):
-    # B tables in consecutive blocks of at most _BLOCK_CELLS cells, so peak
-    # memory does not grow with B
-    step = max(1, _BLOCK_CELLS // (table.I * table.J))
-    for start in range(0, B, step):
-        yield _draw(table, min(step, B - start), gen)
+def _permuted(rows: np.ndarray, cols: np.ndarray, B: int, gen: np.random.Generator):
+    # B permuted tables for each of the R source tables whose margins are
+    # rows (R, I) and cols (R, J), source by source, as chunks of at most
+    # _BLOCK_CELLS cells so that peak memory does not grow with R or B.
+    # Yields (lo, hi, tables) with tables of shape (hi - lo, b, I*J): b tables
+    # for each source lo..hi-1.  A chunk holds whole sources when B fits in
+    # it, else consecutive pieces of one source.
+    R, I = rows.shape
+    J = cols.shape[1]
+    step = max(1, _BLOCK_CELLS // (I * J))
+    if B <= step:
+        spans = [(lo, min(lo + step // B, R), B) for lo in range(0, R, step // B)]
+    else:
+        spans = [(r, r + 1, min(step, B - s)) for r in range(R) for s in range(0, B, step)]
+    for lo, hi, b in spans:
+        tables = _draw(np.repeat(rows[lo:hi], b, axis=0), np.repeat(cols[lo:hi], b, axis=0), gen)
+        yield lo, hi, tables.reshape(hi - lo, b, I * J)
 
 
 def permuted_tables(
@@ -163,27 +190,68 @@ def permuted_tables(
     """
     if B < 1:
         raise DomainError(f"B must be >= 1, got {B}")
-    return np.concatenate(list(_blocks(table, B, as_generator(rng))))
+    rows, cols = table.row_margins[None, :], table.col_margins[None, :]
+    chunks = _permuted(rows, cols, B, as_generator(rng))
+    return np.concatenate([t[0] for _, _, t in chunks]).reshape(B, table.I, table.J)
 
 
-def _rank_key(table: ContingencyTable, method: str) -> Callable[[np.ndarray], np.ndarray]:
-    # Returns a reduction from a (B, I*J) batch to B keys that rank like the
-    # method's statistic over tables sharing this table's margins; terms that
-    # depend on the margins alone drop out.
-    n = table.n
-    rc = np.outer(table.row_margins, table.col_margins).ravel()
+def _rank_key(method: str, rows: np.ndarray, cols: np.ndarray, n: int):
+    # For R source tables with margins rows (R, I) and cols (R, J) and the
+    # common total n, returns key(tables, sl): a reduction from tables of
+    # shape (k, b, I*J), permuted from the sources sl = slice(lo, hi), to
+    # (k, b) keys that rank like the method's statistic among tables sharing
+    # their source's margins; terms that depend on the margins alone drop out.
+    rc = (rows[:, :, None] * cols[:, None, :]).reshape(len(rows), 1, -1)
     if method == "usp":
         dtype = _usp_key_dtype(n)
-        rc = rc.astype(dtype)
-        return lambda o: _usp_key(o.astype(dtype, copy=False), rc, n)
+        rc = rc.astype(dtype, copy=False)
+        return lambda o, sl: _usp_key(o.astype(dtype, copy=False), rc[sl], n)
     if method == "pearson":
         # X^2 = n sum(o^2 / (r_i c_j)) - n; cells of an empty row or column
         # are zero in every table and get weight 0
         with np.errstate(divide="ignore"):
             w = np.where(rc > 0, 1.0 / rc, 0.0)
-        return lambda o: ((o * o) * w).sum(axis=1)
+        return lambda o, sl: ((o * o) * w[sl]).sum(axis=-1)
     # G = 2 sum(o log o) + margin-only terms, with 0 log 0 = 0
-    return lambda o: (o * np.log(np.maximum(o, 1))).sum(axis=1)
+    return lambda o, sl: (o * np.log(np.maximum(o, 1))).sum(axis=-1)
+
+
+def _exceedances(
+    tables: np.ndarray, methods: Sequence[str], B: int, gen: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rank each of R tables among B permuted tables of its own margins.
+
+    ``tables`` is an int64 array (R, I, J) of tables with a common total.
+    Draws the R*B permuted tables once, source by source (see
+    :func:`_permuted`), and scores the same tables with every method's key.
+    Returns ``(greater, ties)``, int64 arrays of shape (len(methods), R):
+    how many of a source's B tables have a key above, and equal to, the
+    source's own.
+    """
+    R, I, J = tables.shape
+    rows, cols = tables.sum(axis=2), tables.sum(axis=1)
+    n = int(rows[0].sum())
+    keys = [_rank_key(method, rows, cols, n) for method in methods]
+    own = tables.reshape(R, 1, I * J)
+    k0 = [key(own, slice(None)) for key in keys]
+    greater = np.zeros((len(methods), R), dtype=np.int64)
+    ties = np.zeros((len(methods), R), dtype=np.int64)
+    for lo, hi, block in _permuted(rows, cols, B, gen):
+        for t, key in enumerate(keys):
+            k, ref = key(block, slice(lo, hi)), k0[t][lo:hi]
+            greater[t, lo:hi] += (k > ref).sum(axis=1)
+            ties[t, lo:hi] += (k == ref).sum(axis=1)
+    return greater, ties
+
+
+def _pvalues(
+    greater: np.ndarray, ties: np.ndarray, config: PermutationConfig, gen: np.random.Generator
+) -> np.ndarray:
+    # p = (1 + exceedances + tie share) / (B + 1): randomized ties draw their
+    # share uniformly from {0, ..., ties}, conservative ones count them all
+    if config.tie_policy == "randomized" and ties.any():
+        ties = gen.integers(0, ties + 1)
+    return (1 + greater + ties) / (config.B + 1.0)
 
 
 def _observed_statistic(table: ContingencyTable, method: str) -> float:
@@ -232,19 +300,9 @@ def permutation_pvalue(
     if not isinstance(stream, RandomStream):
         raise TypeError("permutation_pvalue needs a RandomStream to derive its generator")
     t0 = _observed_statistic(table, method)
-    key = _rank_key(table, method)
-    k0 = key(table.counts.reshape(1, -1))[0]
     gen = stream.generator()
-    greater = ties = 0
-    for block in _blocks(table, config.B, gen):
-        keys = key(block.reshape(len(block), -1))
-        greater += int(np.count_nonzero(keys > k0))
-        ties += int(np.count_nonzero(keys == k0))
-    if config.tie_policy == "randomized":
-        rank = 1 + greater + (int(gen.integers(0, ties + 1)) if ties else 0)
-    else:
-        rank = 1 + greater + ties
-    return t0, rank / (config.B + 1.0)
+    greater, ties = _exceedances(table.counts[None], (method,), config.B, gen)
+    return t0, float(_pvalues(greater[0], ties[0], config, gen)[0])
 
 
 def _classic_statistic(table: ContingencyTable, method: str) -> float:
@@ -273,8 +331,6 @@ def run_test(
         Level, permutation count, seed, tie policy.  Defaults apply.
     stream : RandomStream, optional
         Permutation stream override; defaults to RandomStream(config.seed).
-        Simulation drivers pass per-replicate children so that every
-        replicate is independently reproducible.
     """
     if method not in METHODS:
         raise InvalidMode(f"unknown method {method!r}; expected one of {METHODS}")

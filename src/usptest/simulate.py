@@ -13,10 +13,15 @@ perturbation parameter epsilon (epsilon = 0 recovers a product law):
 * multiplicative: a 4x4 law with cells (1 + (-1)^(i+j) epsilon) / (C 2^(i+j)),
   normalized by C; independent exactly at epsilon = 0.
 
-Every replicate draws its randomness from a stream keyed by (master seed,
-epsilon index, replicate index), so results are bit-identical for any worker
-count and workers never share streams.  Within a replicate all configured
-tests see the same sampled table but use independent permutation streams.
+Studies run in blocks of a fixed number of replicates (``_BLOCK_REPS``, a
+code constant).  Each block draws from one generator keyed by (master seed,
+epsilon index, block index): it samples all of the block's tables in one
+call, then draws B permuted tables for every sampled table in one batched
+pass, then breaks ties.  All permutation tests of a replicate score the same
+permuted tables; each is still an exact permutation test, because every
+test compares its statistic over the same exchangeable draws.  Workers take
+whole blocks, so results are bit-identical for any worker count, and
+workers never share streams.
 """
 
 from __future__ import annotations
@@ -38,9 +43,9 @@ from .errors import (
     UndefinedStatistic,
 )
 from .numerics import RandomStream
-from .permutation import METHODS, MODES, PermutationConfig, run_test
+from .permutation import METHODS, MODES, PermutationConfig, _exceedances, _pvalues, run_test
 from .stats import dhat_statistic
-from .table import ContingencyTable, JointDistribution, sample_table, subsample
+from .table import ContingencyTable, JointDistribution, sample_table
 
 __all__ = [
     "AlternativeFamily",
@@ -238,72 +243,83 @@ def _validate_tests(tests: Sequence[tuple[str, str]]) -> tuple[tuple[str, str], 
     return tests
 
 
-def _run_tests_on(
-    table: ContingencyTable,
-    tests: Sequence[tuple[str, str]],
-    config: PermutationConfig,
-    stream: RandomStream,
-) -> tuple[tuple[bool, bool], ...]:
-    # shared sampled table across tests; independent permutation streams
-    outcomes = []
-    for t_idx, (method, mode) in enumerate(tests):
-        if mode == "classic":
-            try:
-                result = run_test(table, method, mode, config)
-            except UndefinedStatistic:
-                outcomes.append((False, True))
-                continue
-            outcomes.append((result.reject, False))
-        else:
-            result = run_test(table, method, mode, config, stream=stream.child(1 + t_idx))
-            outcomes.append((result.reject, False))
-    return tuple(outcomes)
-
-
 def _aggregate_rates(
-    tests: Sequence[tuple[str, str]],
-    outcomes: Sequence[tuple[tuple[bool, bool], ...]],
+    tests: Sequence[tuple[str, str]], reps: int, blocks: Sequence[np.ndarray]
 ) -> tuple[TestRate, ...]:
-    reps = len(outcomes)
+    # blocks holds one (2, len(tests)) array of rejection and undefined
+    # counts per block of replicates
+    rejected, undefined = np.sum(blocks, axis=0)
     rates = []
-    for t_idx, (method, mode) in enumerate(tests):
-        rejections = sum(1 for o in outcomes if o[t_idx][0])
-        undefined = sum(1 for o in outcomes if o[t_idx][1])
-        rate = rejections / reps
+    for (method, mode), rejections, undef in zip(tests, rejected, undefined):
+        rate = int(rejections) / reps
         rates.append(
             TestRate(
                 method=method,
                 mode=mode,
                 rejection_rate=rate,
                 std_err=float(np.sqrt(rate * (1.0 - rate) / reps)),
-                undefined_count=undefined,
+                undefined_count=int(undef),
             )
         )
     return tuple(rates)
 
 
 # ---------------------------------------------------------------------------
-# replicate workers (module-level so process pools can pickle them)
+# study blocks and workers (module-level so process pools can pickle them)
 # ---------------------------------------------------------------------------
 
-
-def _power_replicate(task):
-    family, n, tests, config, eps_idx, rep_idx = task
-    stream = RandomStream(config.seed).child(eps_idx, rep_idx)
-    table = sample_table(family.distribution(), n, stream.child(0))
-    return _run_tests_on(table, tests, config, stream)
+_BLOCK_REPS = 64  # replicates per block: one generator and one pool task each
 
 
-def _subsample_replicate(task):
-    counts, m, tests, config, replace, rep_idx = task
-    table = ContingencyTable(counts)
-    stream = RandomStream(config.seed).child(0, rep_idx)
+def _block_sizes(reps: int) -> list[int]:
+    return [min(_BLOCK_REPS, reps - lo) for lo in range(0, reps, _BLOCK_REPS)]
+
+
+def _sample_block(source, size: int, gen: np.random.Generator) -> np.ndarray:
+    # size sampled tables as one int64 (size, I, J) array: n i.i.d. draws
+    # from cell probabilities, or m draws without replacement from counts
+    weights, total, replace = source
     if replace:
-        dist = JointDistribution(counts / counts.sum())
-        sub = sample_table(dist, m, stream.child(0))
+        flat = gen.multinomial(total, weights.ravel(), size=size)
     else:
-        sub = subsample(table, m, stream.child(0))
-    return _run_tests_on(sub, tests, config, stream)
+        flat = gen.multivariate_hypergeometric(
+            weights.ravel(), total, size=size, method="marginals"
+        )
+    return flat.reshape(size, *weights.shape).astype(np.int64, copy=False)
+
+
+def _classic_counts(tables: np.ndarray, method: str, config: PermutationConfig) -> tuple[int, int]:
+    # rejections and undefined replicates of a classic test over a block; a
+    # table with a zero margin has no classic statistic and cannot reject
+    rejected = undefined = 0
+    for counts in tables:
+        try:
+            table = ContingencyTable._from_valid_counts(counts)
+            rejected += run_test(table, method, "classic", config).reject
+        except UndefinedStatistic:
+            undefined += 1
+    return rejected, undefined
+
+
+def _study_block(task) -> np.ndarray:
+    # One block of replicates from one generator: sample every table of the
+    # block, rank each among B permuted tables of its margins (one draw that
+    # all permutation tests score), then break each test's ties in test order.
+    source, size, tests, config, stream_id = task
+    gen = RandomStream(config.seed, stream_id).generator()
+    tables = _sample_block(source, size, gen)
+    perm = [method for method, mode in tests if mode == "permutation"]
+    if perm:
+        greater, ties = _exceedances(tables, perm, config.B, gen)
+    counts = np.zeros((2, len(tests)), dtype=np.int64)
+    for t_idx, (method, mode) in enumerate(tests):
+        if mode == "classic":
+            counts[:, t_idx] = _classic_counts(tables, method, config)
+        else:
+            k = perm.index(method)
+            p = _pvalues(greater[k], ties[k], config, gen)
+            counts[0, t_idx] = np.count_nonzero(p <= config.alpha)
+    return counts
 
 
 def _dhat_replicate(task):
@@ -347,25 +363,36 @@ def power_curve(
     For every epsilon in the grid, ``reps`` tables of ``n`` observations are
     sampled from the family; every configured (method, mode) test runs on
     each table at level ``config.alpha``.  Streams are keyed by (seed,
-    epsilon index, replicate index): output is identical for any ``threads``.
+    epsilon index, block index), and all blocks of all epsilons go through
+    one pool: output is identical for any ``threads``.
     """
     if reps < 1:
         raise DomainError(f"reps must be >= 1, got {reps}")
     tests = _validate_tests(tests)
+    if n < 0 or int(n) != n:
+        raise DomainError(f"sample size must be a non-negative integer, got {n}")
+    if n < 4 and any(method == "usp" for method, _ in tests):
+        raise SampleTooSmall(f"usp statistic needs n >= 4, got n={n}")
     if config is None:
         config = PermutationConfig()
-    points = []
-    for eps_idx, eps in enumerate(eps_grid):
-        fam = family.at(float(eps))
-        fam.distribution()  # validate feasibility before queueing replicates
-        tasks = [(fam, n, tests, config, eps_idx, r) for r in range(reps)]
-        outcomes = _map_replicates(_power_replicate, tasks, threads)
-        points.append(
-            PowerCurvePoint(
-                epsilon=float(eps), n=n, reps=reps, rates=_aggregate_rates(tests, outcomes)
-            )
+    grid = [float(eps) for eps in eps_grid]
+    sizes = _block_sizes(reps)
+    tasks = []
+    for eps_idx, eps in enumerate(grid):
+        # materializing the law checks feasibility before any block runs
+        source = (family.at(eps).distribution().probs, int(n), True)
+        tasks += [(source, size, tests, config, (eps_idx, k)) for k, size in enumerate(sizes)]
+    blocks = _map_replicates(_study_block, tasks, threads)
+    per_eps = len(sizes)
+    return [
+        PowerCurvePoint(
+            epsilon=eps,
+            n=n,
+            reps=reps,
+            rates=_aggregate_rates(tests, reps, blocks[i * per_eps : (i + 1) * per_eps]),
         )
-    return points
+        for i, eps in enumerate(grid)
+    ]
 
 
 def dhat_samples(
@@ -419,9 +446,13 @@ def subsample_study(
     tests = _validate_tests(tests)
     if config is None:
         config = PermutationConfig()
-    tasks = [(table.counts, m, tests, config, replace, r) for r in range(reps)]
-    outcomes = _map_replicates(_subsample_replicate, tasks, threads)
-    return SubsampleStudy(m=m, reps=reps, rates=_aggregate_rates(tests, outcomes))
+    weights = table.counts / table.n if replace else table.counts
+    source = (weights, int(m), replace)
+    tasks = [
+        (source, size, tests, config, (0, k)) for k, size in enumerate(_block_sizes(reps))
+    ]
+    blocks = _map_replicates(_study_block, tasks, threads)
+    return SubsampleStudy(m=m, reps=reps, rates=_aggregate_rates(tests, reps, blocks))
 
 
 # ---------------------------------------------------------------------------

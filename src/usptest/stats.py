@@ -158,7 +158,11 @@ def _usp_key(o: np.ndarray, rc: np.ndarray, n: int) -> np.ndarray:
     # (n-2) sum(o^2) - 2 sum(o_ij r_i c_j) over the last axis, for cells o and
     # margin products rc of a dtype from _usp_key_dtype: an integer that ranks
     # like U-hat among tables with the same margins
-    return (n - 2) * (o * o).sum(axis=-1) - 2 * (o * rc).sum(axis=-1)
+    if o.ndim == 1 or o.dtype == object:
+        # one table, or Python ints (einsum has no object loops before numpy 1.25)
+        return (n - 2) * (o * o).sum(axis=-1) - 2 * (o * rc).sum(axis=-1)
+    # over a batch, einsum reduces the short cell axis about 3x faster than sum
+    return (n - 2) * np.einsum("...k,...k->...", o, o) - 2 * np.einsum("...k,...k->...", o, rc)
 
 
 def _usp_value(counts: np.ndarray, n: int) -> float:

@@ -128,6 +128,14 @@ def _coerce_counts(raw) -> np.ndarray:
     if np.any(arr < 0):
         i, j = _first_offender(arr < 0)
         raise NegativeCount(f"cell ({i},{j}) is negative: {arr[i, j]}")
+    # margins and n are int64 sums, which would wrap: a float total far below
+    # the limit clears the table, else the exact Python-int total decides
+    if arr.sum(dtype=np.float64) >= 2.0**62:
+        total = int(arr.sum(dtype=object))
+        if total >= _INT64_LIMIT:
+            raise DomainError(
+                f"table total {total} is outside the int64 range (at most {_INT64_LIMIT - 1})"
+            )
     return arr
 
 

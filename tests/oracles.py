@@ -1,6 +1,7 @@
 """Reference implementations that the library's fast paths are tested against."""
 
 from fractions import Fraction
+from math import comb, prod
 
 import numpy as np
 
@@ -39,3 +40,41 @@ def usp_exact(counts) -> Fraction:
             sq += (o - e) ** 2
             cross += o * e
     return sq / (n * (n - 3)) - 4 * cross / (n * (n - 2) * (n - 3))
+
+
+def pearson_exact(counts) -> Fraction:
+    """Pearson's X^2 in exact rational arithmetic; needs positive margins."""
+    rows = [[int(c) for c in row] for row in np.asarray(counts)]
+    n = sum(map(sum, rows))
+    r = [sum(row) for row in rows]
+    c = [sum(col) for col in zip(*rows)]
+    return sum(
+        (Fraction(o * n - r[i] * c[j]) ** 2 / (n * r[i] * c[j]))
+        for i, row in enumerate(rows)
+        for j, o in enumerate(row)
+    )
+
+
+def g_exact_key(counts) -> int:
+    """prod(o^o), an integer that ranks like G among tables with equal margins."""
+    return prod(int(o) ** int(o) for o in np.asarray(counts).ravel())
+
+
+def hypergeometric_tail_2x2(counts, statistic) -> Fraction:
+    """Exact P(T >= t0) for a 2x2 table t0 under the permutation law.
+
+    Given the margins, the tables are indexed by their (0, 0) cell k, which
+    is hypergeometric: P(k) = C(r1, k) C(n - r1, c1 - k) / C(n, c1).
+    ``statistic`` maps a table to an exactly comparable value; the tail sums
+    P over every table whose value is at least the observed one.  This is the
+    B -> infinity limit of the conservative permutation p-value.
+    """
+    (a, b), (c, d) = [[int(x) for x in row] for row in np.asarray(counts)]
+    n, r1, c1 = a + b + c + d, a + b, a + c
+    t0 = statistic([[a, b], [c, d]])
+    mass = 0
+    for k in range(max(0, r1 + c1 - n), min(r1, c1) + 1):
+        table = [[k, r1 - k], [c1 - k, n - r1 - c1 + k]]
+        if statistic(table) >= t0:
+            mass += comb(r1, k) * comb(n - r1, c1 - k)
+    return Fraction(mass, comb(n, c1))

@@ -177,6 +177,13 @@ class TestExitCodes:
         )
         assert code == 2
 
+    def test_margin_past_hypergeometric_limit_is_two(self, capsys, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("1000000000,1\n1,1\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, ["test", "--input", str(path), "--B", "19"])
+        assert code == 2 and out == ""
+        assert "below 10^9" in err
+
     def test_unknown_test_token_is_two(self, capsys):
         code, _, err = run_cli(
             capsys,

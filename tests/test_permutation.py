@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from oracles import permuted_table_by_shuffle, usp_exact
+from oracles import (
+    g_exact_key,
+    hypergeometric_tail_2x2,
+    pearson_exact,
+    permuted_table_by_shuffle,
+    usp_exact,
+)
 from usptest import permutation
 from usptest.errors import DomainError, InvalidMode, UndefinedStatistic
 from usptest.numerics import RandomStream, chi2_cdf
@@ -205,6 +211,49 @@ class TestExactTies:
         r = run_test(t, "usp", "permutation", PermutationConfig(B=19, alpha=0.1, seed=1))
         assert r.p_value == 1 / 20
         assert r.statistic == float(usp_exact(t.counts))
+
+
+class TestExactTail:
+    # B -> infinity oracle: on a 2x2 table the permuted tables are indexed by
+    # one hypergeometric cell, so P(T >= t0) is an exact finite sum.  On this
+    # table pearson's tail (0.088) differs from usp's and g's (0.194).
+    DATA = validate_table([[1, 3], [6, 1]])
+    EXACT = {"usp": usp_exact, "pearson": pearson_exact, "g": g_exact_key}
+
+    def test_conservative_p_matches_exact_tail(self):
+        B = 20_000
+        for seed, (method, statistic) in enumerate(self.EXACT.items()):
+            tail = float(hypergeometric_tail_2x2(self.DATA.counts, statistic))
+            cfg = PermutationConfig(B=B, seed=seed, tie_policy="conservative")
+            _, p = permutation_pvalue(self.DATA, method, cfg, RandomStream(seed))
+            # (B + 1) p - 1 tables of B reach t0: binomial(B, tail)
+            hits = round(p * (B + 1)) - 1
+            assert abs(hits - B * tail) <= 4.5 * np.sqrt(B * tail * (1 - tail)), method
+
+    def test_statistics_disagree_on_this_table(self):
+        tails = {m: hypergeometric_tail_2x2(self.DATA.counts, f) for m, f in self.EXACT.items()}
+        assert tails["usp"] == tails["g"] != tails["pearson"]
+
+
+class TestHypergeometricLimit:
+    def test_large_margin_rejected_up_front(self):
+        t = validate_table([[1_000_000_000, 1], [1, 1]])
+        with pytest.raises(DomainError, match="below 10\\^9"):
+            permuted_tables(t, 5, RandomStream(0))
+        with pytest.raises(DomainError, match="below 10\\^9"):
+            run_test(t, "usp", "permutation", PermutationConfig(B=19, alpha=0.1))
+
+    def test_columns_after_the_first_count_together(self):
+        # every margin is below 10^9, but the first row's first draw sees the
+        # other columns' 1.2 * 10^9 observations as its nbad
+        t = validate_table([[1, 600_000_000, 600_000_000], [1, 1, 1]])
+        with pytest.raises(DomainError, match="this table has 1200000002"):
+            permuted_tables(t, 5, RandomStream(0))
+
+    def test_just_below_the_limit_draws(self):
+        t = validate_table([[999_999_998, 1], [0, 1]])
+        tables = permuted_tables(t, 5, RandomStream(0))
+        np.testing.assert_array_equal(tables.sum(axis=1), np.tile(t.col_margins, (5, 1)))
 
 
 class TestRunTestClassic:

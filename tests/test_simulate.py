@@ -11,6 +11,7 @@ from usptest.errors import (
     SampleTooSmall,
     SubsampleTooLarge,
 )
+from usptest import permutation
 from usptest.permutation import PermutationConfig, run_test
 from usptest.simulate import (
     DHAT_CSV_HEADER,
@@ -27,7 +28,9 @@ from usptest.simulate import (
     sparse_max_epsilon,
     subsample_study,
     subsample_study_csv,
-    _subsample_replicate,
+    _BLOCK_REPS,
+    _block_sizes,
+    _sample_block,
     _worker_count,
 )
 from usptest.stats import dependence_measure
@@ -257,6 +260,13 @@ class TestPowerCurve:
         with pytest.raises(DomainError):
             power_curve(fam, [0.0], n=20, reps=5, tests=[])
 
+    def test_sample_size_guards(self):
+        fam = AlternativeFamily(kind="sparse", I=5, J=8)
+        with pytest.raises(SampleTooSmall):
+            power_curve(fam, [0.0], n=3, reps=5, tests=[("usp", "permutation")])
+        with pytest.raises(DomainError):
+            power_curve(fam, [0.0], n=-1, reps=5, tests=[("g", "permutation")])
+
 
 class TestSubsampleStudy:
     def test_full_size_without_replacement_reproduces_decision(self):
@@ -276,21 +286,13 @@ class TestSubsampleStudy:
         # At m = n, drawing without replacement returns the table itself;
         # i.i.d. redraws almost surely do not.
         diag = validate_table([[10, 0], [0, 10]])
-        cfg = PermutationConfig(B=9, alpha=0.4, seed=0)
-        tests = (("usp", "permutation"),)
-        for rep in range(5):
-            task_keep = (diag.counts, diag.n, tests, cfg, False, rep)
-            _subsample_replicate(task_keep)  # must not raise
+        gen = np.random.default_rng(0)
+        kept = _sample_block((diag.counts, diag.n, False), 5, gen)
+        np.testing.assert_array_equal(kept, np.tile(diag.counts, (5, 1, 1)))
         # the bootstrap path perturbs at least one of a handful of redraws
-        from usptest.numerics import RandomStream
-        from usptest.table import JointDistribution, sample_table
-
-        dist = JointDistribution(diag.counts / diag.n)
-        draws = [
-            sample_table(dist, diag.n, RandomStream(cfg.seed).child(0, rep).child(0))
-            for rep in range(8)
-        ]
-        assert any(d != diag for d in draws)
+        redrawn = _sample_block((diag.counts / diag.n, diag.n, True), 8, gen)
+        assert redrawn.shape == (8, 2, 2) and np.all(redrawn.sum(axis=(1, 2)) == diag.n)
+        assert np.any(redrawn != diag.counts)
 
     def test_guards(self):
         with pytest.raises(SubsampleTooLarge):
@@ -299,6 +301,9 @@ class TestSubsampleStudy:
             subsample_study(MARITAL, m=3, reps=5, tests=PERM_TESTS)
         with pytest.raises(DomainError):
             subsample_study(MARITAL, m=100, reps=0, tests=PERM_TESTS)
+        with pytest.raises(DomainError, match="at least a 2x2 table"):
+            subsample_study(validate_table([[4, 5, 6]]), m=10, reps=5,
+                            tests=[("pearson", "classic")])
 
     def test_thread_count_never_changes_output(self):
         cfg = PermutationConfig(B=19, alpha=0.1, seed=9)
@@ -306,6 +311,64 @@ class TestSubsampleStudy:
         serial = subsample_study(MARITAL, **kwargs, threads=1)
         pooled = subsample_study(MARITAL, **kwargs, threads=2)
         assert subsample_study_csv(serial) == subsample_study_csv(pooled)
+
+
+class TestStudyBlocks:
+    @pytest.mark.parametrize("replace", [True, False])
+    def test_permuted_tables_keep_their_source_margins(self, monkeypatch, replace):
+        # Five sampled tables, B = 10 permuted tables each.  A cap of 25
+        # tables per chunk holds two whole sources per chunk; a cap of 7
+        # splits every source over two chunks.
+        weights = MARITAL.counts / MARITAL.n if replace else MARITAL.counts
+        gen = np.random.default_rng(12)
+        tables = _sample_block((weights, 60, replace), 5, gen)
+        assert tables.shape == (5, 4, 5) and np.all(tables.sum(axis=(1, 2)) == 60)
+        rows, cols = tables.sum(axis=2), tables.sum(axis=1)
+        for cap in (25, 7):
+            monkeypatch.setattr(permutation, "_BLOCK_CELLS", cap * 20)
+            drawn = np.zeros(5, dtype=int)
+            chunks = 0
+            for lo, hi, chunk in permutation._permuted(rows, cols, 10, gen):
+                chunk = chunk.reshape(hi - lo, -1, 4, 5)
+                assert chunk.shape[1] <= cap
+                np.testing.assert_array_equal(
+                    chunk.sum(axis=3), np.broadcast_to(rows[lo:hi, None], chunk.shape[:3])
+                )
+                np.testing.assert_array_equal(
+                    chunk.sum(axis=2),
+                    np.broadcast_to(cols[lo:hi, None], chunk.shape[:2] + (5,)),
+                )
+                assert np.all(chunk >= 0)
+                drawn[lo:hi] += chunk.shape[1]
+                chunks += 1
+            assert drawn.tolist() == [10] * 5
+            assert chunks == (3 if cap == 25 else 10)
+
+    def test_partial_last_block(self):
+        reps = 2 * _BLOCK_REPS + _BLOCK_REPS // 2
+        assert _block_sizes(reps) == [_BLOCK_REPS, _BLOCK_REPS, _BLOCK_REPS // 2]
+
+    def test_thread_count_never_changes_output_across_blocks(self):
+        # 2.5 blocks per study: two full blocks and a partial last one
+        reps = 2 * _BLOCK_REPS + _BLOCK_REPS // 2
+        cfg = PermutationConfig(B=19, alpha=0.1, seed=21)
+        tests = PERM_TESTS + [("g", "classic")]
+        fam = AlternativeFamily(kind="sparse", I=5, J=8)
+        curves = [
+            power_curve_csv(power_curve(fam, [0.0, 0.06], n=40, reps=reps, tests=tests,
+                                        config=cfg, threads=threads))
+            for threads in (1, 2)
+        ]
+        assert curves[0] == curves[1]
+        for replace in (True, False):
+            studies = [
+                subsample_study_csv(subsample_study(MARITAL, m=80, reps=reps, tests=tests,
+                                                    config=cfg, threads=threads,
+                                                    replace=replace))
+                for threads in (1, 2)
+            ]
+            assert studies[0] == studies[1]
+            assert f"80,{reps},usp,permutation," in studies[0]
 
 
 class TestWorkerCount:

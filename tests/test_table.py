@@ -61,6 +61,13 @@ class TestValidation:
                 validate_table(raw)
         assert validate_table([[2**63 - 1]]).counts[0, 0] == 2**63 - 1
 
+    def test_total_past_int64_rejected(self):
+        # every cell fits in int64, but the total and the margins would wrap
+        with pytest.raises(DomainError, match="table total 13835058055282163713 is outside"):
+            validate_table([[2**62, 2**62], [2**62, 1]])
+        t = validate_table([[2**62, 2**62 - 1], [0, 0]])
+        assert t.n == 2**63 - 1 and t.row_margins[0] == 2**63 - 1
+
     def test_ragged_rejected(self):
         with pytest.raises(DomainError):
             validate_table([[1, 2], [3]])
