@@ -24,7 +24,6 @@ from .errors import (
     InfeasibleEpsilon,
     InvalidMode,
     NegativeCount,
-    SampleTooLargeForOracle,
     SampleTooSmall,
     SubsampleTooLarge,
     UndefinedStatistic,
@@ -68,7 +67,6 @@ from .stats import (
     StatisticValue,
     chi2_divergence,
     dependence_measure,
-    dhat_bruteforce,
     dhat_statistic,
     g_statistic,
     pearson_statistic,
@@ -106,7 +104,6 @@ __all__ = [
     "PermutationConfig",
     "PowerCurvePoint",
     "RandomStream",
-    "SampleTooLargeForOracle",
     "SampleTooSmall",
     "SizeCurvePoint",
     "StatisticValue",
@@ -122,7 +119,6 @@ __all__ = [
     "chi2_sf",
     "dense_family",
     "dependence_measure",
-    "dhat_bruteforce",
     "dhat_samples",
     "dhat_samples_csv",
     "dhat_statistic",

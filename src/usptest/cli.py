@@ -17,6 +17,7 @@ environment variable) only changes runtime, never output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -362,10 +363,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on the first main call, not at import, and reused by every later
+    # call: building it costs more than most parses, and parse_args keeps no
+    # state between calls
+    return build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse already printed a message
         return int(exc.code) if exc.code is not None else _EXIT_OK
     if getattr(args, "threads", None) is None and hasattr(args, "threads"):

@@ -30,10 +30,6 @@ class SampleTooSmall(UspError):
     """The statistic needs more observations than the table contains."""
 
 
-class SampleTooLargeForOracle(UspError):
-    """The brute-force oracle refuses combinatorially explosive inputs."""
-
-
 class SubsampleTooLarge(UspError):
     """A subsample size exceeds the number of observations available."""
 

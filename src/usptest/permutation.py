@@ -44,7 +44,7 @@ from .stats import (
     pearson_statistic,
     usp_statistic,
 )
-from .table import ContingencyTable
+from .table import _HYPERGEOMETRIC_LIMIT, ContingencyTable
 
 __all__ = [
     "PermutationConfig",
@@ -60,7 +60,6 @@ METHODS = ("usp", "pearson", "g")
 MODES = ("permutation", "classic")
 
 _BLOCK_CELLS = 1 << 18  # cells per block of permuted tables (2 MiB of int64)
-_HYPERGEOMETRIC_LIMIT = 10**9  # numpy's hypergeometric takes ngood, nbad below this
 
 
 @dataclass(frozen=True)
@@ -263,9 +262,9 @@ def _observed_statistic(table: ContingencyTable, method: str) -> float:
     # tables where the classic-mode statistics raise UndefinedStatistic.
     if method == "usp":
         return usp_statistic(table).value
-    if method == "pearson":
-        return _pearson_value(table.counts, table.n)
-    return _g_value(table.counts, table.n)
+    support = table.counts[table.row_margins > 0][:, table.col_margins > 0]
+    value = _pearson_value if method == "pearson" else _g_value
+    return float(value(support, table.n))
 
 
 def permutation_pvalue(
@@ -311,6 +310,14 @@ def _classic_statistic(table: ContingencyTable, method: str) -> float:
     return g_statistic(table).value
 
 
+def _classic_df(I: int, J: int) -> int:
+    # degrees of freedom of the classic chi-squared reference law
+    df = (I - 1) * (J - 1)
+    if df < 1:
+        raise DomainError(f"classic mode needs at least a 2x2 table, got {I}x{J}")
+    return df
+
+
 def run_test(
     table: ContingencyTable,
     method: str,
@@ -342,11 +349,7 @@ def run_test(
         if method == "usp":
             raise InvalidMode("usp has no classic mode; use mode='permutation'")
         stat = _classic_statistic(table, method)
-        df = (table.I - 1) * (table.J - 1)
-        if df < 1:
-            raise DomainError(
-                f"classic mode needs at least a 2x2 table, got {table.I}x{table.J}"
-            )
+        df = _classic_df(table.I, table.J)
         p_value = chi2_sf(stat, df)
         return TestResult(
             method=method,

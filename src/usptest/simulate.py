@@ -19,9 +19,16 @@ epsilon index, block index): it samples all of the block's tables in one
 call, then draws B permuted tables for every sampled table in one batched
 pass, then breaks ties.  All permutation tests of a replicate score the same
 permuted tables; each is still an exact permutation test, because every
-test compares its statistic over the same exchangeable draws.  Workers take
-whole blocks, so results are bit-identical for any worker count, and
-workers never share streams.
+test compares its statistic over the same exchangeable draws.  Classic
+tests score all of a block's tables with one reduction.  Workers take whole
+blocks, so results are bit-identical for any worker count, and workers never
+share streams.
+
+``threads`` is an upper bound on the worker processes.  A study starts one
+worker per ``_POOL_MIN_DRAWS`` hypergeometric draws of permutation work, and
+never more than it has blocks or the machine has cores: a small study runs
+in the calling process, where a pool would cost more to start than it
+saves.
 """
 
 from __future__ import annotations
@@ -40,12 +47,16 @@ from .errors import (
     InvalidMode,
     SampleTooSmall,
     SubsampleTooLarge,
-    UndefinedStatistic,
 )
-from .numerics import RandomStream
-from .permutation import METHODS, MODES, PermutationConfig, _exceedances, _pvalues, run_test
-from .stats import dhat_statistic
-from .table import ContingencyTable, JointDistribution, sample_table
+from .numerics import RandomStream, chi2_sf
+from .permutation import METHODS, MODES, PermutationConfig, _classic_df, _exceedances, _pvalues
+from .stats import _g_value, _pearson_value, dhat_statistic
+from .table import (
+    ContingencyTable,
+    JointDistribution,
+    _require_hypergeometric_total,
+    sample_table,
+)
 
 __all__ = [
     "AlternativeFamily",
@@ -288,17 +299,19 @@ def _sample_block(source, size: int, gen: np.random.Generator) -> np.ndarray:
     return flat.reshape(size, *weights.shape).astype(np.int64, copy=False)
 
 
-def _classic_counts(tables: np.ndarray, method: str, config: PermutationConfig) -> tuple[int, int]:
-    # rejections and undefined replicates of a classic test over a block; a
-    # table with a zero margin has no classic statistic and cannot reject
-    rejected = undefined = 0
-    for counts in tables:
-        try:
-            table = ContingencyTable._from_valid_counts(counts)
-            rejected += run_test(table, method, "classic", config).reject
-        except UndefinedStatistic:
-            undefined += 1
-    return rejected, undefined
+def _classic_counts(
+    tables: np.ndarray, total: int, method: str, config: PermutationConfig
+) -> tuple[int, int]:
+    # rejections and undefined replicates of a classic test over a block, the
+    # statistic scored as one reduction; a table with a zero margin has no
+    # classic statistic and cannot reject
+    R, I, J = tables.shape
+    df = _classic_df(I, J)
+    defined = (tables.sum(axis=2) > 0).all(axis=1) & (tables.sum(axis=1) > 0).all(axis=1)
+    value = _pearson_value if method == "pearson" else _g_value
+    stats = value(tables[defined], total).tolist()
+    rejected = sum(chi2_sf(stat, df) <= config.alpha for stat in stats)
+    return rejected, R - len(stats)
 
 
 def _study_block(task) -> np.ndarray:
@@ -314,7 +327,7 @@ def _study_block(task) -> np.ndarray:
     counts = np.zeros((2, len(tests)), dtype=np.int64)
     for t_idx, (method, mode) in enumerate(tests):
         if mode == "classic":
-            counts[:, t_idx] = _classic_counts(tables, method, config)
+            counts[:, t_idx] = _classic_counts(tables, source[1], method, config)
         else:
             k = perm.index(method)
             p = _pvalues(greater[k], ties[k], config, gen)
@@ -333,6 +346,21 @@ def _worker_count(threads: int, tasks: int) -> int:
     # a requested thread count never starts more processes than there are
     # cores or tasks, whatever the caller or USP_THREADS asked for
     return max(1, min(threads, os.cpu_count() or 1, tasks))
+
+
+_POOL_MIN_DRAWS = 1 << 17  # hypergeometric draws of a study per pool worker
+
+
+def _study_workers(tasks: list, threads: int) -> int:
+    # One worker per _POOL_MIN_DRAWS hypergeometric draws that the blocks'
+    # permutation tests make (size x B x (I-1)(J-1) per block): below that, a
+    # pool costs more to start than the blocks it would share out.
+    draws = sum(
+        size * config.B * (weights.shape[0] - 1) * (weights.shape[1] - 1)
+        for (weights, _, _), size, tests, config, _ in tasks
+        if any(mode == "permutation" for _, mode in tests)
+    )
+    return _worker_count(threads, min(len(tasks), draws // _POOL_MIN_DRAWS))
 
 
 def _map_replicates(worker, tasks: list, threads: int) -> list:
@@ -382,7 +410,7 @@ def power_curve(
         # materializing the law checks feasibility before any block runs
         source = (family.at(eps).distribution().probs, int(n), True)
         tasks += [(source, size, tests, config, (eps_idx, k)) for k, size in enumerate(sizes)]
-    blocks = _map_replicates(_study_block, tasks, threads)
+    blocks = _map_replicates(_study_block, tasks, _study_workers(tasks, threads))
     per_eps = len(sizes)
     return [
         PowerCurvePoint(
@@ -443,6 +471,8 @@ def subsample_study(
         raise DomainError(f"reps must be >= 1, got {reps}")
     if m > table.n:
         raise SubsampleTooLarge(f"subsample size {m} exceeds table total {table.n}")
+    if not replace:
+        _require_hypergeometric_total(table.n)
     tests = _validate_tests(tests)
     if config is None:
         config = PermutationConfig()
@@ -451,7 +481,7 @@ def subsample_study(
     tasks = [
         (source, size, tests, config, (0, k)) for k, size in enumerate(_block_sizes(reps))
     ]
-    blocks = _map_replicates(_study_block, tasks, threads)
+    blocks = _map_replicates(_study_block, tasks, _study_workers(tasks, threads))
     return SubsampleStudy(m=m, reps=reps, rates=_aggregate_rates(tests, reps, blocks))
 
 

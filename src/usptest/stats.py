@@ -3,8 +3,7 @@
 Implements the chi-squared divergence between two distributions, the
 dependence measure D (squared distance of a joint law from the product of
 its margins), Pearson's chi-squared statistic, the G statistic, the USP
-test statistic (U-hat), the full unbiased estimator of D (D-hat), and a
-brute-force kernel-average oracle for D-hat used only in testing.
+test statistic (U-hat) and the full unbiased estimator of D (D-hat).
 
 U-hat and D-hat differ by terms that depend on the data only through the
 margins, so over tables sharing margins (e.g. permuted tables) they induce
@@ -14,15 +13,12 @@ the same ranking; both may be negative even though D itself never is.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
-from typing import Sequence
 
 import numpy as np
 
 from .errors import (
     DivergenceUndefined,
     DomainError,
-    SampleTooLargeForOracle,
     SampleTooSmall,
     UndefinedStatistic,
 )
@@ -38,7 +34,6 @@ __all__ = [
     "g_statistic",
     "usp_statistic",
     "dhat_statistic",
-    "dhat_bruteforce",
 ]
 
 
@@ -101,7 +96,8 @@ def dependence_measure(p: JointDistribution) -> float:
 
 
 def _expected(counts: np.ndarray, n: int) -> np.ndarray:
-    return np.outer(counts.sum(axis=1), counts.sum(axis=0)) / float(n)
+    rows, cols = counts.sum(axis=-1), counts.sum(axis=-2)
+    return rows[..., :, None] * cols[..., None, :] / float(n)
 
 
 def _require_positive_margins(table: ContingencyTable, kind: str) -> None:
@@ -111,20 +107,25 @@ def _require_positive_margins(table: ContingencyTable, kind: str) -> None:
         )
 
 
-def _pearson_value(counts: np.ndarray, n: int) -> float:
-    # total version: cells in a zero row/column have o = e = 0 and contribute 0
-    e = _expected(counts, n)
-    support = e > 0.0
-    diff = counts[support] - e[support]
-    return float(np.sum(diff * diff / e[support]))
+def _cell_sum(terms: np.ndarray) -> np.ndarray:
+    # sum over the trailing (I, J) axes as one contiguous run of I*J cells, so
+    # each table of a batch sums in the same order as a single table
+    *batch, I, J = terms.shape
+    return terms.reshape(*batch, I * J).sum(axis=-1)
 
 
-def _g_value(counts: np.ndarray, n: int) -> float:
-    # total version with the 0 log 0 = 0 convention; o > 0 forces e > 0
+def _pearson_value(counts: np.ndarray, n: int) -> np.ndarray:
+    # X^2 over the trailing (I, J) axes of one table or of a batch of tables
+    # with common total n; every margin must be positive
     e = _expected(counts, n)
-    pos = counts > 0
-    o = counts[pos].astype(np.float64)
-    return float(2.0 * np.sum(o * np.log(o / e[pos])))
+    diff = counts - e
+    return _cell_sum(diff * diff / e)
+
+
+def _g_value(counts: np.ndarray, n: int) -> np.ndarray:
+    # G over the trailing (I, J) axes, as _pearson_value, with 0 log 0 = 0
+    e = _expected(counts, n)
+    return 2.0 * _cell_sum(counts * np.log(np.where(counts > 0, counts / e, 1.0)))
 
 
 def pearson_statistic(table: ContingencyTable) -> StatisticValue:
@@ -135,7 +136,7 @@ def pearson_statistic(table: ContingencyTable) -> StatisticValue:
     columns are an explicit error here, never silently dropped.
     """
     _require_positive_margins(table, "pearson")
-    return StatisticValue(_pearson_value(table.counts, table.n), "pearson")
+    return StatisticValue(float(_pearson_value(table.counts, table.n)), "pearson")
 
 
 def g_statistic(table: ContingencyTable) -> StatisticValue:
@@ -145,7 +146,7 @@ def g_statistic(table: ContingencyTable) -> StatisticValue:
     column margin raises UndefinedStatistic.
     """
     _require_positive_margins(table, "g")
-    return StatisticValue(_g_value(table.counts, table.n), "g")
+    return StatisticValue(float(_g_value(table.counts, table.n)), "g")
 
 
 def _usp_key_dtype(n: int):
@@ -214,39 +215,3 @@ def dhat_statistic(table: ContingencyTable) -> StatisticValue:
         - n / ((n - 1.0) * (n - 3.0))
     )
     return StatisticValue(value, "dhat")
-
-
-_ORACLE_MAX_N = 12
-
-
-def dhat_bruteforce(pairs: Sequence[tuple[int, int]]) -> float:
-    """Kernel-average oracle for D-hat, from raw (row, column) observations.
-
-    Averages, over all n(n-1)(n-2)(n-3) ordered 4-tuples of distinct
-    observation indices (a, b, c, d), the kernel
-
-        h = 1{x_a = x_b, y_a = y_b} - 2 * 1{x_a = x_b, y_a = y_c}
-            + 1{x_a = x_c, y_b = y_d}.
-
-    Exponential-time reference implementation used to pin dhat_statistic;
-    guarded to 4 <= n <= 12.
-    """
-    xs = [int(x) for x, _ in pairs]
-    ys = [int(y) for _, y in pairs]
-    n = len(xs)
-    if n < 4:
-        raise SampleTooSmall(f"kernel average needs at least 4 observations, got {n}")
-    if n > _ORACLE_MAX_N:
-        raise SampleTooLargeForOracle(
-            f"brute-force oracle is limited to {_ORACLE_MAX_N} observations, got {n}"
-        )
-    total = 0
-    for a, b, c, d in permutations(range(n), 4):
-        if xs[a] == xs[b]:
-            if ys[a] == ys[b]:
-                total += 1
-            if ys[a] == ys[c]:
-                total -= 2
-        if xs[a] == xs[c] and ys[b] == ys[d]:
-            total += 1
-    return total / (n * (n - 1) * (n - 2) * (n - 3))

@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 _INT64_LIMIT = 2**63
+_HYPERGEOMETRIC_LIMIT = 10**9  # numpy's hypergeometric samplers take counts below this
 _PROB_SUM_TOL = 1e-12  # family constructors are analytically normalized
 
 
@@ -247,12 +248,22 @@ def subsample(
 
     The result is multivariate hypergeometric over cells: equivalent to
     picking m of the n underlying individuals at random, but computed
-    directly from counts in O(IJ).
+    directly from counts in O(IJ).  numpy's sampler needs the table total
+    below 10^9.
     """
     if m < 0 or int(m) != m:
         raise DomainError(f"subsample size must be a non-negative integer, got {m}")
     if m > table.n:
         raise SubsampleTooLarge(f"subsample size {m} exceeds table total {table.n}")
+    _require_hypergeometric_total(table.n)
     gen = as_generator(rng)
     flat = gen.multivariate_hypergeometric(table.counts.ravel(), int(m), method="marginals")
     return ContingencyTable._from_valid_counts(flat.reshape(table.shape).astype(np.int64))
+
+
+def _require_hypergeometric_total(n: int) -> None:
+    if n >= _HYPERGEOMETRIC_LIMIT:
+        raise DomainError(
+            f"sampling without replacement needs a table total below 10^9 (numpy's "
+            f"multivariate hypergeometric sampler takes no larger totals); this table has {n}"
+        )

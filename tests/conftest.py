@@ -1,10 +1,18 @@
 """Shared pytest configuration.
 
 Prints a one-line verdict per acceptance criterion after the run, so the
-acceptance status is readable without scrolling the full test log.
+acceptance status is readable without scrolling the full test log.  Fails
+any test that leaves a child process alive, and provides ``pool_spy`` for
+tests that must run a study through its process pool.
 """
 
+import multiprocessing
 import re
+from concurrent.futures import ProcessPoolExecutor
+
+import pytest
+
+from usptest import simulate
 
 _CRITERION_TITLES = {
     1: "classic Pearson statistic and p-value on the marital table",
@@ -44,3 +52,32 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_line(
             f"criterion {num:02d} {status}  ({duration:7.1f}s)  {title}"
         )
+
+
+@pytest.fixture(autouse=True)
+def _no_child_process_left():
+    yield
+    left = multiprocessing.active_children()
+    assert not left, f"the test left child processes alive: {left}"
+
+
+@pytest.fixture
+def pool_spy(monkeypatch):
+    """Make every multi-block study start its pool; list the pools started.
+
+    Studies start workers only for enough permutation work, which small test
+    studies never reach.  This lowers that threshold to one draw and reports
+    two cores, so ``threads=2`` starts a 2-process pool; the returned list
+    gets each pool's worker count.
+    """
+    started = []
+
+    class Spy(ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(simulate, "_POOL_MIN_DRAWS", 1)
+    monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", Spy)
+    return started

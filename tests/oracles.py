@@ -1,10 +1,13 @@
 """Reference implementations that the library's fast paths are tested against."""
 
 from fractions import Fraction
+from itertools import permutations
 from math import comb, prod
+from typing import Sequence
 
 import numpy as np
 
+from usptest.errors import SampleTooSmall
 from usptest.numerics import RandomStream, as_generator
 from usptest.table import ContingencyTable
 
@@ -78,3 +81,43 @@ def hypergeometric_tail_2x2(counts, statistic) -> Fraction:
         if statistic(table) >= t0:
             mass += comb(r1, k) * comb(n - r1, c1 - k)
     return Fraction(mass, comb(n, c1))
+
+
+class SampleTooLargeForOracle(ValueError):
+    """The brute-force oracle refuses combinatorially explosive inputs."""
+
+
+_ORACLE_MAX_N = 12
+
+
+def dhat_bruteforce(pairs: Sequence[tuple[int, int]]) -> float:
+    """Kernel-average oracle for D-hat, from raw (row, column) observations.
+
+    Averages, over all n(n-1)(n-2)(n-3) ordered 4-tuples of distinct
+    observation indices (a, b, c, d), the kernel
+
+        h = 1{x_a = x_b, y_a = y_b} - 2 * 1{x_a = x_b, y_a = y_c}
+            + 1{x_a = x_c, y_b = y_d}.
+
+    Exponential-time reference implementation used to pin dhat_statistic;
+    guarded to 4 <= n <= 12.
+    """
+    xs = [int(x) for x, _ in pairs]
+    ys = [int(y) for _, y in pairs]
+    n = len(xs)
+    if n < 4:
+        raise SampleTooSmall(f"kernel average needs at least 4 observations, got {n}")
+    if n > _ORACLE_MAX_N:
+        raise SampleTooLargeForOracle(
+            f"brute-force oracle is limited to {_ORACLE_MAX_N} observations, got {n}"
+        )
+    total = 0
+    for a, b, c, d in permutations(range(n), 4):
+        if xs[a] == xs[b]:
+            if ys[a] == ys[b]:
+                total += 1
+            if ys[a] == ys[c]:
+                total -= 2
+        if xs[a] == xs[c] and ys[b] == ys[d]:
+            total += 1
+    return total / (n * (n - 1) * (n - 2) * (n - 3))

@@ -11,6 +11,7 @@ to run serially in well under the documented budgets.
 import numpy as np
 import pytest
 
+from oracles import dhat_bruteforce
 from usptest.asymptotics import (
     g_asymptotic_size,
     pearson_asymptotic_size,
@@ -25,7 +26,7 @@ from usptest.simulate import (
     power_curve,
     subsample_study,
 )
-from usptest.stats import dhat_bruteforce, dhat_statistic, usp_statistic
+from usptest.stats import dhat_statistic, usp_statistic
 from usptest.table import expected_counts, validate_table
 
 MARITAL = get_dataset("marital").table

@@ -12,6 +12,7 @@ import sys
 import numpy as np
 import pytest
 
+from usptest import cli
 from usptest.cli import main
 from usptest.datasets import get_dataset
 
@@ -184,6 +185,16 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "below 10^9" in err
 
+    def test_no_replace_past_hypergeometric_limit_is_two(self, capsys, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text("1000000000,1\n1,1\n", encoding="utf-8")
+        argv = ["subsample", "--input", str(path), "--m", "10", "--reps", "2", "--B", "19"]
+        code, out, err = run_cli(capsys, argv + ["--no-replace"])
+        assert code == 2 and out == ""
+        assert "below 10^9" in err and "this table has 1000000003" in err
+        # with replacement the table is only a set of cell probabilities
+        assert run_cli(capsys, argv)[0] == 0
+
     def test_unknown_test_token_is_two(self, capsys):
         code, _, err = run_cli(
             capsys,
@@ -304,12 +315,13 @@ class TestDhatCommand:
 
 
 class TestThreads:
-    def test_env_var_thread_count_keeps_output(self, capsys, monkeypatch):
+    def test_env_var_thread_count_keeps_output(self, capsys, monkeypatch, pool_spy):
         argv = ["power", "--family", "dense", "--n", "30", "--reps", "8", "--B", "19",
                 "--eps-grid", "0:0.01:2", "--tests", "usp"]
         _, serial, _ = run_cli(capsys, argv + ["--threads", "1"])
         monkeypatch.setenv("USP_THREADS", "2")
         _, from_env, _ = run_cli(capsys, argv)
+        assert pool_spy == [2]
         assert from_env == serial
 
     def test_env_var_garbage_falls_back(self, capsys, monkeypatch):
@@ -320,6 +332,48 @@ class TestThreads:
         )
         assert code == 0
         assert len(out.strip().split("\n")) == 4
+
+
+class TestParserReuse:
+    # main builds its parser once per process; each call in a sequence must
+    # give the output, file and exit code it gives on a freshly built parser
+    @staticmethod
+    def call(capsys, argv, out_path):
+        result = run_cli(capsys, argv)
+        written = out_path.read_text() if out_path.exists() else None
+        out_path.unlink(missing_ok=True)
+        return result + (written,)
+
+    def test_sequences_match_fresh_calls(self, capsys, tmp_path):
+        path = tmp_path / "out.json"
+        test_argv = ["test", "--dataset", "marital", "--B", "99", "--seed", "4"]
+        sequences = [
+            [test_argv + ["--out", str(path)], test_argv],
+            [["power", "--family", "sparse", "--reps", "x"], test_argv],
+            [
+                ["power", "--family", "sparse", "--n", "30", "--reps", "6", "--B", "19",
+                 "--eps-grid", "0:0.05:2", "--tests", "usp,g-classic"],
+                ["dhat", "--family", "dense", "--n", "20", "--reps", "4"],
+            ],
+        ]
+        results = []
+        for sequence in sequences:
+            alone = []
+            for argv in sequence:
+                cli._parser.cache_clear()
+                alone.append(self.call(capsys, argv, path))
+            cli._parser.cache_clear()
+            in_turn = [self.call(capsys, argv, path) for argv in sequence]
+            assert cli._parser.cache_info().misses == 1
+            assert in_turn == alone
+            results.append(alone)
+        # (code, stdout, stderr, file) of each call
+        (to_file, to_stdout), (bad, good), (power, dhat) = results
+        assert to_file[0] == to_stdout[0] == 0
+        assert to_file[1] == "" and to_file[3] == to_stdout[1] and to_stdout[3] is None
+        assert bad[0] == 2 and "invalid int value" in bad[2] and good == to_stdout
+        assert power[0] == dhat[0] == 0 and "g,classic" in power[1]
+        assert dhat[1].startswith("epsilon,n,rep,dhat\n")
 
 
 class TestConsoleScript:

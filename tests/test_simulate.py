@@ -10,6 +10,7 @@ from usptest.errors import (
     InvalidMode,
     SampleTooSmall,
     SubsampleTooLarge,
+    UndefinedStatistic,
 )
 from usptest import permutation
 from usptest.permutation import PermutationConfig, run_test
@@ -29,10 +30,14 @@ from usptest.simulate import (
     subsample_study,
     subsample_study_csv,
     _BLOCK_REPS,
+    _POOL_MIN_DRAWS,
     _block_sizes,
+    _classic_counts,
     _sample_block,
+    _study_workers,
     _worker_count,
 )
+from usptest import stats
 from usptest.stats import dependence_measure
 from usptest.table import validate_table
 
@@ -238,12 +243,13 @@ class TestPowerCurve:
         assert rate.undefined_count > 0
         assert rate.rejection_rate <= 1.0 - rate.undefined_count / 80
 
-    def test_thread_count_never_changes_output(self):
+    def test_thread_count_never_changes_output(self, pool_spy):
         fam = AlternativeFamily(kind="dense", I=6, J=8)
         cfg = PermutationConfig(B=19, alpha=0.1, seed=4)
         kwargs = dict(n=30, reps=24, tests=PERM_TESTS, config=cfg)
         serial = power_curve(fam, [0.0, 0.02], **kwargs, threads=1)
         pooled = power_curve(fam, [0.0, 0.02], **kwargs, threads=2)
+        assert pool_spy == [2]
         assert power_curve_csv(serial) == power_curve_csv(pooled)
 
     def test_infeasible_epsilon_rejected_upfront(self):
@@ -304,12 +310,17 @@ class TestSubsampleStudy:
         with pytest.raises(DomainError, match="at least a 2x2 table"):
             subsample_study(validate_table([[4, 5, 6]]), m=10, reps=5,
                             tests=[("pearson", "classic")])
+        with pytest.raises(DomainError, match="below 10\\^9"):
+            subsample_study(validate_table([[10**9, 1], [1, 1]]), m=10, reps=5,
+                            tests=PERM_TESTS, replace=False)
 
-    def test_thread_count_never_changes_output(self):
+    def test_thread_count_never_changes_output(self, pool_spy):
+        # 80 replicates: two blocks, so threads=2 has two tasks to share out
         cfg = PermutationConfig(B=19, alpha=0.1, seed=9)
-        kwargs = dict(m=60, reps=16, tests=[("usp", "permutation")], config=cfg)
+        kwargs = dict(m=60, reps=_BLOCK_REPS + 16, tests=[("usp", "permutation")], config=cfg)
         serial = subsample_study(MARITAL, **kwargs, threads=1)
         pooled = subsample_study(MARITAL, **kwargs, threads=2)
+        assert pool_spy == [2]
         assert subsample_study_csv(serial) == subsample_study_csv(pooled)
 
 
@@ -348,7 +359,7 @@ class TestStudyBlocks:
         reps = 2 * _BLOCK_REPS + _BLOCK_REPS // 2
         assert _block_sizes(reps) == [_BLOCK_REPS, _BLOCK_REPS, _BLOCK_REPS // 2]
 
-    def test_thread_count_never_changes_output_across_blocks(self):
+    def test_thread_count_never_changes_output_across_blocks(self, pool_spy):
         # 2.5 blocks per study: two full blocks and a partial last one
         reps = 2 * _BLOCK_REPS + _BLOCK_REPS // 2
         cfg = PermutationConfig(B=19, alpha=0.1, seed=21)
@@ -369,6 +380,7 @@ class TestStudyBlocks:
             ]
             assert studies[0] == studies[1]
             assert f"80,{reps},usp,permutation," in studies[0]
+        assert pool_spy == [2, 2, 2]
 
 
 class TestWorkerCount:
@@ -381,6 +393,96 @@ class TestWorkerCount:
         assert _worker_count(-5, 100) == 1
         monkeypatch.setattr("usptest.simulate.os.cpu_count", lambda: None)
         assert _worker_count(8, 100) == 1
+
+
+class TestStudyWorkers:
+    # The benchmark's power call: sparse 5x8, n = 100, B = 99, two epsilons.
+    TESTS = PERM_TESTS + [("pearson", "classic"), ("g", "classic")]
+
+    @staticmethod
+    def tasks(reps, tests, I=5, J=8, B=99):
+        # laid out as power_curve lays out its blocks
+        source = (np.full((I, J), 1.0 / (I * J)), 100, True)
+        cfg = PermutationConfig(B=B)
+        return [
+            (source, size, tests, cfg, (e, k))
+            for e in range(2)
+            for k, size in enumerate(_block_sizes(reps))
+        ]
+
+    def test_pool_only_where_the_draws_pay(self, monkeypatch):
+        monkeypatch.setattr("usptest.simulate.os.cpu_count", lambda: 4)
+        # 2 x 20 tables x 99 permuted tables x 28 draws: 110 880 draws, no pool
+        assert 2 * 20 * 99 * 28 < _POOL_MIN_DRAWS
+        assert _study_workers(self.tasks(20, self.TESTS), 2) == 1
+        # 128 replicates: 709 632 draws over 4 blocks, two workers
+        assert _study_workers(self.tasks(128, self.TESTS), 2) == 2
+        assert _study_workers(self.tasks(128, self.TESTS), 1) == 1
+        # more threads: one worker per _POOL_MIN_DRAWS draws, at most one per
+        # block and per core
+        assert _study_workers(self.tasks(128, self.TESTS), 8) == 4
+        assert _study_workers(self.tasks(32, self.TESTS, I=10, J=12), 8) == 2
+        # the draws count, not the tables: a 2x2 table makes one draw each
+        assert _study_workers(self.tasks(128, self.TESTS, I=2, J=2), 8) == 1
+
+    def test_classic_tests_draw_nothing(self, monkeypatch):
+        monkeypatch.setattr("usptest.simulate.os.cpu_count", lambda: 4)
+        assert _study_workers(self.tasks(1000, [("g", "classic")]), 4) == 1
+
+
+class TestClassicBlock:
+    @pytest.mark.parametrize("method", ["pearson", "g"])
+    def test_counts_match_per_table_run_test(self, method):
+        # sparse tables: many have a zero row or column, whose classic
+        # statistic is undefined
+        gen = np.random.default_rng(31)
+        for shape, total in (((2, 2), 6), ((3, 4), 12), ((5, 8), 40)):
+            for alpha in (0.05, 0.3):
+                cfg = PermutationConfig(B=19, alpha=alpha)
+                probs = gen.dirichlet(np.full(shape[0] * shape[1], 0.5)).reshape(shape)
+                tables = _sample_block((probs, total, True), 50, gen)
+                want = [0, 0]
+                for counts in tables:
+                    try:
+                        want[0] += run_test(validate_table(counts), method, "classic", cfg).reject
+                    except UndefinedStatistic:
+                        want[1] += 1
+                assert 0 < want[1] < 50
+                assert _classic_counts(tables, total, method, cfg) == tuple(want)
+
+    def test_every_table_undefined(self):
+        tables = np.zeros((4, 3, 3), dtype=np.int64)
+        tables[:, 0, 0] = 5
+        cfg = PermutationConfig(B=19)
+        assert _classic_counts(tables, 5, "pearson", cfg) == (0, 4)
+        assert _classic_counts(tables, 5, "g", cfg) == (0, 4)
+
+    def test_single_row_rejected_before_any_p_value(self, monkeypatch):
+        def no_call(*args):
+            raise AssertionError("chi2_sf called")
+
+        monkeypatch.setattr("usptest.simulate.chi2_sf", no_call)
+        tables = np.array([[[4, 5, 6]], [[0, 9, 6]]])
+        with pytest.raises(DomainError, match="at least a 2x2 table"):
+            _classic_counts(tables, 15, "pearson", PermutationConfig(B=19))
+
+    @pytest.mark.parametrize("method", ["pearson", "g"])
+    def test_block_statistics_agree_with_scipy(self, method):
+        scipy_stats = pytest.importorskip("scipy.stats")
+        lambda_ = "log-likelihood" if method == "g" else None
+        value = {"pearson": stats._pearson_value, "g": stats._g_value}[method]
+        gen = np.random.default_rng(32)
+        for shape, total in (((2, 2), 30), ((4, 5), 150), ((5, 8), 100)):
+            probs = gen.dirichlet(np.ones(shape[0] * shape[1])).reshape(shape)
+            tables = _sample_block((probs, total, True), 40, gen)
+            rows_ok = (tables.sum(axis=2) > 0).all(axis=1)
+            tables = tables[rows_ok & (tables.sum(axis=1) > 0).all(axis=1)]
+            got = value(tables, total)
+            assert got.shape == (len(tables),) and len(tables) > 20
+            for counts, x in zip(tables, got):
+                want = scipy_stats.chi2_contingency(counts, correction=False, lambda_=lambda_)[0]
+                assert x == pytest.approx(want, rel=1e-12)
+                assert x == value(counts, total)
 
 
 class TestCsvEmission:

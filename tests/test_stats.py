@@ -8,16 +8,14 @@ import pytest
 from usptest.errors import (
     DivergenceUndefined,
     DomainError,
-    SampleTooLargeForOracle,
     SampleTooSmall,
     UndefinedStatistic,
 )
-from oracles import usp_exact
+from oracles import SampleTooLargeForOracle, dhat_bruteforce, usp_exact
 from usptest.table import JointDistribution, validate_table
 from usptest.stats import (
     chi2_divergence,
     dependence_measure,
-    dhat_bruteforce,
     dhat_statistic,
     g_statistic,
     pearson_statistic,

@@ -207,6 +207,13 @@ class TestSubsample:
         with pytest.raises(SubsampleTooLarge):
             subsample(t, 19, RandomStream(0))
 
+    def test_total_past_hypergeometric_limit_rejected(self):
+        big = validate_table([[1_000_000_000, 1], [1, 1]])
+        with pytest.raises(DomainError, match="below 10\\^9.*this table has 1000000003"):
+            subsample(big, 10, RandomStream(0))
+        below = validate_table([[999_999_996, 1], [1, 1]])
+        assert subsample(below, 10, RandomStream(0)).n == 10
+
     def test_cellwise_bounds(self):
         t = validate_table(MARITAL_COUNTS)
         for i in range(30):
