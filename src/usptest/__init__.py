@@ -8,145 +8,26 @@ utilities for power studies, estimator diagnostics, and the asymptotic
 size instability of the classic tests under sparsity.
 """
 
-from .asymptotics import (
-    DEFAULT_LAMBDA_GRID,
-    SizeCurvePoint,
-    g_asymptotic_size,
-    pearson_asymptotic_size,
-    size_curve,
-)
-from .datasets import DATASET_NAMES, EYECOLOUR, MARITAL, EmbeddedDataset, get_dataset
-from .errors import (
-    DivergenceUndefined,
-    DomainError,
-    EmptySample,
-    EmptyTable,
-    InfeasibleEpsilon,
-    InvalidMode,
-    NegativeCount,
-    SampleTooSmall,
-    SubsampleTooLarge,
-    UndefinedStatistic,
-    UspError,
-)
-from .numerics import (
-    RandomStream,
-    chi2_cdf,
-    chi2_quantile,
-    chi2_sf,
-    poisson_pmf,
-    poisson_tail_mass,
-    reg_lower_gamma,
-)
-from .permutation import (
-    METHODS,
-    MODES,
-    PermutationConfig,
-    TestResult,
-    permutation_pvalue,
-    permuted_tables,
-    run_test,
-)
-from .simulate import (
-    AlternativeFamily,
-    PowerCurvePoint,
-    SubsampleStudy,
-    TestRate,
-    dense_family,
-    dhat_samples,
-    dhat_samples_csv,
-    multiplicative_family,
-    power_curve,
-    power_curve_csv,
-    sparse_family,
-    sparse_max_epsilon,
-    subsample_study,
-    subsample_study_csv,
-)
-from .stats import (
-    StatisticValue,
-    chi2_divergence,
-    dependence_measure,
-    dhat_statistic,
-    g_statistic,
-    pearson_statistic,
-    usp_statistic,
-)
-from .table import (
-    ContingencyTable,
-    JointDistribution,
-    expected_counts,
-    sample_table,
-    subsample,
-    validate_table,
-)
+from . import asymptotics, datasets, errors, numerics, permutation, simulate, stats, table
+from .asymptotics import *  # noqa: F403
+from .datasets import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .numerics import *  # noqa: F403
+from .permutation import *  # noqa: F403
+from .simulate import *  # noqa: F403
+from .stats import *  # noqa: F403
+from .table import *  # noqa: F403
 
 __version__ = "0.1.0"
 
+# the package exports each module's public names, and the lazy CLI entry point
 __all__ = [
-    "AlternativeFamily",
-    "ContingencyTable",
-    "DATASET_NAMES",
-    "DEFAULT_LAMBDA_GRID",
-    "DivergenceUndefined",
-    "DomainError",
-    "EYECOLOUR",
-    "EmbeddedDataset",
-    "EmptySample",
-    "EmptyTable",
-    "InfeasibleEpsilon",
-    "InvalidMode",
-    "JointDistribution",
-    "MARITAL",
-    "METHODS",
-    "MODES",
-    "NegativeCount",
-    "PermutationConfig",
-    "PowerCurvePoint",
-    "RandomStream",
-    "SampleTooSmall",
-    "SizeCurvePoint",
-    "StatisticValue",
-    "SubsampleStudy",
-    "SubsampleTooLarge",
-    "TestRate",
-    "TestResult",
-    "UndefinedStatistic",
-    "UspError",
-    "chi2_cdf",
-    "chi2_divergence",
-    "chi2_quantile",
-    "chi2_sf",
-    "dense_family",
-    "dependence_measure",
-    "dhat_samples",
-    "dhat_samples_csv",
-    "dhat_statistic",
-    "expected_counts",
-    "g_asymptotic_size",
-    "g_statistic",
-    "get_dataset",
+    *(
+        name
+        for module in (asymptotics, datasets, errors, numerics, permutation, simulate, stats, table)
+        for name in module.__all__
+    ),
     "main",
-    "multiplicative_family",
-    "pearson_asymptotic_size",
-    "pearson_statistic",
-    "permutation_pvalue",
-    "permuted_tables",
-    "poisson_pmf",
-    "poisson_tail_mass",
-    "power_curve",
-    "power_curve_csv",
-    "reg_lower_gamma",
-    "run_test",
-    "sample_table",
-    "size_curve",
-    "sparse_family",
-    "sparse_max_epsilon",
-    "subsample",
-    "subsample_study",
-    "subsample_study_csv",
-    "usp_statistic",
-    "validate_table",
     "__version__",
 ]
 

@@ -9,7 +9,7 @@ Subcommands:
 * ``dhat``       raw samples of the unbiased dependence estimator, report CSV
 
 Exit codes: 0 success, 2 usage/parse/validation error, 3 statistic undefined
-(zero row or column margin in classic mode).  All commands take --seed and
+(zero row or column margin in classic mode, on a table of at least 2x2).  All commands take --seed and
 are byte-identical for identical invocations; --threads (or the USP_THREADS
 environment variable) only changes runtime, never output.
 """
@@ -17,6 +17,7 @@ environment variable) only changes runtime, never output.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
@@ -28,7 +29,7 @@ import numpy as np
 from .asymptotics import DEFAULT_LAMBDA_GRID, size_curve
 from .datasets import DATASET_NAMES, get_dataset
 from .errors import UndefinedStatistic, UspError
-from .permutation import PermutationConfig, run_test
+from .permutation import MODES, PermutationConfig, run_test
 from .simulate import (
     AlternativeFamily,
     dhat_samples,
@@ -38,6 +39,7 @@ from .simulate import (
     subsample_study,
     subsample_study_csv,
 )
+from .stats import METHODS
 from .table import ContingencyTable, validate_table
 
 __all__ = ["main"]
@@ -178,18 +180,7 @@ def _cmd_test(args) -> int:
         B=args.B, alpha=args.alpha, seed=args.seed, tie_policy=args.tie_policy
     )
     result = run_test(table, args.method, args.mode, config)
-    report = {
-        "method": result.method,
-        "mode": result.mode,
-        "statistic": result.statistic,
-        "p_value": result.p_value,
-        "reject": result.reject,
-        "alpha": result.alpha,
-        "B": result.B,
-        "df": result.df,
-        "seed": result.seed,
-    }
-    _emit(json.dumps(report, indent=2) + "\n", args.out)
+    _emit(json.dumps(dataclasses.asdict(result), indent=2) + "\n", args.out)
     return _EXIT_OK
 
 
@@ -296,8 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_test = commands.add_parser("test", help="run one test on one table, print JSON")
     _add_table_source(p_test)
-    p_test.add_argument("--method", choices=("usp", "pearson", "g"), default="usp")
-    p_test.add_argument("--mode", choices=("permutation", "classic"), default="permutation")
+    p_test.add_argument("--method", choices=METHODS, default="usp")
+    p_test.add_argument("--mode", choices=MODES, default="permutation")
     p_test.add_argument("--B", type=int, default=999, help="permutations (permutation mode)")
     p_test.add_argument("--alpha", type=float, default=0.05)
     p_test.add_argument("--seed", type=int, default=0)

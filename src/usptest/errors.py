@@ -5,6 +5,20 @@ derives from ``ValueError`` so that generic callers can catch invalid-input
 conditions without importing this module.
 """
 
+__all__ = [
+    "UspError",
+    "DomainError",
+    "NegativeCount",
+    "EmptyTable",
+    "EmptySample",
+    "SampleTooSmall",
+    "SubsampleTooLarge",
+    "UndefinedStatistic",
+    "DivergenceUndefined",
+    "InvalidMode",
+    "InfeasibleEpsilon",
+]
+
 
 class UspError(ValueError):
     """Base class for all errors raised by this package."""

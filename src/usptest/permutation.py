@@ -12,12 +12,15 @@ the n underlying observations.  Tables are drawn in blocks of bounded cell
 count, so memory does not grow with B.
 
 The same sampler serves a batch of source tables, each with its own
-margins: the Monte Carlo studies draw B permuted tables for every sampled
-table of a block in one pass.  Each statistic is scored as one reduction
-over a block, through a key that ranks like the statistic among tables with
-the source's margins (the usp key is an exact integer).  One generator per
-run draws the tables and the tie-break, so a run is reproducible from its
-stream alone.
+margins.  One block evaluation, :func:`_block_pvalues`, gives every test's
+p-value on R tables of a common total: a single test on one table is the
+case R = 1, and the Monte Carlo studies call it once per block of sampled
+tables.  It draws B permuted tables for every source in one pass, scores
+each permutation test as one reduction over the block, through a key that
+ranks like the statistic among tables with the source's margins (the usp
+key is an exact integer), and scores each classic test as one reduction
+too.  One generator per run draws the tables and the tie-break, so a run is
+reproducible from its stream alone.
 
 P-values are rank-based.  With the default randomized tie policy the test is
 exact: under independence the p-value is uniform on {1/(B+1), ..., 1}, so
@@ -27,6 +30,7 @@ alpha(B+1) is an integer, and conservative otherwise.
 
 from __future__ import annotations
 
+import operator
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -35,15 +39,7 @@ import numpy as np
 
 from .errors import DomainError, InvalidMode
 from .numerics import RandomStream, as_generator, chi2_sf
-from .stats import (
-    _g_value,
-    _pearson_value,
-    _usp_key,
-    _usp_key_dtype,
-    g_statistic,
-    pearson_statistic,
-    usp_statistic,
-)
+from .stats import _CLASSIC_METHODS, METHODS, _rank_key, _require_positive_margins, _value
 from .table import _HYPERGEOMETRIC_LIMIT, ContingencyTable
 
 __all__ = [
@@ -52,14 +48,22 @@ __all__ = [
     "permuted_tables",
     "permutation_pvalue",
     "run_test",
-    "METHODS",
     "MODES",
 ]
 
-METHODS = ("usp", "pearson", "g")
 MODES = ("permutation", "classic")
 
 _BLOCK_CELLS = 1 << 18  # cells per block of permuted tables (2 MiB of int64)
+
+
+def _require_positive_int(value, name: str) -> None:
+    # counts that size arrays and loops must be integers, not integral floats
+    try:
+        operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+    if value < 1:
+        raise DomainError(f"{name} must be >= 1, got {value}")
 
 
 @dataclass(frozen=True)
@@ -85,8 +89,7 @@ class PermutationConfig:
     tie_policy: str = "randomized"
 
     def __post_init__(self) -> None:
-        if self.B < 1:
-            raise DomainError(f"B must be >= 1, got {self.B}")
+        _require_positive_int(self.B, "B")
         if not (0.0 < self.alpha < 1.0):
             raise DomainError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.tie_policy not in ("randomized", "conservative"):
@@ -187,40 +190,18 @@ def permuted_tables(
     ``permutation_pvalue(table, method, config, stream)`` scores exactly the
     tables of ``permuted_tables(table, config.B, stream)``.
     """
-    if B < 1:
-        raise DomainError(f"B must be >= 1, got {B}")
+    _require_positive_int(B, "B")
     rows, cols = table.row_margins[None, :], table.col_margins[None, :]
     chunks = _permuted(rows, cols, B, as_generator(rng))
     return np.concatenate([t[0] for _, _, t in chunks]).reshape(B, table.I, table.J)
 
 
-def _rank_key(method: str, rows: np.ndarray, cols: np.ndarray, n: int):
-    # For R source tables with margins rows (R, I) and cols (R, J) and the
-    # common total n, returns key(tables, sl): a reduction from tables of
-    # shape (k, b, I*J), permuted from the sources sl = slice(lo, hi), to
-    # (k, b) keys that rank like the method's statistic among tables sharing
-    # their source's margins; terms that depend on the margins alone drop out.
-    rc = (rows[:, :, None] * cols[:, None, :]).reshape(len(rows), 1, -1)
-    if method == "usp":
-        dtype = _usp_key_dtype(n)
-        rc = rc.astype(dtype, copy=False)
-        return lambda o, sl: _usp_key(o.astype(dtype, copy=False), rc[sl], n)
-    if method == "pearson":
-        # X^2 = n sum(o^2 / (r_i c_j)) - n; cells of an empty row or column
-        # are zero in every table and get weight 0
-        with np.errstate(divide="ignore"):
-            w = np.where(rc > 0, 1.0 / rc, 0.0)
-        return lambda o, sl: ((o * o) * w[sl]).sum(axis=-1)
-    # G = 2 sum(o log o) + margin-only terms, with 0 log 0 = 0
-    return lambda o, sl: (o * np.log(np.maximum(o, 1))).sum(axis=-1)
-
-
 def _exceedances(
-    tables: np.ndarray, methods: Sequence[str], B: int, gen: np.random.Generator
+    tables: np.ndarray, n: int, methods: Sequence[str], B: int, gen: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Rank each of R tables among B permuted tables of its own margins.
 
-    ``tables`` is an int64 array (R, I, J) of tables with a common total.
+    ``tables`` is an int64 array (R, I, J) of tables with the common total n.
     Draws the R*B permuted tables once, source by source (see
     :func:`_permuted`), and scores the same tables with every method's key.
     Returns ``(greater, ties)``, int64 arrays of shape (len(methods), R):
@@ -229,7 +210,6 @@ def _exceedances(
     """
     R, I, J = tables.shape
     rows, cols = tables.sum(axis=2), tables.sum(axis=1)
-    n = int(rows[0].sum())
     keys = [_rank_key(method, rows, cols, n) for method in methods]
     own = tables.reshape(R, 1, I * J)
     k0 = [key(own, slice(None)) for key in keys]
@@ -243,28 +223,82 @@ def _exceedances(
     return greater, ties
 
 
-def _pvalues(
-    greater: np.ndarray, ties: np.ndarray, config: PermutationConfig, gen: np.random.Generator
-) -> np.ndarray:
-    # p = (1 + exceedances + tie share) / (B + 1): randomized ties draw their
-    # share uniformly from {0, ..., ties}, conservative ones count them all
-    if config.tie_policy == "randomized" and ties.any():
-        ties = gen.integers(0, ties + 1)
-    return (1 + greater + ties) / (config.B + 1.0)
-
-
 def _observed_statistic(table: ContingencyTable, method: str) -> float:
     # Permutation mode conditions on the margins, which every permuted table
     # shares with the data, so zero rows/columns stay zero throughout the
-    # run.  Pearson and G are therefore reported in their total form (empty
-    # rows and columns contribute nothing): the procedure is exactly the
-    # permutation test on the nonempty support, and remains defined for
-    # tables where the classic-mode statistics raise UndefinedStatistic.
-    if method == "usp":
-        return usp_statistic(table).value
+    # run.  Every method is therefore scored on the nonempty support (empty
+    # rows and columns contribute nothing to U-hat, and pearson and g take
+    # their total form): the procedure is exactly the permutation test on the
+    # nonempty support, and remains defined for tables where the classic-mode
+    # statistics raise UndefinedStatistic.
     support = table.counts[table.row_margins > 0][:, table.col_margins > 0]
-    value = _pearson_value if method == "pearson" else _g_value
-    return float(value(support, table.n))
+    return float(_value(method, support, table.n))
+
+
+def _classic_df(I: int, J: int) -> int:
+    # degrees of freedom of the classic chi-squared reference law
+    df = (I - 1) * (J - 1)
+    if df < 1:
+        raise DomainError(f"classic mode needs at least a 2x2 table, got {I}x{J}")
+    return df
+
+
+def _classic_scores(tables: np.ndarray, n: int, method: str) -> tuple[np.ndarray, np.ndarray]:
+    # statistics and chi-squared p-values, each of shape (R,), of a classic
+    # test on R tables of common total n, the statistic scored as one
+    # reduction; a table with a zero margin has no classic statistic and gets
+    # NaN for both
+    R, I, J = tables.shape
+    df = _classic_df(I, J)
+    defined = (tables.sum(axis=2) > 0).all(axis=1) & (tables.sum(axis=1) > 0).all(axis=1)
+    stats = np.full(R, np.nan)
+    p = np.full(R, np.nan)
+    stats[defined] = _value(method, tables[defined], n)
+    p[defined] = [chi2_sf(stat, df) for stat in stats[defined].tolist()]
+    return stats, p
+
+
+def _check_test(method: str, mode: str) -> None:
+    if method not in METHODS:
+        raise InvalidMode(f"unknown method {method!r}; expected one of {METHODS}")
+    if mode not in MODES:
+        raise InvalidMode(f"unknown mode {mode!r}; expected one of {MODES}")
+    if mode == "classic" and method not in _CLASSIC_METHODS:
+        raise InvalidMode(f"{method} has no classic mode; use mode='permutation'")
+
+
+def _block_pvalues(
+    tables: np.ndarray,
+    n: int,
+    tests: Sequence[tuple[str, str]],
+    config: PermutationConfig,
+    gen: np.random.Generator,
+) -> np.ndarray:
+    """P-values of every (method, mode) test on each of R tables.
+
+    ``tables`` is an int64 array (R, I, J) of tables with the common total n.
+    All permutation tests score the same R*B permuted tables, drawn from
+    ``gen`` (see :func:`_exceedances`); ties are then broken test by test,
+    in order.  Returns a float array (len(tests), R), NaN where a classic
+    statistic is undefined.
+    """
+    perm = [method for method, mode in tests if mode == "permutation"]
+    if perm:
+        greater, ties = _exceedances(tables, n, perm, config.B, gen)
+    p = np.empty((len(tests), len(tables)))
+    for t, (method, mode) in enumerate(tests):
+        if mode == "classic":
+            p[t] = _classic_scores(tables, n, method)[1]
+        else:
+            # p = (1 + exceedances + tie share) / (B + 1): randomized ties draw
+            # their share uniformly from {0, ..., ties}, conservative ones
+            # count them all
+            k = perm.index(method)
+            share = ties[k]
+            if config.tie_policy == "randomized" and share.any():
+                share = gen.integers(0, share + 1)
+            p[t] = (1 + greater[k] + share) / (config.B + 1.0)
+    return p
 
 
 def permutation_pvalue(
@@ -294,28 +328,13 @@ def permutation_pvalue(
     (statistic, p_value)
         ``statistic`` is the method's statistic on the data, as in the paper.
     """
-    if method not in METHODS:
-        raise InvalidMode(f"unknown method {method!r}; expected one of {METHODS}")
+    _check_test(method, "permutation")
     if not isinstance(stream, RandomStream):
         raise TypeError("permutation_pvalue needs a RandomStream to derive its generator")
     t0 = _observed_statistic(table, method)
     gen = stream.generator()
-    greater, ties = _exceedances(table.counts[None], (method,), config.B, gen)
-    return t0, float(_pvalues(greater[0], ties[0], config, gen)[0])
-
-
-def _classic_statistic(table: ContingencyTable, method: str) -> float:
-    if method == "pearson":
-        return pearson_statistic(table).value
-    return g_statistic(table).value
-
-
-def _classic_df(I: int, J: int) -> int:
-    # degrees of freedom of the classic chi-squared reference law
-    df = (I - 1) * (J - 1)
-    if df < 1:
-        raise DomainError(f"classic mode needs at least a 2x2 table, got {I}x{J}")
-    return df
+    p = _block_pvalues(table.counts[None], table.n, [(method, "permutation")], config, gen)
+    return t0, float(p[0, 0])
 
 
 def run_test(
@@ -323,7 +342,6 @@ def run_test(
     method: str,
     mode: str,
     config: PermutationConfig | None = None,
-    stream: RandomStream | None = None,
 ) -> TestResult:
     """Run one independence test on a table and report a :class:`TestResult`.
 
@@ -335,36 +353,20 @@ def run_test(
         with (I-1)(J-1) degrees of freedom and is valid for pearson and g
         only; usp has no classic reference law here.
     config : PermutationConfig, optional
-        Level, permutation count, seed, tie policy.  Defaults apply.
-    stream : RandomStream, optional
-        Permutation stream override; defaults to RandomStream(config.seed).
+        Level, permutation count, seed, tie policy.  Defaults apply.  The
+        permutation stream is RandomStream(config.seed).
     """
-    if method not in METHODS:
-        raise InvalidMode(f"unknown method {method!r}; expected one of {METHODS}")
-    if mode not in MODES:
-        raise InvalidMode(f"unknown mode {mode!r}; expected one of {MODES}")
+    _check_test(method, mode)
     if config is None:
         config = PermutationConfig()
     if mode == "classic":
-        if method == "usp":
-            raise InvalidMode("usp has no classic mode; use mode='permutation'")
-        stat = _classic_statistic(table, method)
-        df = _classic_df(table.I, table.J)
-        p_value = chi2_sf(stat, df)
-        return TestResult(
-            method=method,
-            mode=mode,
-            statistic=stat,
-            p_value=p_value,
-            reject=p_value <= config.alpha,
-            alpha=config.alpha,
-            B=None,
-            df=df,
-            seed=config.seed,
-        )
-    if stream is None:
-        stream = RandomStream(config.seed)
-    stat, p_value = permutation_pvalue(table, method, config, stream)
+        stats, p = _classic_scores(table.counts[None], table.n, method)
+        _require_positive_margins(table, method)
+        stat, p_value = float(stats[0]), float(p[0])
+        B, df = None, _classic_df(table.I, table.J)
+    else:
+        stat, p_value = permutation_pvalue(table, method, config, RandomStream(config.seed))
+        B, df = config.B, None
     return TestResult(
         method=method,
         mode=mode,
@@ -372,7 +374,7 @@ def run_test(
         p_value=p_value,
         reject=p_value <= config.alpha,
         alpha=config.alpha,
-        B=config.B,
-        df=None,
+        B=B,
+        df=df,
         seed=config.seed,
     )

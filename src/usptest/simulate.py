@@ -41,26 +41,23 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    InfeasibleEpsilon,
-    InvalidMode,
-    SampleTooSmall,
-    SubsampleTooLarge,
-)
-from .numerics import RandomStream, chi2_sf
-from .permutation import METHODS, MODES, PermutationConfig, _classic_df, _exceedances, _pvalues
-from .stats import _g_value, _pearson_value, dhat_statistic
+from .errors import DomainError, InfeasibleEpsilon, SampleTooSmall, SubsampleTooLarge
+from .numerics import RandomStream
+from .permutation import PermutationConfig, _block_pvalues, _check_test, _require_positive_int
+from .stats import _require_sample, dhat_statistic
 from .table import (
     ContingencyTable,
     JointDistribution,
+    _require_count,
     _require_hypergeometric_total,
+    _sample_tables,
     sample_table,
 )
 
 __all__ = [
     "AlternativeFamily",
     "sparse_family",
+    "sparse_max_epsilon",
     "dense_family",
     "multiplicative_family",
     "TestRate",
@@ -245,12 +242,7 @@ def _validate_tests(tests: Sequence[tuple[str, str]]) -> tuple[tuple[str, str], 
     if not tests:
         raise DomainError("at least one (method, mode) test is required")
     for method, mode in tests:
-        if method not in METHODS:
-            raise InvalidMode(f"unknown method {method!r}")
-        if mode not in MODES:
-            raise InvalidMode(f"unknown mode {mode!r}")
-        if method == "usp" and mode == "classic":
-            raise InvalidMode("usp has no classic mode")
+        _check_test(method, mode)
     return tests
 
 
@@ -286,53 +278,16 @@ def _block_sizes(reps: int) -> list[int]:
     return [min(_BLOCK_REPS, reps - lo) for lo in range(0, reps, _BLOCK_REPS)]
 
 
-def _sample_block(source, size: int, gen: np.random.Generator) -> np.ndarray:
-    # size sampled tables as one int64 (size, I, J) array: n i.i.d. draws
-    # from cell probabilities, or m draws without replacement from counts
-    weights, total, replace = source
-    if replace:
-        flat = gen.multinomial(total, weights.ravel(), size=size)
-    else:
-        flat = gen.multivariate_hypergeometric(
-            weights.ravel(), total, size=size, method="marginals"
-        )
-    return flat.reshape(size, *weights.shape).astype(np.int64, copy=False)
-
-
-def _classic_counts(
-    tables: np.ndarray, total: int, method: str, config: PermutationConfig
-) -> tuple[int, int]:
-    # rejections and undefined replicates of a classic test over a block, the
-    # statistic scored as one reduction; a table with a zero margin has no
-    # classic statistic and cannot reject
-    R, I, J = tables.shape
-    df = _classic_df(I, J)
-    defined = (tables.sum(axis=2) > 0).all(axis=1) & (tables.sum(axis=1) > 0).all(axis=1)
-    value = _pearson_value if method == "pearson" else _g_value
-    stats = value(tables[defined], total).tolist()
-    rejected = sum(chi2_sf(stat, df) <= config.alpha for stat in stats)
-    return rejected, R - len(stats)
-
-
 def _study_block(task) -> np.ndarray:
     # One block of replicates from one generator: sample every table of the
-    # block, rank each among B permuted tables of its margins (one draw that
-    # all permutation tests score), then break each test's ties in test order.
+    # block, then score every test on all of them at once.  Returns the
+    # rejection and undefined counts, (2, len(tests)): a classic statistic
+    # is undefined (NaN) on a table with a zero margin, and cannot reject.
     source, size, tests, config, stream_id = task
     gen = RandomStream(config.seed, stream_id).generator()
-    tables = _sample_block(source, size, gen)
-    perm = [method for method, mode in tests if mode == "permutation"]
-    if perm:
-        greater, ties = _exceedances(tables, perm, config.B, gen)
-    counts = np.zeros((2, len(tests)), dtype=np.int64)
-    for t_idx, (method, mode) in enumerate(tests):
-        if mode == "classic":
-            counts[:, t_idx] = _classic_counts(tables, source[1], method, config)
-        else:
-            k = perm.index(method)
-            p = _pvalues(greater[k], ties[k], config, gen)
-            counts[0, t_idx] = np.count_nonzero(p <= config.alpha)
-    return counts
+    tables = _sample_tables(*source, size, gen)
+    p = _block_pvalues(tables, source[1], tests, config, gen)
+    return np.stack([(p <= config.alpha).sum(axis=1), np.isnan(p).sum(axis=1)])
 
 
 def _dhat_replicate(task):
@@ -394,13 +349,11 @@ def power_curve(
     epsilon index, block index), and all blocks of all epsilons go through
     one pool: output is identical for any ``threads``.
     """
-    if reps < 1:
-        raise DomainError(f"reps must be >= 1, got {reps}")
+    _require_positive_int(reps, "reps")
     tests = _validate_tests(tests)
-    if n < 0 or int(n) != n:
-        raise DomainError(f"sample size must be a non-negative integer, got {n}")
-    if n < 4 and any(method == "usp" for method, _ in tests):
-        raise SampleTooSmall(f"usp statistic needs n >= 4, got n={n}")
+    _require_count(n, "sample size")
+    for method, _ in tests:
+        _require_sample(method, n)
     if config is None:
         config = PermutationConfig()
     grid = [float(eps) for eps in eps_grid]
@@ -438,8 +391,7 @@ def dhat_samples(
     """
     if n < 4:
         raise SampleTooSmall(f"dhat needs n >= 4, got n={n}")
-    if reps < 1:
-        raise DomainError(f"reps must be >= 1, got {reps}")
+    _require_positive_int(reps, "reps")
     fam = family.at(float(epsilon))
     fam.distribution()
     tasks = [(fam, n, seed, r) for r in range(reps)]
@@ -467,8 +419,8 @@ def subsample_study(
     """
     if m < 4:
         raise SampleTooSmall(f"subsample tests need m >= 4, got m={m}")
-    if reps < 1:
-        raise DomainError(f"reps must be >= 1, got {reps}")
+    _require_count(m, "subsample size")
+    _require_positive_int(reps, "reps")
     if m > table.n:
         raise SubsampleTooLarge(f"subsample size {m} exceeds table total {table.n}")
     if not replace:

@@ -8,6 +8,10 @@ test statistic (U-hat) and the full unbiased estimator of D (D-hat).
 U-hat and D-hat differ by terms that depend on the data only through the
 margins, so over tables sharing margins (e.g. permuted tables) they induce
 the same ranking; both may be negative even though D itself never is.
+
+This is the one module that picks code by method name (``METHODS``): the
+value of each method's statistic, and the key that ranks it among tables
+with fixed margins.
 """
 
 from __future__ import annotations
@@ -26,7 +30,11 @@ from .table import ContingencyTable, JointDistribution
 
 _INT64_MAX = 2**63 - 1
 
+METHODS = ("usp", "pearson", "g")
+_CLASSIC_METHODS = ("pearson", "g")  # the methods with a chi-squared reference law
+
 __all__ = [
+    "METHODS",
     "StatisticValue",
     "chi2_divergence",
     "dependence_measure",
@@ -149,9 +157,17 @@ def g_statistic(table: ContingencyTable) -> StatisticValue:
     return StatisticValue(float(_g_value(table.counts, table.n)), "g")
 
 
+def _require_sample(method: str, n: int) -> None:
+    # U-hat divides by n(n-2)(n-3); pearson and g take any total
+    if method == "usp" and n < 4:
+        raise SampleTooSmall(f"usp statistic needs n >= 4, got n={n}")
+
+
 def _usp_key_dtype(n: int):
-    # the terms of _usp_key stay below 3n^3 in magnitude: int64 holds them up
+    # every usp score, a value or a rank key, starts here, so each checks n.
+    # The terms of _usp_key stay below 3n^3 in magnitude: int64 holds them up
     # to n of about 1.4 million, Python ints (object arrays) beyond
+    _require_sample("usp", n)
     return np.int64 if 3 * n**3 <= _INT64_MAX else object
 
 
@@ -177,6 +193,34 @@ def _usp_value(counts: np.ndarray, n: int) -> float:
     return (n * n * key + (n - 2) * r2 * c2) / (n**3 * (n - 2) * (n - 3))
 
 
+def _value(method: str, counts: np.ndarray, n: int):
+    # the method's statistic on a table of total n (pearson and g also over a
+    # batch); the value function is looked up at call time, so a rebound
+    # module attribute is the one called
+    return {"usp": _usp_value, "pearson": _pearson_value, "g": _g_value}[method](counts, n)
+
+
+def _rank_key(method: str, rows: np.ndarray, cols: np.ndarray, n: int):
+    # For R source tables with margins rows (R, I) and cols (R, J) and the
+    # common total n, returns key(tables, sl): a reduction from tables of
+    # shape (k, b, I*J), permuted from the sources sl = slice(lo, hi), to
+    # (k, b) keys that rank like the method's statistic among tables sharing
+    # their source's margins; terms that depend on the margins alone drop out.
+    rc = (rows[:, :, None] * cols[:, None, :]).reshape(len(rows), 1, -1)
+    if method == "usp":
+        dtype = _usp_key_dtype(n)
+        rc = rc.astype(dtype, copy=False)
+        return lambda o, sl: _usp_key(o.astype(dtype, copy=False), rc[sl], n)
+    if method == "pearson":
+        # X^2 = n sum(o^2 / (r_i c_j)) - n; cells of an empty row or column
+        # are zero in every table and get weight 0
+        with np.errstate(divide="ignore"):
+            w = np.where(rc > 0, 1.0 / rc, 0.0)
+        return lambda o, sl: ((o * o) * w[sl]).sum(axis=-1)
+    # G = 2 sum(o log o) + margin-only terms, with 0 log 0 = 0
+    return lambda o, sl: (o * np.log(np.maximum(o, 1))).sum(axis=-1)
+
+
 def usp_statistic(table: ContingencyTable) -> StatisticValue:
     """USP test statistic U-hat.
 
@@ -184,8 +228,6 @@ def usp_statistic(table: ContingencyTable) -> StatisticValue:
     Defined for any table with n >= 4, zero margins included; over tables
     sharing margins it ranks identically to the unbiased estimator D-hat.
     """
-    if table.n < 4:
-        raise SampleTooSmall(f"usp statistic needs n >= 4, got n={table.n}")
     return StatisticValue(_usp_value(table.counts, table.n), "usp")
 
 

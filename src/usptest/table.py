@@ -234,11 +234,9 @@ def sample_table(
     Cell counts jointly follow the multinomial law with the distribution's
     cell probabilities; the draw costs O(IJ) regardless of n.
     """
-    if n < 0 or int(n) != n:
-        raise DomainError(f"sample size must be a non-negative integer, got {n}")
-    gen = as_generator(rng)
-    flat = gen.multinomial(int(n), dist.probs.ravel())
-    return ContingencyTable._from_valid_counts(flat.reshape(dist.shape).astype(np.int64))
+    _require_count(n, "sample size")
+    tables = _sample_tables(dist.probs, int(n), True, 1, as_generator(rng))
+    return ContingencyTable._from_valid_counts(tables[0])
 
 
 def subsample(
@@ -251,14 +249,33 @@ def subsample(
     directly from counts in O(IJ).  numpy's sampler needs the table total
     below 10^9.
     """
-    if m < 0 or int(m) != m:
-        raise DomainError(f"subsample size must be a non-negative integer, got {m}")
+    _require_count(m, "subsample size")
     if m > table.n:
         raise SubsampleTooLarge(f"subsample size {m} exceeds table total {table.n}")
     _require_hypergeometric_total(table.n)
-    gen = as_generator(rng)
-    flat = gen.multivariate_hypergeometric(table.counts.ravel(), int(m), method="marginals")
-    return ContingencyTable._from_valid_counts(flat.reshape(table.shape).astype(np.int64))
+    tables = _sample_tables(table.counts, int(m), False, 1, as_generator(rng))
+    return ContingencyTable._from_valid_counts(tables[0])
+
+
+def _sample_tables(
+    weights: np.ndarray, total: int, replace: bool, size: int, gen: np.random.Generator
+) -> np.ndarray:
+    # size tables as one int64 (size, I, J) array: total i.i.d. draws from
+    # the cell probabilities weights, or, without replacement, total draws
+    # from the cell counts weights.  A draw of size 1 equals numpy's unsized
+    # draw from the same generator, bit for bit.
+    if replace:
+        flat = gen.multinomial(total, weights.ravel(), size=size)
+    else:
+        flat = gen.multivariate_hypergeometric(
+            weights.ravel(), total, size=size, method="marginals"
+        )
+    return flat.reshape(size, *weights.shape).astype(np.int64, copy=False)
+
+
+def _require_count(value, what: str) -> None:
+    if value < 0 or int(value) != value:
+        raise DomainError(f"{what} must be a non-negative integer, got {value}")
 
 
 def _require_hypergeometric_total(n: int) -> None:

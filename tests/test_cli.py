@@ -144,6 +144,16 @@ class TestExitCodes:
         assert code == 3
         assert "error:" in err
 
+    def test_one_by_k_zero_margin_classic_is_two(self, capsys, tmp_path):
+        path = tmp_path / "onerow.csv"
+        path.write_text("4,0,6\n")
+        code, out, err = run_cli(
+            capsys,
+            ["test", "--input", str(path), "--method", "g", "--mode", "classic"],
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: classic mode needs at least a 2x2 table, got 1x3\n"
+
     def test_usp_has_no_classic_mode(self, capsys):
         code, _, _ = run_cli(
             capsys, ["test", "--dataset", "marital", "--method", "usp", "--mode", "classic"]

@@ -10,7 +10,7 @@ from oracles import (
     permuted_table_by_shuffle,
     usp_exact,
 )
-from usptest import permutation
+from usptest import permutation, stats
 from usptest.errors import DomainError, InvalidMode, UndefinedStatistic
 from usptest.numerics import RandomStream, chi2_cdf
 from usptest.permutation import (
@@ -89,6 +89,12 @@ class TestPermutedTable:
         b = permuted_tables(MARITAL, 20, RandomStream(5, (7,)))
         np.testing.assert_array_equal(a, b)
 
+    def test_bad_B_rejected(self):
+        with pytest.raises(DomainError, match="B must be >= 1, got 0"):
+            permuted_tables(MARITAL, 0, RandomStream(0))
+        with pytest.raises(DomainError, match="B must be an integer, got 10.0"):
+            permuted_tables(MARITAL, 10.0, RandomStream(0))
+
 
 class TestPermutationConfig:
     def test_defaults(self):
@@ -99,6 +105,8 @@ class TestPermutationConfig:
     def test_validation(self):
         with pytest.raises(DomainError):
             PermutationConfig(B=0)
+        with pytest.raises(DomainError, match="B must be an integer, got 10.0"):
+            PermutationConfig(B=10.0)
         with pytest.raises(DomainError):
             PermutationConfig(alpha=0.0)
         with pytest.raises(DomainError):
@@ -202,7 +210,7 @@ class TestExactTies:
     def test_python_int_key_ranks_like_int64_key(self, monkeypatch):
         cfg = PermutationConfig(B=199, seed=4)
         want = permutation_pvalue(self.DATA, "usp", cfg, RandomStream(4))
-        monkeypatch.setattr(permutation, "_usp_key_dtype", lambda n: object)
+        monkeypatch.setattr(stats, "_usp_key_dtype", lambda n: object)
         assert permutation_pvalue(self.DATA, "usp", cfg, RandomStream(4)) == want
 
     def test_usp_key_exact_past_int64(self):
@@ -281,8 +289,12 @@ class TestRunTestClassic:
             run_test(MARITAL, "usp", "bayes")
 
     def test_one_by_k_rejected(self):
-        with pytest.raises(DomainError):
-            run_test(validate_table([[4, 5, 6]]), "pearson", "classic")
+        # the shape is checked before the margins: a zero column in a 1xJ
+        # table gives the 2x2 error too
+        for counts in ([[4, 5, 6]], [[4, 0, 6]]):
+            for method in ("pearson", "g"):
+                with pytest.raises(DomainError, match="at least a 2x2 table"):
+                    run_test(validate_table(counts), method, "classic")
 
     def test_tail_does_not_underflow(self):
         # scipy chi2_contingency(correction=False) on this table gives

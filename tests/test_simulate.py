@@ -13,7 +13,7 @@ from usptest.errors import (
     UndefinedStatistic,
 )
 from usptest import permutation
-from usptest.permutation import PermutationConfig, run_test
+from usptest.permutation import PermutationConfig, _classic_scores, run_test
 from usptest.simulate import (
     DHAT_CSV_HEADER,
     POWER_CSV_HEADER,
@@ -32,14 +32,12 @@ from usptest.simulate import (
     _BLOCK_REPS,
     _POOL_MIN_DRAWS,
     _block_sizes,
-    _classic_counts,
-    _sample_block,
     _study_workers,
     _worker_count,
 )
 from usptest import stats
 from usptest.stats import dependence_measure
-from usptest.table import validate_table
+from usptest.table import _sample_tables, validate_table
 
 PERM_TESTS = [("usp", "permutation"), ("pearson", "permutation"), ("g", "permutation")]
 
@@ -211,6 +209,8 @@ class TestDhatSamples:
             dhat_samples(fam, n=3, epsilon=0.0, reps=5)
         with pytest.raises(DomainError):
             dhat_samples(fam, n=10, epsilon=0.0, reps=0)
+        with pytest.raises(DomainError, match="reps must be an integer, got 2.5"):
+            dhat_samples(fam, n=10, epsilon=0.0, reps=2.5)
 
 
 class TestPowerCurve:
@@ -272,6 +272,8 @@ class TestPowerCurve:
             power_curve(fam, [0.0], n=3, reps=5, tests=[("usp", "permutation")])
         with pytest.raises(DomainError):
             power_curve(fam, [0.0], n=-1, reps=5, tests=[("g", "permutation")])
+        with pytest.raises(DomainError, match="reps must be an integer, got 2.5"):
+            power_curve(fam, [0.0], n=20, reps=2.5, tests=[("g", "permutation")])
 
 
 class TestSubsampleStudy:
@@ -293,10 +295,10 @@ class TestSubsampleStudy:
         # i.i.d. redraws almost surely do not.
         diag = validate_table([[10, 0], [0, 10]])
         gen = np.random.default_rng(0)
-        kept = _sample_block((diag.counts, diag.n, False), 5, gen)
+        kept = _sample_tables(diag.counts, diag.n, False, 5, gen)
         np.testing.assert_array_equal(kept, np.tile(diag.counts, (5, 1, 1)))
         # the bootstrap path perturbs at least one of a handful of redraws
-        redrawn = _sample_block((diag.counts / diag.n, diag.n, True), 8, gen)
+        redrawn = _sample_tables(diag.counts / diag.n, diag.n, True, 8, gen)
         assert redrawn.shape == (8, 2, 2) and np.all(redrawn.sum(axis=(1, 2)) == diag.n)
         assert np.any(redrawn != diag.counts)
 
@@ -307,6 +309,10 @@ class TestSubsampleStudy:
             subsample_study(MARITAL, m=3, reps=5, tests=PERM_TESTS)
         with pytest.raises(DomainError):
             subsample_study(MARITAL, m=100, reps=0, tests=PERM_TESTS)
+        with pytest.raises(DomainError, match="reps must be an integer, got 2.5"):
+            subsample_study(MARITAL, m=100, reps=2.5, tests=PERM_TESTS)
+        with pytest.raises(DomainError, match="subsample size must be a non-negative integer"):
+            subsample_study(MARITAL, m=10.5, reps=5, tests=PERM_TESTS)
         with pytest.raises(DomainError, match="at least a 2x2 table"):
             subsample_study(validate_table([[4, 5, 6]]), m=10, reps=5,
                             tests=[("pearson", "classic")])
@@ -332,7 +338,7 @@ class TestStudyBlocks:
         # splits every source over two chunks.
         weights = MARITAL.counts / MARITAL.n if replace else MARITAL.counts
         gen = np.random.default_rng(12)
-        tables = _sample_block((weights, 60, replace), 5, gen)
+        tables = _sample_tables(weights, 60, replace, 5, gen)
         assert tables.shape == (5, 4, 5) and np.all(tables.sum(axis=(1, 2)) == 60)
         rows, cols = tables.sum(axis=2), tables.sum(axis=1)
         for cap in (25, 7):
@@ -440,7 +446,7 @@ class TestClassicBlock:
             for alpha in (0.05, 0.3):
                 cfg = PermutationConfig(B=19, alpha=alpha)
                 probs = gen.dirichlet(np.full(shape[0] * shape[1], 0.5)).reshape(shape)
-                tables = _sample_block((probs, total, True), 50, gen)
+                tables = _sample_tables(probs, total, True, 50, gen)
                 want = [0, 0]
                 for counts in tables:
                     try:
@@ -448,23 +454,24 @@ class TestClassicBlock:
                     except UndefinedStatistic:
                         want[1] += 1
                 assert 0 < want[1] < 50
-                assert _classic_counts(tables, total, method, cfg) == tuple(want)
+                _, p = _classic_scores(tables, total, method)
+                assert (np.count_nonzero(p <= alpha), np.count_nonzero(np.isnan(p))) == tuple(want)
 
     def test_every_table_undefined(self):
         tables = np.zeros((4, 3, 3), dtype=np.int64)
         tables[:, 0, 0] = 5
-        cfg = PermutationConfig(B=19)
-        assert _classic_counts(tables, 5, "pearson", cfg) == (0, 4)
-        assert _classic_counts(tables, 5, "g", cfg) == (0, 4)
+        for method in ("pearson", "g"):
+            stats_, p = _classic_scores(tables, 5, method)
+            assert np.isnan(stats_).all() and np.isnan(p).all()
 
     def test_single_row_rejected_before_any_p_value(self, monkeypatch):
         def no_call(*args):
             raise AssertionError("chi2_sf called")
 
-        monkeypatch.setattr("usptest.simulate.chi2_sf", no_call)
+        monkeypatch.setattr("usptest.permutation.chi2_sf", no_call)
         tables = np.array([[[4, 5, 6]], [[0, 9, 6]]])
         with pytest.raises(DomainError, match="at least a 2x2 table"):
-            _classic_counts(tables, 15, "pearson", PermutationConfig(B=19))
+            _classic_scores(tables, 15, "pearson")
 
     @pytest.mark.parametrize("method", ["pearson", "g"])
     def test_block_statistics_agree_with_scipy(self, method):
@@ -474,7 +481,7 @@ class TestClassicBlock:
         gen = np.random.default_rng(32)
         for shape, total in (((2, 2), 30), ((4, 5), 150), ((5, 8), 100)):
             probs = gen.dirichlet(np.ones(shape[0] * shape[1])).reshape(shape)
-            tables = _sample_block((probs, total, True), 40, gen)
+            tables = _sample_tables(probs, total, True, 40, gen)
             rows_ok = (tables.sum(axis=2) > 0).all(axis=1)
             tables = tables[rows_ok & (tables.sum(axis=1) > 0).all(axis=1)]
             got = value(tables, total)

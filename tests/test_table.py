@@ -184,6 +184,9 @@ class TestSampleTable:
         a = sample_table(d, 40, RandomStream(9, (4,)))
         b = sample_table(d, 40, RandomStream(9, (4,)))
         assert a == b
+        # the same cells as numpy's unsized draw from the same generator
+        want = RandomStream(9, (4,)).generator().multinomial(40, d.probs.ravel())
+        np.testing.assert_array_equal(a.counts.ravel(), want)
 
     def test_zero_n(self):
         d = JointDistribution([[1.0]])
@@ -244,6 +247,9 @@ class TestSubsample:
         a = subsample(t, 84, RandomStream(3, (2,)))
         b = subsample(t, 84, RandomStream(3, (2,)))
         assert a == b
+        gen = RandomStream(3, (2,)).generator()
+        want = gen.multivariate_hypergeometric(t.counts.ravel(), 84, method="marginals")
+        np.testing.assert_array_equal(a.counts.ravel(), want)
 
 
 class TestSparseSamplingMean:
