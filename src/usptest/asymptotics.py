@@ -16,6 +16,13 @@ limit variable exceeds the chi-squared(1) critical value c_alpha.  Both
 curves oscillate in lambda instead of settling at alpha, with jump
 discontinuities where the z = 0 atom enters or leaves the rejection region
 (lambda = sqrt(c_alpha / 2) for G, lambda = sqrt(c_alpha) for Pearson).
+
+The size at one lambda is summed over a window of Z around its mean mu =
+lambda^2, 12 (lambda + 1) wide on each side; Poisson mass outside it is
+below 1e-26.  The window's weights come from the ratio
+w(z+1) / w(z) = mu / (z+1) in log space, anchored at the mode, and are
+normalized by their sum.  The window grows with lambda, so lambda is capped
+at 1000, where it spans about 24 000 points.
 """
 
 from __future__ import annotations
@@ -27,7 +34,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .numerics import chi2_quantile, poisson_tail_mass
+from .numerics import chi2_quantile
+from .stats import _CLASSIC_METHODS, _poisson_limit
 
 __all__ = [
     "SizeCurvePoint",
@@ -40,7 +48,8 @@ __all__ = [
 # resolves the visible oscillation of the size curves
 DEFAULT_LAMBDA_GRID = np.linspace(0.05, 5.0, 500)
 
-_SIZE_TESTS = ("pearson", "g")
+_LAMBDA_MAX = 1000.0  # largest lambda whose Poisson window is summed
+_WINDOW_HALF_WIDTH = 12.0  # window half-width, in units of lambda + 1
 
 
 @dataclass(frozen=True)
@@ -57,25 +66,41 @@ class SizeCurvePoint:
             raise DomainError(f"size must lie in [0, 1], got {self.asymptotic_size}")
 
 
-def _validate(lam: float, alpha: float) -> None:
-    if not (lam > 0):
-        raise DomainError(f"lambda must be positive, got {lam}")
+def _critical_value(alpha: float) -> float:
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+    return chi2_quantile(1.0 - alpha, 1)
+
+
+def _size(test: str, c: float, lam: float) -> float:
+    # Poisson(lambda^2) mass of {z : limit statistic > c}, over the window
+    if not (math.isfinite(lam) and lam <= _LAMBDA_MAX):
+        raise DomainError(f"lambda must be finite and at most {_LAMBDA_MAX:g}, got {lam}")
+    if not (lam > 0):
+        raise DomainError(f"lambda must be positive, got {lam}")
+    mu = lam * lam
+    half = _WINDOW_HALF_WIDTH * (lam + 1.0)
+    lo, mode = max(0, math.floor(mu - half)), math.floor(mu)
+    z = np.arange(lo, math.ceil(mu + half) + 1, dtype=np.float64)
+    # log w from the ratio recurrence, anchored at the mode, where w is
+    # largest: log w <= 0, and the sums run outward from the bulk of the mass
+    m = mode - lo
+    log_w = np.zeros(len(z))
+    log_w[m + 1 :] = np.cumsum(np.log(mu / z[m + 1 :]))
+    log_w[:m] = np.cumsum(np.log(z[m:0:-1] / mu))[::-1]
+    w = np.exp(log_w)
+    return float(w[_poisson_limit(test, z, mu) > c].sum() / w.sum())
 
 
 def pearson_asymptotic_size(lam: float, alpha: float) -> float:
     """Limiting rejection probability of classic Pearson at level alpha.
 
     Returns P((Z - lambda^2)^2 / lambda^2 > c_alpha) for Z ~ Poisson(lambda^2),
-    where c_alpha is the (1-alpha) chi-squared(1) quantile, by exact point-mass
-    summation (truncated once cumulative probability reaches 1 - 1e-12).
-    Rejection uses strict inequality, matching the classic rule statistic > c.
+    where c_alpha is the (1-alpha) chi-squared(1) quantile, summed over the
+    normalized Poisson window; 0 < lambda <= 1000.  Rejection uses
+    strict inequality, matching the classic rule statistic > c.
     """
-    _validate(lam, alpha)
-    c = chi2_quantile(1.0 - alpha, 1)
-    mu = lam * lam
-    return poisson_tail_mass(lambda z: (z - mu) ** 2 / mu > c, mu)
+    return _size("pearson", _critical_value(alpha), lam)
 
 
 def g_asymptotic_size(lam: float, alpha: float) -> float:
@@ -83,18 +108,10 @@ def g_asymptotic_size(lam: float, alpha: float) -> float:
 
     Returns P(2 Z log(Z / lambda^2) - 2 (Z - lambda^2) > c_alpha) for
     Z ~ Poisson(lambda^2) with the 0 log 0 = 0 convention (the statistic is
-    2 lambda^2 at z = 0), by exact point-mass summation.
+    2 lambda^2 at z = 0), summed over the normalized Poisson window;
+    0 < lambda <= 1000.
     """
-    _validate(lam, alpha)
-    c = chi2_quantile(1.0 - alpha, 1)
-    mu = lam * lam
-
-    def g_limit(z: int) -> float:
-        if z == 0:
-            return 2.0 * mu
-        return 2.0 * z * math.log(z / mu) - 2.0 * (z - mu)
-
-    return poisson_tail_mass(lambda z: g_limit(z) > c, mu)
+    return _size("g", _critical_value(alpha), lam)
 
 
 def size_curve(
@@ -102,15 +119,16 @@ def size_curve(
 ) -> list[SizeCurvePoint]:
     """Evaluate one test's asymptotic size over a grid of lambda values.
 
-    Output order follows the grid.  Defaults to DEFAULT_LAMBDA_GRID.
+    Output order follows the grid.  Defaults to DEFAULT_LAMBDA_GRID.  The
+    critical value is computed once for the whole curve.
     """
-    if test not in _SIZE_TESTS:
-        raise DomainError(f"unknown test {test!r}; expected one of {_SIZE_TESTS}")
+    if test not in _CLASSIC_METHODS:
+        raise DomainError(f"unknown test {test!r}; expected one of {_CLASSIC_METHODS}")
     grid: Sequence[float] = (
         DEFAULT_LAMBDA_GRID if lambda_grid is None else [float(x) for x in lambda_grid]
     )
-    size_fn = pearson_asymptotic_size if test == "pearson" else g_asymptotic_size
+    c = _critical_value(alpha)
     return [
-        SizeCurvePoint(lam=float(lam), alpha=alpha, asymptotic_size=size_fn(float(lam), alpha), test=test)
+        SizeCurvePoint(lam=float(lam), alpha=alpha, asymptotic_size=_size(test, c, float(lam)), test=test)
         for lam in grid
     ]

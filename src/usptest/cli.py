@@ -20,6 +20,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import os
 import sys
 from typing import Sequence
@@ -112,6 +113,8 @@ def _parse_grid(spec: str, name: str) -> np.ndarray:
         lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise _UsageError(f"--{name} expects numeric lo:hi:count, got {spec!r}") from None
+    if not math.isfinite(hi - lo):
+        raise _UsageError(f"--{name} needs finite lo, hi and hi - lo, got {spec!r}")
     if count < 1:
         raise _UsageError(f"--{name} needs count >= 1, got {count}")
     if hi < lo:

@@ -1,10 +1,9 @@
 """Special functions and seeded random streams.
 
 Only the numerics the rest of the package needs: the regularized lower
-incomplete gamma function (and with it the chi-squared CDF and quantile),
-Poisson probabilities evaluated in log space, and a small splittable
-random-stream wrapper that makes every stochastic routine reproducible
-for any execution order or worker count.
+incomplete gamma function (and with it the chi-squared CDF, tail and
+quantile), and a small splittable random-stream wrapper that makes every
+stochastic routine reproducible for any execution order or worker count.
 """
 
 from __future__ import annotations
@@ -23,8 +22,6 @@ __all__ = [
     "chi2_cdf",
     "chi2_sf",
     "chi2_quantile",
-    "poisson_pmf",
-    "poisson_tail_mass",
 ]
 
 # ---------------------------------------------------------------------------
@@ -188,67 +185,29 @@ def chi2_sf(x: float, k: float) -> float:
 def chi2_quantile(p: float, k: float) -> float:
     """Inverse chi-squared CDF by bracketed bisection.
 
-    Converges until ``|chi2_cdf(q, k) - p| <= 1e-10`` (and the bracket is
-    exhausted to floating-point resolution, whichever comes first).
+    Bisects until the bracket is exhausted to floating-point resolution.
+    Above the median it compares ``chi2_sf(q, k)`` with ``1 - p``, so the
+    upper quantiles keep the relative accuracy of the tail, not of the CDF.
     """
     if not (0.0 < p < 1.0):
         raise DomainError(f"chi2_quantile requires 0 < p < 1, got p={p}")
     if not (k >= 1):
         raise DomainError(f"chi2_quantile requires k >= 1, got k={k}")
+    tail = 1.0 - p  # exact for p >= 0.5
+
+    def below(x: float) -> bool:
+        # whether x lies below the quantile
+        return chi2_sf(x, k) > tail if p > 0.5 else chi2_cdf(x, k) < p
+
     lo = 0.0
     hi = max(float(k), 1.0)
-    for _ in range(400):
-        if chi2_cdf(hi, k) >= p:
-            break
+    while below(hi):
         hi *= 2.0
-    for _ in range(200):
+    while True:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
-            break
-        cdf = chi2_cdf(mid, k)
-        if abs(cdf - p) <= 1e-10:
             return mid
-        if cdf < p:
+        if below(mid):
             lo = mid
         else:
             hi = mid
-    return 0.5 * (lo + hi)
-
-
-# ---------------------------------------------------------------------------
-# Poisson probabilities
-# ---------------------------------------------------------------------------
-
-_TAIL_TRUNCATION = 1e-12
-_TAIL_MAX_TERMS = 1_000_000
-
-
-def poisson_pmf(z: int, mu: float) -> float:
-    """Poisson point mass e^(-mu) mu^z / z!, evaluated in log space."""
-    if not (mu > 0):
-        raise DomainError(f"poisson_pmf requires mu > 0, got mu={mu}")
-    if z < 0 or int(z) != z:
-        raise DomainError(f"poisson_pmf requires a non-negative integer z, got z={z}")
-    z = int(z)
-    return math.exp(z * math.log(mu) - mu - math.lgamma(z + 1))
-
-
-def poisson_tail_mass(predicate, mu: float) -> float:
-    """Total Poisson(mu) probability of the set ``{z : predicate(z)}``.
-
-    Sums point masses for z = 0, 1, 2, ... and stops once the cumulative
-    probability reaches 1 - 1e-12, so the returned mass is exact to that
-    truncation level.
-    """
-    if not (mu > 0):
-        raise DomainError(f"poisson_tail_mass requires mu > 0, got mu={mu}")
-    cumulative = 0.0
-    mass = 0.0
-    for z in range(_TAIL_MAX_TERMS):
-        pmf = poisson_pmf(z, mu)
-        cumulative += pmf
-        if predicate(z):
-            mass += pmf
-        if cumulative >= 1.0 - _TAIL_TRUNCATION:
-            break
-    return mass

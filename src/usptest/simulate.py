@@ -25,10 +25,10 @@ blocks, so results are bit-identical for any worker count, and workers never
 share streams.
 
 ``threads`` is an upper bound on the worker processes.  A study starts one
-worker per ``_POOL_MIN_DRAWS`` hypergeometric draws of permutation work, and
-never more than it has blocks or the machine has cores: a small study runs
-in the calling process, where a pool would cost more to start than it
-saves.
+worker per ``_POOL_MIN_CELLS`` cells of the tables that its permutation
+tests draw, and never more than it has blocks or the machine has cores: a
+small study runs in the calling process, where a pool would cost more to
+start than it saves.
 """
 
 from __future__ import annotations
@@ -303,19 +303,20 @@ def _worker_count(threads: int, tasks: int) -> int:
     return max(1, min(threads, os.cpu_count() or 1, tasks))
 
 
-_POOL_MIN_DRAWS = 1 << 17  # hypergeometric draws of a study per pool worker
+_POOL_MIN_CELLS = 400_000  # permuted cells of a study per pool worker
 
 
 def _study_workers(tasks: list, threads: int) -> int:
-    # One worker per _POOL_MIN_DRAWS hypergeometric draws that the blocks'
-    # permutation tests make (size x B x (I-1)(J-1) per block): below that, a
-    # pool costs more to start than the blocks it would share out.
-    draws = sum(
-        size * config.B * (weights.shape[0] - 1) * (weights.shape[1] - 1)
+    # One worker per _POOL_MIN_CELLS cells of the tables that the blocks'
+    # permutation tests draw (size x B x I*J per block): below that, a pool
+    # costs more to start than the blocks it would share out.  Cells, not
+    # hypergeometric draws, because a 2x2 table costs more than its one draw.
+    cells = sum(
+        size * config.B * weights.size
         for (weights, _, _), size, tests, config, _ in tasks
         if any(mode == "permutation" for _, mode in tests)
     )
-    return _worker_count(threads, min(len(tasks), draws // _POOL_MIN_DRAWS))
+    return _worker_count(threads, min(len(tasks), cells // _POOL_MIN_CELLS))
 
 
 def _map_replicates(worker, tasks: list, threads: int) -> list:

@@ -10,8 +10,9 @@ margins, so over tables sharing margins (e.g. permuted tables) they induce
 the same ranking; both may be negative even though D itself never is.
 
 This is the one module that picks code by method name (``METHODS``): the
-value of each method's statistic, and the key that ranks it among tables
-with fixed margins.
+value of each method's statistic, the key that ranks it among tables with
+fixed margins, and the Poisson limit law of each classic statistic under the
+sparse 2x2 family.
 """
 
 from __future__ import annotations
@@ -198,6 +199,22 @@ def _value(method: str, counts: np.ndarray, n: int):
     # batch); the value function is looked up at call time, so a rebound
     # module attribute is the one called
     return {"usp": _usp_value, "pearson": _pearson_value, "g": _g_value}[method](counts, n)
+
+
+def _pearson_limit(z: np.ndarray, mu: float) -> np.ndarray:
+    return (z - mu) ** 2 / mu
+
+
+def _g_limit(z: np.ndarray, mu: float) -> np.ndarray:
+    # 2 mu at z = 0, by 0 log 0 = 0
+    return 2.0 * z * np.log(np.where(z > 0, z / mu, 1.0)) - 2.0 * (z - mu)
+
+
+def _poisson_limit(method: str, z: np.ndarray, mu: float) -> np.ndarray:
+    # the classic statistic's limit law under the sparse 2x2 family of
+    # asymptotics.py, at counts z of the one cell whose count Z ~ Poisson(mu)
+    # stays finite
+    return {"pearson": _pearson_limit, "g": _g_limit}[method](z, mu)
 
 
 def _rank_key(method: str, rows: np.ndarray, cols: np.ndarray, n: int):

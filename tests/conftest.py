@@ -66,7 +66,7 @@ def pool_spy(monkeypatch):
     """Make every multi-block study start its pool; list the pools started.
 
     Studies start workers only for enough permutation work, which small test
-    studies never reach.  This lowers that threshold to one draw and reports
+    studies never reach.  This lowers that threshold to one cell and reports
     two cores, so ``threads=2`` starts a 2-process pool; the returned list
     gets each pool's worker count.
     """
@@ -77,7 +77,7 @@ def pool_spy(monkeypatch):
             started.append(max_workers)
             super().__init__(max_workers=max_workers, **kwargs)
 
-    monkeypatch.setattr(simulate, "_POOL_MIN_DRAWS", 1)
+    monkeypatch.setattr(simulate, "_POOL_MIN_CELLS", 1)
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(simulate, "ProcessPoolExecutor", Spy)
     return started

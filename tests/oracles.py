@@ -1,5 +1,6 @@
 """Reference implementations that the library's fast paths are tested against."""
 
+import math
 from fractions import Fraction
 from itertools import permutations
 from math import comb, prod
@@ -7,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from usptest.errors import SampleTooSmall
+from usptest.errors import DomainError, SampleTooSmall
 from usptest.numerics import RandomStream, as_generator
 from usptest.table import ContingencyTable
 
@@ -121,3 +122,39 @@ def dhat_bruteforce(pairs: Sequence[tuple[int, int]]) -> float:
         if xs[a] == xs[c] and ys[b] == ys[d]:
             total += 1
     return total / (n * (n - 1) * (n - 2) * (n - 3))
+
+
+_TAIL_TRUNCATION = 1e-12
+_TAIL_MAX_TERMS = 1_000_000
+
+
+def poisson_pmf(z: int, mu: float) -> float:
+    """Poisson point mass e^(-mu) mu^z / z!, evaluated in log space."""
+    if not (mu > 0):
+        raise DomainError(f"poisson_pmf requires mu > 0, got mu={mu}")
+    if z < 0 or int(z) != z:
+        raise DomainError(f"poisson_pmf requires a non-negative integer z, got z={z}")
+    z = int(z)
+    return math.exp(z * math.log(mu) - mu - math.lgamma(z + 1))
+
+
+def poisson_tail_mass(predicate, mu: float) -> float:
+    """Total Poisson(mu) probability of the set ``{z : predicate(z)}``.
+
+    Reference for :func:`usptest.asymptotics.size_curve`: sums point masses
+    for z = 0, 1, 2, ... and stops once the cumulative probability reaches
+    1 - 1e-12, so the returned mass is exact to that truncation level (for
+    mu up to about 10^6, where 10^6 terms no longer reach it).
+    """
+    if not (mu > 0):
+        raise DomainError(f"poisson_tail_mass requires mu > 0, got mu={mu}")
+    cumulative = 0.0
+    mass = 0.0
+    for z in range(_TAIL_MAX_TERMS):
+        pmf = poisson_pmf(z, mu)
+        cumulative += pmf
+        if predicate(z):
+            mass += pmf
+        if cumulative >= 1.0 - _TAIL_TRUNCATION:
+            break
+    return mass

@@ -12,13 +12,31 @@ from usptest.asymptotics import (
     size_curve,
 )
 from usptest.errors import DomainError
-from usptest.numerics import chi2_quantile, poisson_pmf
+from usptest.numerics import chi2_quantile
+
+from oracles import poisson_pmf, poisson_tail_mass
 
 
 def poisson_rejection_oracle(mu, alpha, statistic, terms=400):
     """Sum Poisson point masses where the limiting statistic exceeds c_alpha."""
     c = chi2_quantile(1.0 - alpha, 1)
     return sum(poisson_pmf(z, mu) for z in range(terms) if statistic(z, mu) > c)
+
+
+def scipy_two_tail_size(lam, alpha, statistic):
+    """Size from scipy's Poisson tails.  Both limit statistics are convex in z
+    with minimum 0 at z = mu, so they reject z <= z_lo and z >= z_hi."""
+    scipy_stats = pytest.importorskip("scipy.stats")
+    c = scipy_stats.chi2.ppf(1.0 - alpha, 1)
+    mu = lam * lam
+    z_lo = math.floor(mu)
+    while z_lo >= 0 and statistic(z_lo, mu) <= c:
+        z_lo -= 1
+    z_hi = math.ceil(mu)
+    while statistic(z_hi, mu) <= c:
+        z_hi += 1
+    lower = scipy_stats.poisson.cdf(z_lo, mu) if z_lo >= 0 else 0.0
+    return float(lower + scipy_stats.poisson.sf(z_hi - 1, mu))
 
 
 def pearson_limit(z, mu):
@@ -60,6 +78,27 @@ class TestReferenceValues:
             )
             assert g_asymptotic_size(lam, alpha) == pytest.approx(
                 poisson_rejection_oracle(mu, alpha, g_limit), abs=1e-9
+            )
+
+    @pytest.mark.parametrize("alpha", [0.05, 0.01])
+    def test_default_grid_matches_the_summation_oracle(self, alpha):
+        c = chi2_quantile(1.0 - alpha, 1)
+        for test, statistic in (("pearson", pearson_limit), ("g", g_limit)):
+            for pt in size_curve(test, alpha):
+                mu = pt.lam * pt.lam
+                want = poisson_tail_mass(lambda z: statistic(z, mu) > c, mu)
+                assert pt.asymptotic_size == pytest.approx(want, abs=1e-11), (test, pt.lam)
+
+    @pytest.mark.parametrize("lam", [30.0, 300.0, 1000.0])
+    def test_large_lambda_against_scipy(self, lam):
+        # the window keeps its accuracy where a sum from z = 0 runs out of
+        # terms (mu = 10^6 at the cap)
+        for alpha in (0.05, 0.01):
+            assert pearson_asymptotic_size(lam, alpha) == pytest.approx(
+                scipy_two_tail_size(lam, alpha, pearson_limit), abs=1e-12
+            )
+            assert g_asymptotic_size(lam, alpha) == pytest.approx(
+                scipy_two_tail_size(lam, alpha, g_limit), abs=1e-12
             )
 
 
@@ -134,6 +173,14 @@ class TestDomain:
             pearson_asymptotic_size(0.0, 0.05)
         with pytest.raises(DomainError):
             g_asymptotic_size(-1.0, 0.05)
+
+    def test_lambda_capped_and_finite(self):
+        assert 0.04 < pearson_asymptotic_size(1000.0, 0.05) < 0.06
+        for lam in (1000.5, 1100.0, math.inf, math.nan):
+            with pytest.raises(DomainError, match="1000"):
+                pearson_asymptotic_size(lam, 0.05)
+            with pytest.raises(DomainError, match="1000"):
+                size_curve("g", 0.05, [1.0, lam])
 
     def test_alpha_open_interval(self):
         with pytest.raises(DomainError):

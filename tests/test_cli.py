@@ -223,6 +223,21 @@ class TestExitCodes:
         assert run_cli(capsys, ["asymsize", "--test", "pearson", "--lambda", "-1:2:3"])[0] == 2
         assert run_cli(capsys, ["asymsize", "--test", "pearson", "--alpha", "0"])[0] == 2
 
+    def test_asymsize_lambda_above_the_cap_is_two(self, capsys):
+        for spec in ("1100:1100:1", "999:1000.5:2"):
+            code, out, err = run_cli(capsys, ["asymsize", "--test", "pearson", "--lambda", spec])
+            assert (code, out) == (2, ""), spec
+            assert "at most 1000" in err
+        code, out, _ = run_cli(capsys, ["asymsize", "--test", "g", "--lambda", "1000:1000:1"])
+        assert code == 0 and float(out.split("\n")[1].split(",")[3]) > 0.04
+
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_grid_ends_are_two(self, capsys):
+        for spec in ("1:inf:2", "-inf:1:2", "nan:1:2", "1:nan:2", "-1e308:1.7e308:3"):
+            code, _, err = run_cli(capsys, ["asymsize", "--test", "pearson", f"--lambda={spec}"])
+            assert code == 2, spec
+            assert "finite" in err, spec
+
     def test_infeasible_epsilon_is_two(self, capsys):
         code, _, _ = run_cli(
             capsys,

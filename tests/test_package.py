@@ -5,6 +5,7 @@ from pathlib import Path
 
 import usptest
 from usptest import asymptotics, datasets, errors, numerics, permutation, simulate, stats, table
+from usptest.stats import METHODS
 
 MODULES = (asymptotics, datasets, errors, numerics, permutation, simulate, stats, table)
 SRC = Path(usptest.__file__).resolve().parent
@@ -58,3 +59,36 @@ class TestImports:
         path = tmp_path / "mod.py"
         path.write_text("import os\nimport sys\nfrom math import pi, tau\nprint(sys.argv, tau)\n")
         assert _unused_imports(path) == ["mod.py:1: os", "mod.py:3: pi"]
+
+
+def _method_comparisons(path: Path) -> list[str]:
+    # comparisons with a method name as a string constant, such as
+    # test == "pearson" or method in ("usp", "g")
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = sorted(
+        (node.lineno, const.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        for operand in (node.left, *node.comparators)
+        for const in ast.walk(operand)
+        if isinstance(const, ast.Constant) and isinstance(const.value, str) and const.value in METHODS
+    )
+    return [f"{path.name}:{line}: {name!r}" for line, name in found]
+
+
+class TestMethodDispatch:
+    def test_only_stats_compares_method_names(self):
+        found = [
+            c for path in sorted(SRC.glob("*.py")) if path.name != "stats.py"
+            for c in _method_comparisons(path)
+        ]
+        assert found == []
+
+    def test_checker_sees_a_method_comparison(self, tmp_path):
+        path = tmp_path / "mod.py"
+        path.write_text(
+            'f = g if test == "pearson" else h\n'
+            'ok = method in ("usp", "other")\n'
+            'fine = mode == "classic" or {"g": 1}[method]\n'
+        )
+        assert _method_comparisons(path) == ["mod.py:1: 'pearson'", "mod.py:2: 'usp'"]

@@ -12,7 +12,8 @@ from usptest.errors import (
     SubsampleTooLarge,
     UndefinedStatistic,
 )
-from usptest import permutation
+from usptest import permutation, simulate
+from usptest.cli import main
 from usptest.permutation import PermutationConfig, _classic_scores, run_test
 from usptest.simulate import (
     DHAT_CSV_HEADER,
@@ -30,7 +31,7 @@ from usptest.simulate import (
     subsample_study,
     subsample_study_csv,
     _BLOCK_REPS,
-    _POOL_MIN_DRAWS,
+    _POOL_MIN_CELLS,
     _block_sizes,
     _study_workers,
     _worker_count,
@@ -418,18 +419,50 @@ class TestStudyWorkers:
 
     def test_pool_only_where_the_draws_pay(self, monkeypatch):
         monkeypatch.setattr("usptest.simulate.os.cpu_count", lambda: 4)
-        # 2 x 20 tables x 99 permuted tables x 28 draws: 110 880 draws, no pool
-        assert 2 * 20 * 99 * 28 < _POOL_MIN_DRAWS
+        # 2 x 20 tables x 99 permuted tables x 40 cells: 158 400 cells, no pool
+        assert 2 * 20 * 99 * 40 < _POOL_MIN_CELLS
         assert _study_workers(self.tasks(20, self.TESTS), 2) == 1
-        # 128 replicates: 709 632 draws over 4 blocks, two workers
+        # 128 replicates: 1 013 760 cells over 4 blocks, two workers
         assert _study_workers(self.tasks(128, self.TESTS), 2) == 2
         assert _study_workers(self.tasks(128, self.TESTS), 1) == 1
-        # more threads: one worker per _POOL_MIN_DRAWS draws, at most one per
+        # more threads: one worker per _POOL_MIN_CELLS cells, at most one per
         # block and per core
-        assert _study_workers(self.tasks(128, self.TESTS), 8) == 4
-        assert _study_workers(self.tasks(32, self.TESTS, I=10, J=12), 8) == 2
-        # the draws count, not the tables: a 2x2 table makes one draw each
+        assert _study_workers(self.tasks(128, self.TESTS), 8) == 2
+        assert _study_workers(self.tasks(256, self.TESTS), 8) == 4
+        assert _study_workers(self.tasks(64, self.TESTS, I=10, J=12), 8) == 2
+        # the cells count, not the hypergeometric draws: a 2x2 table makes one
+        # draw but costs about as much per cell as a larger one, so 128
+        # replicates at B = 999 (1 022 976 cells) share out over two workers
         assert _study_workers(self.tasks(128, self.TESTS, I=2, J=2), 8) == 1
+        assert _study_workers(self.tasks(128, self.TESTS, I=2, J=2, B=999), 8) == 2
+
+    # the study calls of bench/workloads.py and its --threads gate
+    BENCH_CALLS = [
+        ["power", "--family", family, "--n", "100", "--eps-grid", grid, "--reps", "20",
+         "--B", "99", "--tests", "usp,pearson-perm,g-perm,pearson-classic,g-classic"]
+        for family, grid in (("sparse", "0:0.06:2"), ("dense", "0:0.01:2"))
+    ] + [
+        ["subsample", "--dataset", dataset, "--m", m, *replace, "--reps", "4", "--B", "999",
+         "--tests", "usp,pearson-perm,g-perm"]
+        for dataset, m, replace in (("eyecolour", "84", []), ("marital", "150", ["--no-replace"]))
+    ] + [
+        ["power", "--family", "sparse", "--n", "100", "--eps-grid", "0:0.06:2", "--reps", "12",
+         "--B", "99", "--tests", "usp,pearson-perm,g-perm"]
+    ]
+
+    def test_benchmark_studies_start_no_pool(self, monkeypatch, capsys):
+        monkeypatch.setattr("usptest.simulate.os.cpu_count", lambda: 2)
+        chosen = []
+
+        def spy(tasks, threads):
+            chosen.append(_study_workers(tasks, threads))
+            return chosen[-1]
+
+        monkeypatch.setattr(simulate, "_study_workers", spy)
+        for argv in self.BENCH_CALLS:
+            assert main(argv + ["--seed", "1", "--threads", "2"]) == 0, argv
+        capsys.readouterr()
+        assert chosen == [1] * len(self.BENCH_CALLS)
 
     def test_classic_tests_draw_nothing(self, monkeypatch):
         monkeypatch.setattr("usptest.simulate.os.cpu_count", lambda: 4)
