@@ -310,7 +310,9 @@ def _study_workers(tasks: list, threads: int) -> int:
     # One worker per _POOL_MIN_CELLS cells of the tables that the blocks'
     # permutation tests draw (size x B x I*J per block): below that, a pool
     # costs more to start than the blocks it would share out.  Cells, not
-    # hypergeometric draws, because a 2x2 table costs more than its one draw.
+    # hypergeometric draws, because a 2x2 table costs more than its one draw;
+    # and not shuffled labels either, because two workers already pay for a
+    # shuffled dense 6x8 study at n = 100 from 912 384 cells (3 blocks).
     cells = sum(
         size * config.B * weights.size
         for (weights, _, _), size, tests, config, _ in tasks

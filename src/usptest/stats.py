@@ -232,10 +232,10 @@ def _rank_key(method: str, rows: np.ndarray, cols: np.ndarray, n: int):
         # X^2 = n sum(o^2 / (r_i c_j)) - n; cells of an empty row or column
         # are zero in every table and get weight 0
         with np.errstate(divide="ignore"):
-            w = np.where(rc > 0, 1.0 / rc, 0.0)
-        return lambda o, sl: ((o * o) * w[sl]).sum(axis=-1)
+            w = np.where(rc > 0, 1.0 / rc, 0.0)[:, 0]
+        return lambda o, sl: np.einsum("rbk,rk->rb", o * o, w[sl])
     # G = 2 sum(o log o) + margin-only terms, with 0 log 0 = 0
-    return lambda o, sl: (o * np.log(np.maximum(o, 1))).sum(axis=-1)
+    return lambda o, sl: np.einsum("rbk,rbk->rb", o, np.log(np.maximum(o, 1)))
 
 
 def usp_statistic(table: ContingencyTable) -> StatisticValue:

@@ -2,7 +2,7 @@
 
 import math
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from math import comb, prod
 from typing import Sequence
 
@@ -64,24 +64,36 @@ def g_exact_key(counts) -> int:
     return prod(int(o) ** int(o) for o in np.asarray(counts).ravel())
 
 
-def hypergeometric_tail_2x2(counts, statistic) -> Fraction:
-    """Exact P(T >= t0) for a 2x2 table t0 under the permutation law.
+def two_row_law(counts) -> list[tuple[list[list[int]], Fraction]]:
+    """Every 2 x J table with the margins of ``counts``, with its exact
+    probability under the permutation law.
 
-    Given the margins, the tables are indexed by their (0, 0) cell k, which
-    is hypergeometric: P(k) = C(r1, k) C(n - r1, c1 - k) / C(n, c1).
-    ``statistic`` maps a table to an exactly comparable value; the tail sums
-    P over every table whose value is at least the observed one.  This is the
-    B -> infinity limit of the conservative permutation p-value.
+    Given the margins, a table is fixed by its first row x, and
+    P(x) = prod_j C(c_j, x_j) / C(n, r_1) (multivariate hypergeometric).
     """
-    (a, b), (c, d) = [[int(x) for x in row] for row in np.asarray(counts)]
-    n, r1, c1 = a + b + c + d, a + b, a + c
-    t0 = statistic([[a, b], [c, d]])
-    mass = 0
-    for k in range(max(0, r1 + c1 - n), min(r1, c1) + 1):
-        table = [[k, r1 - k], [c1 - k, n - r1 - c1 + k]]
-        if statistic(table) >= t0:
-            mass += comb(r1, k) * comb(n - r1, c1 - k)
-    return Fraction(mass, comb(n, c1))
+    top, bottom = [[int(x) for x in row] for row in np.asarray(counts)]
+    c = [a + b for a, b in zip(top, bottom)]
+    r1, n = sum(top), sum(c)
+    law = []
+    for head in product(*(range(cj + 1) for cj in c[:-1])):
+        last = r1 - sum(head)
+        if 0 <= last <= c[-1]:
+            x = [*head, last]
+            weight = prod(comb(cj, xj) for cj, xj in zip(c, x))
+            law.append(([x, [cj - xj for cj, xj in zip(c, x)]], Fraction(weight, comb(n, r1))))
+    return law
+
+
+def two_row_tail(counts, statistic) -> Fraction:
+    """Exact P(T >= t0) for a two-row table t0 under the permutation law.
+
+    ``statistic`` maps a table to an exactly comparable value; the tail sums
+    the probability of every table with the observed margins whose value is
+    at least the observed one.  This is the B -> infinity limit of the
+    conservative permutation p-value.
+    """
+    t0 = statistic(np.asarray(counts).tolist())
+    return sum((w for table, w in two_row_law(counts) if statistic(table) >= t0), Fraction(0))
 
 
 class SampleTooLargeForOracle(ValueError):

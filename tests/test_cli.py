@@ -349,6 +349,29 @@ class TestThreads:
         assert pool_spy == [2]
         assert from_env == serial
 
+    def test_shuffled_study_keeps_output_across_a_real_pool(self, capsys, monkeypatch):
+        # dense 6x8 at n = 100 shuffles its labels (100 observations over 35
+        # free cells); 2 x 96 replicates x 99 tables x 48 cells = 912 384
+        # cells, so --threads 2 starts two workers at the real threshold
+        from usptest import simulate
+
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+        chosen = []
+        study_workers = simulate._study_workers
+
+        def spy(tasks, threads):
+            chosen.append(study_workers(tasks, threads))
+            return chosen[-1]
+
+        monkeypatch.setattr(simulate, "_study_workers", spy)
+        argv = ["power", "--family", "dense", "--n", "100", "--reps", "96", "--B", "99",
+                "--eps-grid", "0:0.01:2", "--tests", "usp,pearson-perm,g-perm,g-classic",
+                "--seed", "5"]
+        serial = run_cli(capsys, argv + ["--threads", "1"])
+        pooled = run_cli(capsys, argv + ["--threads", "2"])
+        assert chosen == [1, 2]
+        assert serial == pooled and serial[0] == 0
+
     def test_env_var_garbage_falls_back(self, capsys, monkeypatch):
         monkeypatch.setenv("USP_THREADS", "many")
         code, out, _ = run_cli(

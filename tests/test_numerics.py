@@ -101,6 +101,24 @@ class TestChi2:
         )
         assert chi2_sf(300.0, 12) == pytest.approx(scipy_stats.chi2.sf(300.0, 12), rel=1e-12)
 
+    @pytest.mark.parametrize("k", [1, 10, 10**3, 10**4, 10**5, 10**6, 10**7])
+    def test_large_degrees_of_freedom_against_scipy(self, k):
+        # near x = k both expansions need on the order of sqrt(k) terms; a
+        # fixed cap of 1000 gave chi2_sf(10^6, 10^6) = 0.578 (scipy: 0.4998)
+        rel = 1e-12 if k <= 10**3 else 1e-9 if k <= 10**6 else 1e-7
+        for x in (0.99 * k, k, 1.01 * k, 1.05 * k):
+            assert chi2_sf(x, k) == pytest.approx(scipy_stats.chi2.sf(x, k), rel=rel), x
+            assert chi2_cdf(x, k) == pytest.approx(scipy_stats.chi2.cdf(x, k), rel=rel), x
+
+    def test_unconverged_sum_raises(self, monkeypatch):
+        from usptest import numerics
+
+        monkeypatch.setattr(numerics, "_term_budget", lambda a: 10)
+        with pytest.raises(DomainError, match="series did not converge in 10 terms"):
+            chi2_sf(1000.0, 1000)
+        with pytest.raises(DomainError, match="continued fraction did not converge in 10 terms"):
+            chi2_sf(1010.0, 1000)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             chi2_sf(-1.0, 3)

@@ -1,18 +1,21 @@
 """Tests for permuted-table generation and the permutation test protocol."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from oracles import (
     g_exact_key,
-    hypergeometric_tail_2x2,
     pearson_exact,
     permuted_table_by_shuffle,
+    two_row_law,
+    two_row_tail,
     usp_exact,
 )
 from usptest import permutation, stats
 from usptest.errors import DomainError, InvalidMode, UndefinedStatistic
-from usptest.numerics import RandomStream, chi2_cdf
+from usptest.numerics import RandomStream, chi2_cdf, chi2_sf
 from usptest.permutation import (
     PermutationConfig,
     permutation_pvalue,
@@ -43,6 +46,20 @@ class TestPermutedTable:
         assert np.all(tables >= 0)
         assert len({t.tobytes() for t in tables}) > 40  # blocks do not repeat draws
 
+    def test_shuffle_side_margins_preserved(self, monkeypatch):
+        # 100 observations over 28 free cells are shuffled, 100 labels a
+        # table; a 7-table cap on each block makes 50 tables span eight blocks
+        counts = np.random.default_rng(6).multinomial(100, np.full(40, 1 / 40))
+        t = validate_table(counts.reshape(5, 8))
+        monkeypatch.setattr(permutation, "_BLOCK_CELLS", 7 * 100)
+        monkeypatch.setattr(permutation, "_draw", None)
+        tables = permuted_tables(t, 50, RandomStream(0))
+        assert tables.shape == (50, 5, 8) and tables.dtype == np.int64
+        np.testing.assert_array_equal(tables.sum(axis=2), np.tile(t.row_margins, (50, 1)))
+        np.testing.assert_array_equal(tables.sum(axis=1), np.tile(t.col_margins, (50, 1)))
+        assert np.all(tables >= 0)
+        assert len({t.tobytes() for t in tables}) == 50
+
     def test_single_row_is_fixed_point(self):
         t = validate_table([[3, 1, 4]])
         tables = permuted_tables(t, 10, RandomStream(1))
@@ -66,9 +83,10 @@ class TestPermutedTable:
         assert abs(hits / reps - 2 / 3) <= 3 * se
 
     def test_matches_shuffle_distribution(self):
-        # Count-only generation and the literal label-shuffle must produce
-        # the same distribution over tables; compare cell histograms on a
-        # 2x2 where o_11 determines the table, P(o_11 = k) = (1, 4, 1)/6.
+        # The engine (here its batched shuffle: 4 observations, 1 free cell)
+        # and the one-table label-shuffle reference must produce the same
+        # distribution over tables; compare cell histograms on a 2x2 where
+        # o_11 determines the table, P(o_11 = k) = (1, 4, 1)/6.
         t = validate_table([[1, 1], [1, 1]])
         reps = 30_000
         base = RandomStream(4)
@@ -231,7 +249,7 @@ class TestExactTail:
     def test_conservative_p_matches_exact_tail(self):
         B = 20_000
         for seed, (method, statistic) in enumerate(self.EXACT.items()):
-            tail = float(hypergeometric_tail_2x2(self.DATA.counts, statistic))
+            tail = float(two_row_tail(self.DATA.counts, statistic))
             cfg = PermutationConfig(B=B, seed=seed, tie_policy="conservative")
             _, p = permutation_pvalue(self.DATA, method, cfg, RandomStream(seed))
             # (B + 1) p - 1 tables of B reach t0: binomial(B, tail)
@@ -239,8 +257,42 @@ class TestExactTail:
             assert abs(hits - B * tail) <= 4.5 * np.sqrt(B * tail * (1 - tail)), method
 
     def test_statistics_disagree_on_this_table(self):
-        tails = {m: hypergeometric_tail_2x2(self.DATA.counts, f) for m, f in self.EXACT.items()}
+        tails = {m: two_row_tail(self.DATA.counts, f) for m, f in self.EXACT.items()}
         assert tails["usp"] == tails["g"] != tails["pearson"]
+
+    # one table on each side of the sampler rule: 12 observations over 7
+    # free cells are shuffled, 200 over 2 go to Patefield's draws
+    SIDES = {
+        "shuffle": validate_table([[2, 0, 2, 0, 1, 0, 1, 0], [1, 2, 0, 1, 0, 1, 0, 1]]),
+        "patefield": validate_table([[40, 30, 35], [25, 40, 30]]),
+    }
+
+    @pytest.mark.parametrize("side", ["shuffle", "patefield"])
+    def test_each_sampler_matches_the_exact_law(self, monkeypatch, side):
+        def unused(*args):
+            raise AssertionError("the other sampler ran")
+
+        monkeypatch.setattr(permutation, "_draw" if side == "shuffle" else "_shuffle", unused)
+        data, B = self.SIDES[side], 20_000
+        for seed, (method, statistic) in enumerate(self.EXACT.items()):
+            tail = float(two_row_tail(data.counts, statistic))
+            cfg = PermutationConfig(B=B, seed=seed, tie_policy="conservative")
+            _, p = permutation_pvalue(data, method, cfg, RandomStream(seed))
+            hits = round(p * (B + 1)) - 1
+            assert abs(hits - B * tail) <= 4 * np.sqrt(B * tail * (1 - tail)), (method, tail)
+        # and the whole law: a chi-squared goodness of fit over the tables,
+        # with those of expected count below 5 pooled into one class
+        law = two_row_law(data.counts)
+        seen = Counter(tuple(t[0]) for t in permuted_tables(data, B, RandomStream(9)).tolist())
+        want = np.array([float(w) * B for _, w in law])
+        got = np.array([seen.pop(tuple(t[0]), 0) for t, _ in law], dtype=float)
+        assert not seen  # every drawn table has the margins
+        small = want < 5
+        if small.any():
+            want = np.append(want[~small], want[small].sum())
+            got = np.append(got[~small], got[small].sum())
+        stat = float(((got - want) ** 2 / want).sum())
+        assert chi2_sf(stat, len(want) - 1) > 1e-4, (stat, len(want))
 
 
 class TestHypergeometricLimit:
@@ -306,6 +358,22 @@ class TestRunTestClassic:
         assert run_test(t, "g", "classic").p_value == pytest.approx(
             1.9984990900553828e-303, rel=1e-12
         )
+
+    def test_many_degrees_of_freedom_against_scipy(self):
+        # 399^2 = 159 201 degrees of freedom: the chi-squared tail needs
+        # thousands of terms, where a fixed 1000-term cap read 0.545280
+        # for pearson against scipy's 0.545151
+        from scipy.stats import chi2_contingency
+
+        gen = np.random.default_rng(400)
+        counts = gen.multinomial(800_000, np.full(400 * 400, 1 / 400**2))
+        t = validate_table(counts.reshape(400, 400))
+        for method, lambda_ in (("pearson", None), ("g", "log-likelihood")):
+            want = chi2_contingency(t.counts, correction=False, lambda_=lambda_)
+            r = run_test(t, method, "classic")
+            assert r.df == want.dof
+            assert r.statistic == pytest.approx(want.statistic, rel=1e-12)
+            assert r.p_value == pytest.approx(want.pvalue, rel=1e-9), method
 
     def test_zero_margin_propagates(self):
         with pytest.raises(UndefinedStatistic):

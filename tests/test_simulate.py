@@ -362,6 +362,34 @@ class TestStudyBlocks:
             assert drawn.tolist() == [10] * 5
             assert chunks == (3 if cap == 25 else 10)
 
+    def test_shuffled_tables_keep_their_source_margins(self, monkeypatch):
+        # 30 observations over 12 free cells: the label shuffle, which sizes
+        # its chunks by the 30 labels of a table.  A cap of 25 tables per
+        # chunk holds two whole sources per chunk; a cap of 7 splits every
+        # source over two chunks.
+        monkeypatch.setattr(permutation, "_draw", None)
+        gen = np.random.default_rng(13)
+        tables = _sample_tables(MARITAL.counts / MARITAL.n, 30, True, 5, gen)
+        rows, cols = tables.sum(axis=2), tables.sum(axis=1)
+        for cap in (25, 7):
+            monkeypatch.setattr(permutation, "_BLOCK_CELLS", cap * 30)
+            drawn = np.zeros(5, dtype=int)
+            chunks = 0
+            for lo, hi, chunk in permutation._permuted(rows, cols, 10, gen):
+                chunk = chunk.reshape(hi - lo, -1, 4, 5)
+                assert chunk.shape[1] <= cap and (hi - lo) * chunk.shape[1] <= cap
+                np.testing.assert_array_equal(
+                    chunk.sum(axis=3), np.broadcast_to(rows[lo:hi, None], chunk.shape[:3])
+                )
+                np.testing.assert_array_equal(
+                    chunk.sum(axis=2),
+                    np.broadcast_to(cols[lo:hi, None], chunk.shape[:2] + (5,)),
+                )
+                drawn[lo:hi] += chunk.shape[1]
+                chunks += 1
+            assert drawn.tolist() == [10] * 5
+            assert chunks == (3 if cap == 25 else 10)
+
     def test_partial_last_block(self):
         reps = 2 * _BLOCK_REPS + _BLOCK_REPS // 2
         assert _block_sizes(reps) == [_BLOCK_REPS, _BLOCK_REPS, _BLOCK_REPS // 2]
