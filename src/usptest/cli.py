@@ -136,6 +136,17 @@ def _parse_tests(spec: str) -> list[tuple[str, str]]:
     return tests
 
 
+def _thread_count(text: str) -> int:
+    # --threads: at least one worker; argparse names the flag in the message
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _threads_default() -> int:
     env = os.environ.get("USP_THREADS", "").strip()
     if env:
@@ -272,7 +283,7 @@ def _add_common_sim(sub: argparse.ArgumentParser, default_reps: int, default_b: 
     sub.add_argument("--seed", type=int, default=0, help="master seed")
     sub.add_argument(
         "--threads",
-        type=int,
+        type=_thread_count,
         default=None,
         help="worker processes (default: USP_THREADS env var or 1); never changes output",
     )
@@ -350,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dhat.add_argument("--eps", type=float, default=0.0)
     p_dhat.add_argument("--reps", type=int, default=1000)
     p_dhat.add_argument("--seed", type=int, default=0)
-    p_dhat.add_argument("--threads", type=int, default=None)
+    p_dhat.add_argument("--threads", type=_thread_count, default=None)
     p_dhat.add_argument("--out", metavar="PATH", default=None)
     p_dhat.set_defaults(handler=_cmd_dhat)
 

@@ -16,19 +16,30 @@ perturbation parameter epsilon (epsilon = 0 recovers a product law):
 Studies run in blocks of a fixed number of replicates (``_BLOCK_REPS``, a
 code constant).  Each block draws from one generator keyed by (master seed,
 epsilon index, block index): it samples all of the block's tables in one
-call, then draws B permuted tables for every sampled table in one batched
-pass, then breaks ties.  All permutation tests of a replicate score the same
-permuted tables; each is still an exact permutation test, because every
-test compares its statistic over the same exchangeable draws.  Classic
-tests score all of a block's tables with one reduction.  Workers take whole
-blocks, so results are bit-identical for any worker count, and workers never
+call, then draws permuted tables for the sampled tables in batched chunks of
+B/8, B/4 and the rest per replicate, then breaks ties.  After each chunk a
+replicate stops drawing once none of its permutation tests can reject: every
+test has (1 + G) / (B + 1) > alpha, G being its count of permuted tables
+above the data, plus its ties under the conservative policy.  G never
+decreases and the p-value is at least that bound, so stopping changes no
+decision that the same tables would give, and a stopped replicate counts as
+a non-rejection.  A chunk that stops no replicate is followed by the rest in
+one chunk, a block drawn by Patefield's method with fewer than 6 000 tables
+to draw takes them in one chunk, and tie-breaks are drawn only for
+replicates undecided after all B tables.  Output for a given seed differs
+from versions that drew all B tables for every replicate.  All permutation
+tests of a replicate score the same permuted tables; each is still an exact
+permutation test, because every test compares its statistic over the same
+exchangeable draws.  Classic tests score all of a block's tables with one
+reduction.  Workers take whole blocks, and the chunks depend on the block
+alone, so results are bit-identical for any worker count, and workers never
 share streams.
 
 ``threads`` is an upper bound on the worker processes.  A study starts one
 worker per ``_POOL_MIN_CELLS`` cells of the tables that its permutation
-tests draw, and never more than it has blocks or the machine has cores: a
-small study runs in the calling process, where a pool would cost more to
-start than it saves.
+tests would draw without stopping, and never more than it has blocks or the
+machine has cores: a small study runs in the calling process, where a pool
+would cost more to start than it saves.
 """
 
 from __future__ import annotations
@@ -280,13 +291,14 @@ def _block_sizes(reps: int) -> list[int]:
 
 def _study_block(task) -> np.ndarray:
     # One block of replicates from one generator: sample every table of the
-    # block, then score every test on all of them at once.  Returns the
+    # block, then score every test on all of them at once, each replicate
+    # drawing permuted tables only until its decision is fixed.  Returns the
     # rejection and undefined counts, (2, len(tests)): a classic statistic
     # is undefined (NaN) on a table with a zero margin, and cannot reject.
     source, size, tests, config, stream_id = task
     gen = RandomStream(config.seed, stream_id).generator()
     tables = _sample_tables(*source, size, gen)
-    p = _block_pvalues(tables, source[1], tests, config, gen)
+    p = _block_pvalues(tables, source[1], tests, config, gen, stop=True)
     return np.stack([(p <= config.alpha).sum(axis=1), np.isnan(p).sum(axis=1)])
 
 
@@ -303,16 +315,20 @@ def _worker_count(threads: int, tasks: int) -> int:
     return max(1, min(threads, os.cpu_count() or 1, tasks))
 
 
-_POOL_MIN_CELLS = 400_000  # permuted cells of a study per pool worker
+_POOL_MIN_CELLS = 500_000  # permuted cells of a study per pool worker
 
 
 def _study_workers(tasks: list, threads: int) -> int:
     # One worker per _POOL_MIN_CELLS cells of the tables that the blocks'
-    # permutation tests draw (size x B x I*J per block): below that, a pool
-    # costs more to start than the blocks it would share out.  Cells, not
-    # hypergeometric draws, because a 2x2 table costs more than its one draw;
-    # and not shuffled labels either, because two workers already pay for a
-    # shuffled dense 6x8 study at n = 100 from 912 384 cells (3 blocks).
+    # permutation tests would draw without stopping (size x B x I*J per
+    # block): below that, a pool costs more to start than the blocks it
+    # would share out.  Cells, not hypergeometric draws, because a 2x2 table
+    # costs more than its one draw.  Stopping makes the count an upper bound:
+    # a null dense 6x8 study at n = 100, B = 99 on 2 cores took 25 ms serial
+    # against 49 ms in a pool at 3 blocks (912 384 cells), and 33 against
+    # 35 ms at 4 blocks (1 216 512 cells); at epsilon = 0.01, where few
+    # replicates stop, the pool tied at 3 blocks (54 against 53 ms) and won
+    # at 4 (68 against 57 ms).  So two workers start from 4 such blocks.
     cells = sum(
         size * config.B * weights.size
         for (weights, _, _), size, tests, config, _ in tasks
@@ -420,9 +436,9 @@ def subsample_study(
     without replacement instead, so the subsample never distorts the
     original counts (and m = n returns the table itself every time).
     """
+    _require_count(m, "subsample size")
     if m < 4:
         raise SampleTooSmall(f"subsample tests need m >= 4, got m={m}")
-    _require_count(m, "subsample size")
     _require_positive_int(reps, "reps")
     if m > table.n:
         raise SubsampleTooLarge(f"subsample size {m} exceeds table total {table.n}")

@@ -10,6 +10,8 @@ explicit random stream so parallel callers stay reproducible.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .errors import (
@@ -274,7 +276,13 @@ def _sample_tables(
 
 
 def _require_count(value, what: str) -> None:
-    if value < 0 or int(value) != value:
+    # a table size must be an integer, not an integral float, which would
+    # echo into the output as 100.0
+    try:
+        operator.index(value)
+    except TypeError:
+        raise DomainError(f"{what} must be a non-negative integer, got {value!r}") from None
+    if value < 0:
         raise DomainError(f"{what} must be a non-negative integer, got {value}")
 
 

@@ -429,3 +429,86 @@ class TestRunTestPermutation:
         assert run_test(MARITAL, "g", "permutation", cfg).statistic == pytest.approx(
             float(g_statistic(MARITAL))
         )
+
+
+class TestStopping:
+    # A study block draws its permuted tables in the chunks of _stop_points
+    # and drops a table once none of its permutation tests can reject.  The
+    # fixed sampler gives each source a sequence of B tables drawn in
+    # advance, so that every schedule scores a source on the same tables and
+    # leaves the generator to the tie-breaks alone.
+    TESTS = [("usp", "permutation"), ("pearson", "permutation"), ("g", "permutation")]
+    N = 16
+
+    @classmethod
+    def tables(cls):
+        # null and dependent 3x4 tables of 16 observations, rich in ties
+        gen = np.random.default_rng(40)
+        null = np.full((3, 4), 1 / 12)
+        dependent = np.array([[4, 1, 1, 0], [1, 4, 1, 0], [0, 1, 4, 1]]) / 18
+        return np.concatenate(
+            [gen.multinomial(cls.N, p.ravel(), size=32).reshape(32, 3, 4) for p in (null, dependent)]
+        )
+
+    @staticmethod
+    def fixed_sampler(monkeypatch, tables, B):
+        # each chunk of b tables continues every live source's sequence where
+        # the previous chunk of the run ended; returns the (sources, b) of
+        # each chunk, which the caller clears between runs
+        sequences = {}
+        for counts in tables:
+            key = (counts.sum(axis=1).tobytes(), counts.sum(axis=0).tobytes())
+            sequences[key] = permuted_tables(validate_table(counts), B, RandomStream(len(sequences)))
+        chunks = []
+
+        def permuted(rows, cols, b, gen):
+            lo = sum(size for _, size in chunks)
+            chunks.append((len(rows), b))
+            drawn = [sequences[r.tobytes(), c.tobytes()][lo : lo + b] for r, c in zip(rows, cols)]
+            yield 0, len(rows), np.stack(drawn).reshape(len(rows), b, -1)
+
+        monkeypatch.setattr(permutation, "_permuted", permuted)
+        return chunks
+
+    @pytest.mark.parametrize("B", [99, 100])
+    @pytest.mark.parametrize("policy", ["randomized", "conservative"])
+    def test_decisions_match_one_chunk_of_B(self, monkeypatch, policy, B):
+        # alpha (B+1) is 5 at B = 99 and 5.05 at B = 100
+        tables = self.tables()
+        cfg = PermutationConfig(B=B, alpha=0.05, tie_policy=policy)
+        chunks = self.fixed_sampler(monkeypatch, tables, B)
+        decisions, drawn = [], []
+        for points in (permutation._stop_points, lambda B, R, shuffle: [B]):
+            monkeypatch.setattr(permutation, "_stop_points", points)
+            chunks.clear()
+            gen = np.random.default_rng(41)
+            p = permutation._block_pvalues(tables, self.N, self.TESTS, cfg, gen, stop=True)
+            decisions.append(p <= cfg.alpha)
+            drawn.append(sum(sources * b for sources, b in chunks))
+        np.testing.assert_array_equal(decisions[0], decisions[1])
+        # the schedule stopped tables early, and the tests still disagree
+        assert drawn[0] < drawn[1] == len(tables) * B
+        assert decisions[0].any(axis=1).all() and not decisions[0].all(axis=1).any()
+        if policy == "conservative":
+            chunks.clear()
+            p = permutation._block_pvalues(tables, self.N, self.TESTS, cfg, gen, stop=False)
+            np.testing.assert_array_equal(p <= cfg.alpha, decisions[0])
+
+    @pytest.mark.parametrize("B", [99, 100])
+    @pytest.mark.parametrize("policy", ["randomized", "conservative"])
+    def test_stopped_tables_never_reject(self, monkeypatch, policy, B):
+        tables = self.tables()
+        cfg = PermutationConfig(B=B, alpha=0.05, tie_policy=policy)
+        chunks = self.fixed_sampler(monkeypatch, tables, B)
+        gen = np.random.default_rng(42)
+        methods = [method for method, _ in self.TESTS]
+        _, _, live = permutation._exceedances(tables, self.N, methods, cfg, gen, stop=True)
+        stopped = np.setdiff1d(np.arange(len(tables)), live)
+        assert 0 < stopped.size < len(tables)
+        chunks.clear()
+        p = permutation._block_pvalues(tables, self.N, self.TESTS, cfg, gen)
+        assert (p[:, stopped] > cfg.alpha).all()
+        # a stopping run reports the lower bound (1 + G) / (B + 1) > alpha
+        chunks.clear()
+        p = permutation._block_pvalues(tables, self.N, self.TESTS, cfg, gen, stop=True)
+        assert (p[:, stopped] > cfg.alpha).all()

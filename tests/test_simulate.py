@@ -275,6 +275,11 @@ class TestPowerCurve:
             power_curve(fam, [0.0], n=-1, reps=5, tests=[("g", "permutation")])
         with pytest.raises(DomainError, match="reps must be an integer, got 2.5"):
             power_curve(fam, [0.0], n=20, reps=2.5, tests=[("g", "permutation")])
+        # an integral float would print as 100.0 in the CSV
+        with pytest.raises(DomainError, match="sample size must be a non-negative integer, got 100.0"):
+            power_curve(fam, [0.0], n=100.0, reps=5, tests=[("g", "permutation")])
+        pts = power_curve(fam, [0.0], n=np.int64(100), reps=2, tests=[("g", "classic")])
+        assert power_curve_csv(pts).splitlines()[1].startswith("0.0,100,2,")
 
 
 class TestSubsampleStudy:
@@ -314,6 +319,10 @@ class TestSubsampleStudy:
             subsample_study(MARITAL, m=100, reps=2.5, tests=PERM_TESTS)
         with pytest.raises(DomainError, match="subsample size must be a non-negative integer"):
             subsample_study(MARITAL, m=10.5, reps=5, tests=PERM_TESTS)
+        with pytest.raises(DomainError, match="subsample size must be a non-negative integer, got 84.0"):
+            subsample_study(MARITAL, m=84.0, reps=5, tests=PERM_TESTS)
+        with pytest.raises(DomainError, match="subsample size must be a non-negative integer, got 3.0"):
+            subsample_study(MARITAL, m=3.0, reps=5, tests=PERM_TESTS)
         with pytest.raises(DomainError, match="at least a 2x2 table"):
             subsample_study(validate_table([[4, 5, 6]]), m=10, reps=5,
                             tests=[("pearson", "classic")])
@@ -418,6 +427,44 @@ class TestStudyBlocks:
         assert pool_spy == [2, 2, 2]
 
 
+class TestStopping:
+    def test_null_study_draws_fewer_tables(self, monkeypatch):
+        # sparse 5x8 at the null: most replicates stop after B/8 or 3B/8
+        # tables, once all three permutation tests have 5 or more exceedances
+        drawn = []
+        permuted = permutation._permuted
+
+        def spy(rows, cols, b, gen):
+            drawn.append(len(rows) * b)
+            return permuted(rows, cols, b, gen)
+
+        monkeypatch.setattr(permutation, "_permuted", spy)
+        fam = AlternativeFamily(kind="sparse", I=5, J=8)
+        reps, cfg = 128, PermutationConfig(B=99, alpha=0.05, seed=3)
+        pts = power_curve(fam, [0.0], n=100, reps=reps, tests=PERM_TESTS, config=cfg)
+        assert sum(drawn) < reps * cfg.B
+        assert all(0 < rate.rejection_rate < 0.2 for rate in pts[0].rates)
+
+    def test_small_patefield_blocks_draw_in_one_chunk(self, monkeypatch):
+        # marital at m = 150 is drawn by Patefield's method, whose chunks
+        # each cost about 300 tables: 4 x 999 tables are too few to split,
+        # 64 x 999 start with a chunk of B/8
+        chunks = []
+        permuted = permutation._permuted
+
+        def spy(rows, cols, b, gen):
+            chunks.append((len(rows), b))
+            return permuted(rows, cols, b, gen)
+
+        monkeypatch.setattr(permutation, "_permuted", spy)
+        cfg = PermutationConfig(B=999, alpha=0.05, seed=4)
+        for reps, first in ((4, (4, 999)), (64, (64, 124))):
+            assert (reps * cfg.B < permutation._STOP_MIN_TABLES) == (reps == 4)
+            chunks.clear()
+            subsample_study(MARITAL, m=150, reps=reps, tests=PERM_TESTS, config=cfg, replace=False)
+            assert chunks[0] == first
+
+
 class TestWorkerCount:
     def test_clamped_to_cores_and_tasks(self, monkeypatch):
         monkeypatch.setattr("usptest.simulate.os.cpu_count", lambda: 4)
@@ -458,6 +505,10 @@ class TestStudyWorkers:
         assert _study_workers(self.tasks(128, self.TESTS), 8) == 2
         assert _study_workers(self.tasks(256, self.TESTS), 8) == 4
         assert _study_workers(self.tasks(64, self.TESTS, I=10, J=12), 8) == 2
+        # dense 6x8, where stopping halves a null block: 912 384 cells run in
+        # the calling process, 1 216 512 start two workers
+        assert _study_workers(self.tasks(96, self.TESTS, I=6, J=8), 8) == 1
+        assert _study_workers(self.tasks(128, self.TESTS, I=6, J=8), 8) == 2
         # the cells count, not the hypergeometric draws: a 2x2 table makes one
         # draw but costs about as much per cell as a larger one, so 128
         # replicates at B = 999 (1 022 976 cells) share out over two workers

@@ -192,6 +192,13 @@ class TestSampleTable:
         d = JointDistribution([[1.0]])
         assert sample_table(d, 0, RandomStream(0)).n == 0
 
+    def test_size_must_be_an_integer(self):
+        d = JointDistribution(np.full((2, 2), 0.25))
+        for n in (100.0, 10.5, -1, "7"):
+            with pytest.raises(DomainError, match="sample size must be a non-negative integer"):
+                sample_table(d, n, RandomStream(0))
+        assert sample_table(d, np.int64(100), RandomStream(0)).n == 100
+
 
 class TestSubsample:
     def test_full_subsample_is_identity(self):
@@ -209,6 +216,12 @@ class TestSubsample:
         t = validate_table([[3, 4], [5, 6]])
         with pytest.raises(SubsampleTooLarge):
             subsample(t, 19, RandomStream(0))
+
+    def test_size_must_be_an_integer(self):
+        t = validate_table(MARITAL_COUNTS)
+        for m in (84.0, 10.5, -1):
+            with pytest.raises(DomainError, match="subsample size must be a non-negative integer"):
+                subsample(t, m, RandomStream(0))
 
     def test_total_past_hypergeometric_limit_rejected(self):
         big = validate_table([[1_000_000_000, 1], [1, 1]])
