@@ -16,9 +16,7 @@ import os
 
 import numpy as np
 
-from usptest import chi2_quantile, size_curve
-
-HEADER = "lambda,alpha,test,asymptotic_size"
+from usptest import chi2_quantile, size_curve, size_curve_csv
 
 
 def main() -> None:
@@ -43,9 +41,7 @@ def main() -> None:
                 os.makedirs(args.out, exist_ok=True)
                 path = os.path.join(args.out, f"asymsize_{test}_alpha{alpha:g}.csv")
                 with open(path, "w", encoding="utf-8") as fh:
-                    fh.write(HEADER + "\n")
-                    for pt in points:
-                        fh.write(f"{pt.lam!r},{pt.alpha!r},{pt.test},{pt.asymptotic_size!r}\n")
+                    fh.write(size_curve_csv(points))
         print(
             f"  jump landmarks: Pearson at lambda = sqrt(c) = {np.sqrt(c):.4f}, "
             f"G at lambda = sqrt(c/2) = {np.sqrt(c / 2):.4f}"

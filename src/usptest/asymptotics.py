@@ -42,7 +42,9 @@ __all__ = [
     "pearson_asymptotic_size",
     "g_asymptotic_size",
     "size_curve",
+    "size_curve_csv",
     "DEFAULT_LAMBDA_GRID",
+    "ASYMSIZE_CSV_HEADER",
 ]
 
 # resolves the visible oscillation of the size curves
@@ -64,6 +66,14 @@ class SizeCurvePoint:
     def __post_init__(self) -> None:
         if not (0.0 <= self.asymptotic_size <= 1.0):
             raise DomainError(f"size must lie in [0, 1], got {self.asymptotic_size}")
+
+
+ASYMSIZE_CSV_HEADER = "lambda,alpha,test,asymptotic_size"
+
+
+def size_curve_csv(points: Sequence[SizeCurvePoint]) -> str:
+    rows = [f"{pt.lam!r},{pt.alpha!r},{pt.test},{pt.asymptotic_size!r}" for pt in points]
+    return "\n".join([ASYMSIZE_CSV_HEADER, *rows]) + "\n"
 
 
 def _critical_value(alpha: float) -> float:

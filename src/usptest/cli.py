@@ -9,9 +9,10 @@ Subcommands:
 * ``dhat``       raw samples of the unbiased dependence estimator, report CSV
 
 Exit codes: 0 success, 2 usage/parse/validation error, 3 statistic undefined
-(zero row or column margin in classic mode, on a table of at least 2x2).  All commands take --seed and
-are byte-identical for identical invocations; --threads (or the USP_THREADS
-environment variable) only changes runtime, never output.
+(zero row or column margin in classic mode, on a table of at least 2x2).
+Every command is byte-identical for identical invocations: all but asymsize
+take --seed, and asymsize draws nothing at random.  --threads (or the
+USP_THREADS environment variable) only changes runtime, never output.
 """
 
 from __future__ import annotations
@@ -27,11 +28,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .asymptotics import DEFAULT_LAMBDA_GRID, size_curve
+from .asymptotics import DEFAULT_LAMBDA_GRID, size_curve, size_curve_csv
 from .datasets import DATASET_NAMES, get_dataset
 from .errors import UndefinedStatistic, UspError
 from .permutation import MODES, PermutationConfig, run_test
 from .simulate import (
+    _FAMILIES,
     AlternativeFamily,
     dhat_samples,
     dhat_samples_csv,
@@ -40,7 +42,7 @@ from .simulate import (
     subsample_study,
     subsample_study_csv,
 )
-from .stats import METHODS
+from .stats import _CLASSIC_METHODS, METHODS
 from .table import ContingencyTable, validate_table
 
 __all__ = ["main"]
@@ -56,8 +58,6 @@ _TEST_TOKENS = {
     "pearson-classic": ("pearson", "classic"),
     "g-classic": ("g", "classic"),
 }
-
-_FAMILY_DEFAULT_DIMS = {"sparse": (5, 8), "dense": (6, 8), "multiplicative": (4, 4)}
 
 
 class _UsageError(Exception):
@@ -157,13 +157,6 @@ def _threads_default() -> int:
     return 1
 
 
-def _family_from_args(args) -> AlternativeFamily:
-    default_i, default_j = _FAMILY_DEFAULT_DIMS[args.family]
-    i = args.I if args.I is not None else default_i
-    j = args.J if args.J is not None else default_j
-    return AlternativeFamily(kind=args.family, I=i, J=j)
-
-
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
@@ -199,7 +192,7 @@ def _cmd_test(args) -> int:
 
 
 def _cmd_power(args) -> int:
-    family = _family_from_args(args)
+    family = AlternativeFamily(kind=args.family, I=args.I, J=args.J)
     grid = (
         _parse_grid(args.eps_grid, "eps-grid")
         if args.eps_grid is not None
@@ -227,15 +220,7 @@ def _cmd_asymsize(args) -> int:
         if args.lambda_grid is not None
         else DEFAULT_LAMBDA_GRID
     )
-    if np.any(grid <= 0):
-        raise _UsageError("--lambda values must be positive")
-    if not (0.0 < args.alpha < 1.0):
-        raise _UsageError(f"--alpha must lie in (0, 1), got {args.alpha}")
-    points = size_curve(args.test, args.alpha, grid)
-    lines = ["lambda,alpha,test,asymptotic_size"]
-    for pt in points:
-        lines.append(f"{pt.lam!r},{pt.alpha!r},{pt.test},{pt.asymptotic_size!r}")
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(size_curve_csv(size_curve(args.test, args.alpha, grid)), args.out)
     return _EXIT_OK
 
 
@@ -257,7 +242,7 @@ def _cmd_subsample(args) -> int:
 
 
 def _cmd_dhat(args) -> int:
-    family = _family_from_args(args)
+    family = AlternativeFamily(kind=args.family, I=args.I, J=args.J)
     values = dhat_samples(
         family, n=args.n, epsilon=args.eps, reps=args.reps, seed=args.seed, threads=args.threads
     )
@@ -274,6 +259,21 @@ def _add_table_source(sub: argparse.ArgumentParser) -> None:
     group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--dataset", choices=DATASET_NAMES, help="embedded dataset name")
     group.add_argument("--input", metavar="PATH", help="CSV table file (no header, # comments ok)")
+
+
+def _add_family(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--family", choices=tuple(_FAMILIES), required=True)
+    sub.add_argument("--I", type=int, default=None, help="rows (default per family)")
+    sub.add_argument("--J", type=int, default=None, help="columns (default per family)")
+    sub.add_argument("--n", type=int, default=100, help="observations per table")
+
+
+def _add_tests(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument(
+        "--tests",
+        default="usp,pearson-perm,g-perm",
+        help=f"comma list from: {', '.join(_TEST_TOKENS)}",
+    )
 
 
 def _add_common_sim(sub: argparse.ArgumentParser, default_reps: int, default_b: int) -> None:
@@ -311,23 +311,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.set_defaults(handler=_cmd_test)
 
     p_power = commands.add_parser("power", help="Monte Carlo power curve, print CSV")
-    p_power.add_argument("--family", choices=("sparse", "dense", "multiplicative"), required=True)
-    p_power.add_argument("--I", type=int, default=None, help="rows (default per family)")
-    p_power.add_argument("--J", type=int, default=None, help="columns (default per family)")
-    p_power.add_argument("--n", type=int, default=100, help="observations per table")
+    _add_family(p_power)
     p_power.add_argument(
         "--eps-grid", metavar="LO:HI:K", default=None, help="epsilon grid (default per family)"
     )
-    p_power.add_argument(
-        "--tests",
-        default="usp,pearson-perm,g-perm",
-        help="comma list from: usp, pearson-perm, g-perm, pearson-classic, g-classic",
-    )
+    _add_tests(p_power)
     _add_common_sim(p_power, default_reps=1000, default_b=99)
     p_power.set_defaults(handler=_cmd_power)
 
     p_asym = commands.add_parser("asymsize", help="asymptotic size curve, print CSV")
-    p_asym.add_argument("--test", choices=("pearson", "g"), required=True)
+    p_asym.add_argument("--test", choices=_CLASSIC_METHODS, required=True)
     p_asym.add_argument("--alpha", type=float, default=0.05)
     p_asym.add_argument(
         "--lambda", dest="lambda_grid", metavar="LO:HI:K", default=None,
@@ -345,19 +338,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="draw subsamples without replacement (default: i.i.d. redraws "
         "from the table's empirical distribution)",
     )
-    p_sub.add_argument(
-        "--tests",
-        default="usp,pearson-perm,g-perm",
-        help="comma list from: usp, pearson-perm, g-perm, pearson-classic, g-classic",
-    )
+    _add_tests(p_sub)
     _add_common_sim(p_sub, default_reps=1000, default_b=99)
     p_sub.set_defaults(handler=_cmd_subsample)
 
     p_dhat = commands.add_parser("dhat", help="raw unbiased-estimator samples, print CSV")
-    p_dhat.add_argument("--family", choices=("sparse", "dense", "multiplicative"), required=True)
-    p_dhat.add_argument("--I", type=int, default=None)
-    p_dhat.add_argument("--J", type=int, default=None)
-    p_dhat.add_argument("--n", type=int, default=100)
+    _add_family(p_dhat)
     p_dhat.add_argument("--eps", type=float, default=0.0)
     p_dhat.add_argument("--reps", type=int, default=1000)
     p_dhat.add_argument("--seed", type=int, default=0)

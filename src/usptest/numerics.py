@@ -105,7 +105,7 @@ def _unconverged(a: float, x: float, form: str) -> DomainError:
 
 
 def _gamma_series(a: float, x: float) -> float:
-    # lower series: P(a,x) = x^a e^-x / Gamma(a) * sum_k x^k / (a(a+1)...(a+k))
+    # lower series P(a,x) = x^a e^-x / Gamma(a) * sum_k x^k / (a(a+1)...(a+k)); returns the sum
     ap = a
     total = 1.0 / a
     term = total
@@ -117,11 +117,11 @@ def _gamma_series(a: float, x: float) -> float:
             break
     else:
         raise _unconverged(a, x, "series")
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
+    return total
 
 
 def _gamma_cf(a: float, x: float) -> float:
-    # upper-tail continued fraction (modified Lentz); returns Q(a,x)
+    # upper-tail continued fraction (modified Lentz) of Q(a,x) / (x^a e^-x / Gamma(a))
     b = x + 1.0 - a
     c = 1.0 / _FPMIN
     d = 1.0 / b
@@ -142,7 +142,21 @@ def _gamma_cf(a: float, x: float) -> float:
             break
     else:
         raise _unconverged(a, x, "continued fraction")
-    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
+    return h
+
+
+def _gamma_tails(a: float, x: float) -> tuple[float, float]:
+    # (P(a,x), Q(a,x)) for a > 0, x >= 0: the lower series below x = a + 1 and
+    # the upper continued fraction from there, times one prefactor; the other
+    # tail is 1 minus the one computed
+    if x == 0.0:
+        return 0.0, 1.0
+    prefactor = math.exp(-x + a * math.log(x) - math.lgamma(a))
+    if x < a + 1.0:
+        lower = _gamma_series(a, x) * prefactor
+        return min(1.0, lower), max(0.0, 1.0 - lower)
+    upper = _gamma_cf(a, x) * prefactor
+    return min(1.0, max(0.0, 1.0 - upper)), min(1.0, upper)
 
 
 def reg_lower_gamma(a: float, x: float) -> float:
@@ -165,11 +179,7 @@ def reg_lower_gamma(a: float, x: float) -> float:
         raise DomainError(f"reg_lower_gamma requires a > 0, got a={a}")
     if not (x >= 0):
         raise DomainError(f"reg_lower_gamma requires x >= 0, got x={x}")
-    if x == 0.0:
-        return 0.0
-    if x < a + 1.0:
-        return min(1.0, _gamma_series(a, x))
-    return min(1.0, max(0.0, 1.0 - _gamma_cf(a, x)))
+    return _gamma_tails(a, x)[0]
 
 
 def chi2_cdf(x: float, k: float) -> float:
@@ -178,7 +188,7 @@ def chi2_cdf(x: float, k: float) -> float:
         raise DomainError(f"chi2_cdf requires k >= 1, got k={k}")
     if not (x >= 0):
         raise DomainError(f"chi2_cdf requires x >= 0, got x={x}")
-    return reg_lower_gamma(k / 2.0, x / 2.0)
+    return _gamma_tails(k / 2.0, x / 2.0)[0]
 
 
 def chi2_sf(x: float, k: float) -> float:
@@ -192,12 +202,7 @@ def chi2_sf(x: float, k: float) -> float:
         raise DomainError(f"chi2_sf requires k >= 1, got k={k}")
     if not (x >= 0):
         raise DomainError(f"chi2_sf requires x >= 0, got x={x}")
-    a, h = k / 2.0, x / 2.0
-    if h == 0.0:
-        return 1.0
-    if h < a + 1.0:
-        return max(0.0, 1.0 - _gamma_series(a, h))
-    return min(1.0, _gamma_cf(a, h))
+    return _gamma_tails(k / 2.0, x / 2.0)[1]
 
 
 def chi2_quantile(p: float, k: float) -> float:

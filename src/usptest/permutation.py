@@ -25,22 +25,22 @@ with the source's margins (the usp key is an exact integer), and scores
 each classic test as one reduction too.  One generator per run draws the
 tables and the tie-break, so a run is reproducible from its stream alone.
 
-A single test draws its B tables in one pass.  A study block, which needs
-only accept/reject decisions, stops early instead: it draws B/8 tables per
-source, then B/4, then the rest, and after each chunk a source leaves once
-every permutation test has (1 + G) / (B + 1) > alpha, where G counts the
-permuted keys above the source's own, plus the equal ones under the
-conservative policy.  A chunk that stops no source is followed by the rest
-in one chunk, and a block drawn by Patefield's method with fewer than 6 000
-tables to draw takes them in one chunk, since each of its chunks has the
-fixed cost of about 300 tables.  G never decreases and a p-value is at
-least (1 + G) / (B + 1), the same float expression, so a source that leaves
-could not reject: every decision is that of a run of all B tables on the
-same tables.  Tie-breaks are drawn only for the sources still undecided
-after all B tables, the set that such a run finds by the same rule.
-Stopping changes which tables a study's generator draws, and so its output
-for a given seed, but the schedule depends on the block alone and never on
-the worker that runs it.
+The stopping rule.  A single test draws its B tables in one pass.  A study
+block, which needs only accept/reject decisions, stops early instead: it
+draws B/8 tables per source, then B/4, then the rest, and after each chunk
+a source leaves once every permutation test has (1 + G) / (B + 1) > alpha,
+where G counts the permuted keys above the source's own, plus the equal
+ones under the conservative policy.  A chunk that stops no source is
+followed by the rest in one chunk, and a block drawn by Patefield's method
+with fewer than 6 000 tables to draw takes them in one chunk, since each of
+its chunks has the fixed cost of about 300 tables.  G never decreases and a
+p-value is at least (1 + G) / (B + 1), the same float expression, so a
+source that leaves could not reject: every decision is that of a run of all
+B tables on the same tables.  Tie-breaks are drawn only for the sources
+still undecided after all B tables, the set that such a run finds by the
+same rule.  Stopping changes which tables a study's generator draws, and so
+its output for a given seed, but the schedule depends on the block alone
+and never on the worker that runs it.
 
 P-values are rank-based.  With the default randomized tie policy the test is
 exact: under independence the p-value is uniform on {1/(B+1), ..., 1}, so
@@ -245,8 +245,7 @@ def permuted_tables(
     row labels; all others make (I-1)(J-1) vectorized hypergeometric calls
     per block (Patefield's method), at a cost that does not depend on n.
     The rule depends on (n, I, J) alone, so a seed gives the same tables on
-    every call; on the shuffle side they differ from those of versions that
-    drew every table with Patefield's method.
+    every call.
     ``permutation_pvalue(table, method, config, stream)`` scores exactly the
     tables of ``permuted_tables(table, config.B, stream)``.
     """
@@ -294,12 +293,8 @@ def _exceedances(
     own, and the indices of the sources that drew all B tables.
 
     Without ``stop`` every source draws all B tables in one pass.  With it,
-    the tables come in the chunks of :func:`_stop_points`, and after each
-    chunk a source leaves once every method has (1 + G) / (B + 1) > alpha,
-    where G counts its exceedances, plus its ties under the conservative
-    policy.  G never decreases, and a p-value is at least (1 + G) / (B + 1),
-    so a source that leaves cannot reject.  A chunk that stops no source is
-    followed by the rest of the B tables in one chunk.
+    the tables come in the chunks of :func:`_stop_points`, and a source
+    leaves by the stopping rule of the module docstring.
     """
     R, I, J = tables.shape
     B = config.B
@@ -390,8 +385,8 @@ def _block_pvalues(
     Returns a float array (len(tests), R), NaN where a classic statistic is
     undefined.
 
-    With ``stop`` a table stops drawing once none of its permutation tests
-    can reject.  Its tie-breaks are not drawn, and each of its permutation
+    With ``stop`` a table stops drawing by the stopping rule of the module
+    docstring.  Its tie-breaks are not drawn, and each of its permutation
     p-values is the lower bound (1 + G) / (B + 1), which exceeds alpha, so
     ``p <= alpha`` decides every test as a run of all B tables would.
     """

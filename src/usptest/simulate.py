@@ -13,22 +13,16 @@ perturbation parameter epsilon (epsilon = 0 recovers a product law):
 * multiplicative: a 4x4 law with cells (1 + (-1)^(i+j) epsilon) / (C 2^(i+j)),
   normalized by C; independent exactly at epsilon = 0.
 
-Studies run in blocks of a fixed number of replicates (``_BLOCK_REPS``, a
-code constant).  Each block draws from one generator keyed by (master seed,
-epsilon index, block index): it samples all of the block's tables in one
-call, then draws permuted tables for the sampled tables in batched chunks of
-B/8, B/4 and the rest per replicate, then breaks ties.  After each chunk a
-replicate stops drawing once none of its permutation tests can reject: every
-test has (1 + G) / (B + 1) > alpha, G being its count of permuted tables
-above the data, plus its ties under the conservative policy.  G never
-decreases and the p-value is at least that bound, so stopping changes no
-decision that the same tables would give, and a stopped replicate counts as
-a non-rejection.  A chunk that stops no replicate is followed by the rest in
-one chunk, a block drawn by Patefield's method with fewer than 6 000 tables
-to draw takes them in one chunk, and tie-breaks are drawn only for
-replicates undecided after all B tables.  Output for a given seed differs
-from versions that drew all B tables for every replicate.  All permutation
-tests of a replicate score the same permuted tables; each is still an exact
+``power_curve`` and ``subsample_study`` share one runner, in blocks of a
+fixed number of replicates (``_BLOCK_REPS``, a code constant).  Each block
+draws from one generator keyed by (master seed, source index, block index),
+the source being an epsilon of a power curve or the one table of a
+subsampling study: it samples all of the block's tables in one call, then
+scores every test on them through ``permutation._block_pvalues``, where a
+replicate stops drawing permuted tables once its decision is fixed (the
+stopping rule is written out in the docstring of ``usptest.permutation``).
+A stopped replicate counts as a non-rejection.  All permutation tests of a
+replicate score the same permuted tables; each is still an exact
 permutation test, because every test compares its statistic over the same
 exchangeable draws.  Classic tests score all of a block's tables with one
 reduction.  Workers take whole blocks, and the chunks depend on the block
@@ -48,7 +42,7 @@ from concurrent.futures import ProcessPoolExecutor
 import dataclasses
 import os
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -85,7 +79,6 @@ __all__ = [
     "SUBSAMPLE_CSV_HEADER",
 ]
 
-_FAMILY_KINDS = ("sparse", "dense", "multiplicative")
 _GRID_POINTS = 11
 
 
@@ -169,24 +162,40 @@ def multiplicative_family(epsilon: float) -> JointDistribution:
     return JointDistribution(weights / weights.sum())
 
 
+class _Family(NamedTuple):
+    law: Callable[[int, int, float], JointDistribution]  # (I, J, epsilon) -> law
+    dims: tuple[int, int]  # default (I, J)
+    eps_top: Callable[[int, int], float]  # (I, J) -> top of the default epsilon grid
+
+
+_FAMILIES = {
+    "sparse": _Family(sparse_family, (5, 8), lambda I, J: 0.075),
+    "dense": _Family(dense_family, (6, 8), lambda I, J: 1.0 / (I * J)),
+    "multiplicative": _Family(lambda I, J, eps: multiplicative_family(eps), (4, 4), lambda I, J: 0.9),
+}
+
+
 @dataclass(frozen=True)
 class AlternativeFamily:
     """A family kind plus dimensions, evaluated at one epsilon.
 
-    ``at(eps)`` returns the same family at a different perturbation;
-    ``distribution()`` materializes the JointDistribution (raising
-    InfeasibleEpsilon outside the feasible range); ``default_eps_grid()``
-    spans the family's interesting power range with 11 points.
+    ``I`` and ``J`` default to the kind's own.  ``at(eps)`` returns the same
+    family at a different perturbation; ``distribution()`` materializes the
+    JointDistribution (raising InfeasibleEpsilon outside the feasible range);
+    ``default_eps_grid()`` spans the family's interesting power range.
     """
 
     kind: str
-    I: int
-    J: int
+    I: int | None = None
+    J: int | None = None
     epsilon: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in _FAMILY_KINDS:
-            raise DomainError(f"unknown family {self.kind!r}; expected one of {_FAMILY_KINDS}")
+        if self.kind not in _FAMILIES:
+            raise DomainError(f"unknown family {self.kind!r}; expected one of {tuple(_FAMILIES)}")
+        default_i, default_j = _FAMILIES[self.kind].dims
+        object.__setattr__(self, "I", default_i if self.I is None else self.I)
+        object.__setattr__(self, "J", default_j if self.J is None else self.J)
         if self.kind == "multiplicative" and (self.I, self.J) != (4, 4):
             raise DomainError("the multiplicative family is 4x4 only")
 
@@ -194,18 +203,10 @@ class AlternativeFamily:
         return dataclasses.replace(self, epsilon=float(epsilon))
 
     def distribution(self) -> JointDistribution:
-        if self.kind == "sparse":
-            return sparse_family(self.I, self.J, self.epsilon)
-        if self.kind == "dense":
-            return dense_family(self.I, self.J, self.epsilon)
-        return multiplicative_family(self.epsilon)
+        return _FAMILIES[self.kind].law(self.I, self.J, self.epsilon)
 
     def default_eps_grid(self) -> np.ndarray:
-        if self.kind == "sparse":
-            return np.linspace(0.0, 0.075, _GRID_POINTS)
-        if self.kind == "dense":
-            return np.linspace(0.0, 1.0 / (self.I * self.J), _GRID_POINTS)
-        return np.linspace(0.0, 0.9, _GRID_POINTS)
+        return np.linspace(0.0, _FAMILIES[self.kind].eps_top(self.I, self.J), _GRID_POINTS)
 
 
 # ---------------------------------------------------------------------------
@@ -351,6 +352,32 @@ def _map_replicates(worker, tasks: list, threads: int) -> list:
 # ---------------------------------------------------------------------------
 
 
+def _study(sources: list, reps: int, tests, config, threads: int) -> list[tuple[TestRate, ...]]:
+    # Rejection rates of every test over reps tables from each source, a
+    # (weights, n, replace) triple for table._sample_tables.  Source i runs
+    # its blocks on streams (i, block), and every block of every source goes
+    # through one pool: output is identical for any threads.
+    _require_positive_int(reps, "reps")
+    tests = _validate_tests(tests)
+    for _, n, _ in sources:
+        for method, _ in tests:
+            _require_sample(method, n)
+    if config is None:
+        config = PermutationConfig()
+    sizes = _block_sizes(reps)
+    tasks = [
+        (source, size, tests, config, (i, k))
+        for i, source in enumerate(sources)
+        for k, size in enumerate(sizes)
+    ]
+    blocks = _map_replicates(_study_block, tasks, _study_workers(tasks, threads))
+    per = len(sizes)
+    return [
+        _aggregate_rates(tests, reps, blocks[i * per : (i + 1) * per])
+        for i in range(len(sources))
+    ]
+
+
 def power_curve(
     family: AlternativeFamily,
     eps_grid: Iterable[float],
@@ -368,31 +395,12 @@ def power_curve(
     epsilon index, block index), and all blocks of all epsilons go through
     one pool: output is identical for any ``threads``.
     """
-    _require_positive_int(reps, "reps")
-    tests = _validate_tests(tests)
     _require_count(n, "sample size")
-    for method, _ in tests:
-        _require_sample(method, n)
-    if config is None:
-        config = PermutationConfig()
     grid = [float(eps) for eps in eps_grid]
-    sizes = _block_sizes(reps)
-    tasks = []
-    for eps_idx, eps in enumerate(grid):
-        # materializing the law checks feasibility before any block runs
-        source = (family.at(eps).distribution().probs, int(n), True)
-        tasks += [(source, size, tests, config, (eps_idx, k)) for k, size in enumerate(sizes)]
-    blocks = _map_replicates(_study_block, tasks, _study_workers(tasks, threads))
-    per_eps = len(sizes)
-    return [
-        PowerCurvePoint(
-            epsilon=eps,
-            n=n,
-            reps=reps,
-            rates=_aggregate_rates(tests, reps, blocks[i * per_eps : (i + 1) * per_eps]),
-        )
-        for i, eps in enumerate(grid)
-    ]
+    # materializing each law checks feasibility before any block runs
+    sources = [(family.at(eps).distribution().probs, int(n), True) for eps in grid]
+    rates = _study(sources, reps, tests, config, threads)
+    return [PowerCurvePoint(epsilon=eps, n=n, reps=reps, rates=r) for eps, r in zip(grid, rates)]
 
 
 def dhat_samples(
@@ -437,23 +445,13 @@ def subsample_study(
     original counts (and m = n returns the table itself every time).
     """
     _require_count(m, "subsample size")
-    if m < 4:
-        raise SampleTooSmall(f"subsample tests need m >= 4, got m={m}")
-    _require_positive_int(reps, "reps")
     if m > table.n:
         raise SubsampleTooLarge(f"subsample size {m} exceeds table total {table.n}")
     if not replace:
         _require_hypergeometric_total(table.n)
-    tests = _validate_tests(tests)
-    if config is None:
-        config = PermutationConfig()
     weights = table.counts / table.n if replace else table.counts
-    source = (weights, int(m), replace)
-    tasks = [
-        (source, size, tests, config, (0, k)) for k, size in enumerate(_block_sizes(reps))
-    ]
-    blocks = _map_replicates(_study_block, tasks, _study_workers(tasks, threads))
-    return SubsampleStudy(m=m, reps=reps, rates=_aggregate_rates(tests, reps, blocks))
+    (rates,) = _study([(weights, int(m), replace)], reps, tests, config, threads)
+    return SubsampleStudy(m=m, reps=reps, rates=rates)
 
 
 # ---------------------------------------------------------------------------

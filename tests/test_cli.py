@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from usptest import cli
+from usptest.asymptotics import DEFAULT_LAMBDA_GRID, size_curve, size_curve_csv
 from usptest.cli import main
 from usptest.datasets import get_dataset
 
@@ -220,8 +221,12 @@ class TestExitCodes:
             assert run_cli(capsys, base + [spec])[0] == 2, spec
 
     def test_asymsize_domain_checks(self, capsys):
-        assert run_cli(capsys, ["asymsize", "--test", "pearson", "--lambda", "-1:2:3"])[0] == 2
-        assert run_cli(capsys, ["asymsize", "--test", "pearson", "--alpha", "0"])[0] == 2
+        # the library's checks, reported as usage errors
+        for spec in ("--lambda=-1:2:3", "--lambda=0:2:3"):
+            code, out, err = run_cli(capsys, ["asymsize", "--test", "pearson", spec])
+            assert (code, out) == (2, "") and "lambda must be positive" in err, spec
+        code, out, err = run_cli(capsys, ["asymsize", "--test", "pearson", "--alpha", "0"])
+        assert (code, out) == (2, "") and "alpha must lie in (0, 1)" in err
 
     def test_asymsize_lambda_above_the_cap_is_two(self, capsys):
         for spec in ("1100:1100:1", "999:1000.5:2"):
@@ -285,6 +290,28 @@ class TestAsymsizeCommand:
         lines = out.strip().split("\n")
         assert lines[0] == "lambda,alpha,test,asymptotic_size"
         assert len(lines) == 501
+
+    @pytest.mark.parametrize("test", ["pearson", "g"])
+    @pytest.mark.parametrize("grid", [None, "0.5:2:4"])
+    def test_stdout_is_the_library_writer(self, capsys, test, grid):
+        argv = ["asymsize", "--test", test, "--alpha", "0.01"]
+        lambdas = DEFAULT_LAMBDA_GRID if grid is None else np.linspace(0.5, 2.0, 4)
+        code, out, _ = run_cli(capsys, argv + ([] if grid is None else ["--lambda", grid]))
+        assert code == 0 and out == size_curve_csv(size_curve(test, 0.01, lambdas))
+
+
+class TestFamilyDefaults:
+    @pytest.mark.parametrize(
+        "family,dims", [("sparse", (5, 8)), ("dense", (6, 8)), ("multiplicative", (4, 4))]
+    )
+    def test_default_dims_match_explicit_ones(self, capsys, family, dims):
+        explicit = ["--I", str(dims[0]), "--J", str(dims[1])]
+        for argv in (
+            ["power", "--family", family, "--n", "30", "--reps", "4", "--B", "19"],
+            ["dhat", "--family", family, "--n", "20", "--reps", "6", "--seed", "2"],
+        ):
+            default = run_cli(capsys, argv)
+            assert default[0] == 0 and default == run_cli(capsys, argv + explicit), argv
 
 
 class TestSubsampleCommand:

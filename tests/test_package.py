@@ -92,3 +92,39 @@ class TestMethodDispatch:
             'fine = mode == "classic" or {"g": 1}[method]\n'
         )
         assert _method_comparisons(path) == ["mod.py:1: 'pearson'", "mod.py:2: 'usp'"]
+
+
+FAMILY_KINDS = tuple(simulate._FAMILIES)
+
+
+def _family_literals(path: Path) -> list[str]:
+    # string constants that spell a family kind, such as choices=("sparse", ...)
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = sorted(
+        (node.lineno, node.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value in FAMILY_KINDS
+    )
+    return [f"{path.name}:{line}: {name!r}" for line, name in found]
+
+
+class TestFamilyTable:
+    def test_only_simulate_names_family_kinds(self):
+        assert FAMILY_KINDS == ("sparse", "dense", "multiplicative")
+        found = [
+            c for path in sorted(SRC.glob("*.py")) if path.name != "simulate.py"
+            for c in _family_literals(path)
+        ]
+        assert found == []
+
+    def test_checker_sees_a_family_literal(self, tmp_path):
+        path = tmp_path / "mod.py"
+        path.write_text(
+            'DIMS = {"sparse": (5, 8)}\n'
+            'kind = choose(("dense", "multiplicative"))\n'
+            '"""a sparse table in a docstring is prose"""\n'
+            'other = "sparse5x8"\n'
+        )
+        assert _family_literals(path) == [
+            "mod.py:1: 'sparse'", "mod.py:2: 'dense'", "mod.py:2: 'multiplicative'",
+        ]

@@ -152,6 +152,14 @@ class TestAlternativeFamily:
         with pytest.raises(DomainError):
             AlternativeFamily(kind="multiplicative", I=5, J=8)
 
+    def test_dimensions_default_per_kind(self):
+        assert AlternativeFamily(kind="sparse") == AlternativeFamily(kind="sparse", I=5, J=8)
+        assert AlternativeFamily(kind="dense") == AlternativeFamily(kind="dense", I=6, J=8)
+        mult = AlternativeFamily(kind="multiplicative")
+        assert (mult.I, mult.J) == (4, 4)
+        # one dimension given, the other from the kind
+        assert AlternativeFamily(kind="sparse", J=3) == AlternativeFamily(kind="sparse", I=5, J=3)
+
     def test_at_returns_new_family(self):
         fam = AlternativeFamily(kind="sparse", I=5, J=8)
         shifted = fam.at(0.05)
@@ -313,6 +321,9 @@ class TestSubsampleStudy:
             subsample_study(MARITAL, m=301, reps=5, tests=PERM_TESTS)
         with pytest.raises(SampleTooSmall):
             subsample_study(MARITAL, m=3, reps=5, tests=PERM_TESTS)
+        # pearson and g take any total, as in power_curve
+        small = subsample_study(MARITAL, m=3, reps=5, tests=[("pearson", "permutation")])
+        assert (small.m, small.reps, len(small.rates)) == (3, 5, 1)
         with pytest.raises(DomainError):
             subsample_study(MARITAL, m=100, reps=0, tests=PERM_TESTS)
         with pytest.raises(DomainError, match="reps must be an integer, got 2.5"):
