@@ -38,7 +38,6 @@ would cost more to start than it saves.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 import dataclasses
 import os
 from dataclasses import dataclass
@@ -304,9 +303,9 @@ def _study_block(task) -> np.ndarray:
 
 
 def _dhat_replicate(task):
-    family, n, seed, rep_idx = task
-    stream = RandomStream(seed).child(0, rep_idx)
-    table = sample_table(family.distribution(), n, stream.child(0))
+    # replicate r draws on substream (0, r, 0) from the call's one law
+    law, n, seed, rep_idx = task
+    table = sample_table(law, n, RandomStream(seed, (0, rep_idx, 0)))
     return dhat_statistic(table).value
 
 
@@ -342,6 +341,10 @@ def _map_replicates(worker, tasks: list, threads: int) -> list:
     workers = _worker_count(threads, len(tasks))
     if workers == 1:
         return [worker(t) for t in tasks]
+    # imported here, the one place a pool starts, so commands that never
+    # start one do not pay for the import
+    from concurrent.futures import ProcessPoolExecutor
+
     chunksize = max(1, len(tasks) // (workers * 8))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, tasks, chunksize=chunksize))
@@ -414,14 +417,16 @@ def dhat_samples(
     """Independent D-hat values on multinomial draws from a family.
 
     Raw material for distribution plots (violins etc.); this package only
-    emits the samples.
+    emits the samples.  The law is built once per call, and replicate r
+    draws its table on substream (0, r, 0) of ``seed``: output is identical
+    for any ``threads``.
     """
+    _require_count(n, "sample size")
     if n < 4:
         raise SampleTooSmall(f"dhat needs n >= 4, got n={n}")
     _require_positive_int(reps, "reps")
-    fam = family.at(float(epsilon))
-    fam.distribution()
-    tasks = [(fam, n, seed, r) for r in range(reps)]
+    law = family.at(float(epsilon)).distribution()
+    tasks = [(law, n, seed, r) for r in range(reps)]
     return np.array(_map_replicates(_dhat_replicate, tasks, threads), dtype=np.float64)
 
 

@@ -78,6 +78,11 @@ class ContingencyTable:
     def __setattr__(self, name, value):
         raise AttributeError("ContingencyTable is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through the validating constructor, since
+        # the default slot restore would go through the __setattr__ guard
+        return (type(self), (self.counts,))
+
     @property
     def I(self) -> int:
         return self.counts.shape[0]
@@ -193,6 +198,10 @@ class JointDistribution:
 
     def __setattr__(self, name, value):
         raise AttributeError("JointDistribution is immutable")
+
+    def __reduce__(self):
+        # see ContingencyTable.__reduce__
+        return (type(self), (self.probs,))
 
     @property
     def I(self) -> int:

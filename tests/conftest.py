@@ -6,9 +6,9 @@ any test that leaves a child process alive, and provides ``pool_spy`` for
 tests that must run a study through its process pool.
 """
 
+import concurrent.futures
 import multiprocessing
 import re
-from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -72,12 +72,13 @@ def pool_spy(monkeypatch):
     """
     started = []
 
-    class Spy(ProcessPoolExecutor):
+    class Spy(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers=None, **kwargs):
             started.append(max_workers)
             super().__init__(max_workers=max_workers, **kwargs)
 
     monkeypatch.setattr(simulate, "_POOL_MIN_CELLS", 1)
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(simulate, "ProcessPoolExecutor", Spy)
+    # simulate imports the executor when it starts a pool, so patch its source
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
     return started

@@ -1,6 +1,9 @@
 """Tests for the package namespace and the library's imports."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import usptest
@@ -59,6 +62,15 @@ class TestImports:
         path = tmp_path / "mod.py"
         path.write_text("import os\nimport sys\nfrom math import pi, tau\nprint(sys.argv, tau)\n")
         assert _unused_imports(path) == ["mod.py:1: os", "mod.py:3: pi"]
+
+    def test_cli_import_leaves_the_pool_module_out(self):
+        # only a study that starts a pool imports concurrent.futures
+        env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+        code = "import sys, usptest.cli; print('concurrent.futures' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout == "False\n"
 
 
 def _method_comparisons(path: Path) -> list[str]:

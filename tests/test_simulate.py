@@ -37,8 +37,9 @@ from usptest.simulate import (
     _worker_count,
 )
 from usptest import stats
+from usptest.numerics import RandomStream
 from usptest.stats import dependence_measure
-from usptest.table import _sample_tables, validate_table
+from usptest.table import _sample_tables, sample_table, validate_table
 
 PERM_TESTS = [("usp", "permutation"), ("pearson", "permutation"), ("g", "permutation")]
 
@@ -212,10 +213,29 @@ class TestDhatSamples:
         np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(a, c)
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_replicate_r_is_dhat_of_substream_0_r_0(self, threads, pool_spy):
+        # the stream contract behind byte-identical dhat output: replicate r
+        # is D-hat of one table of the family's law drawn on (seed; 0, r, 0)
+        fam = AlternativeFamily(kind="sparse")
+        law = fam.at(0.05).distribution()
+        values = dhat_samples(fam, n=60, epsilon=0.05, reps=12, seed=23, threads=threads)
+        expected = [
+            stats.dhat_statistic(
+                sample_table(law, 60, RandomStream(23).child(0, r).child(0))
+            ).value
+            for r in range(12)
+        ]
+        assert values.tolist() == expected
+        assert pool_spy == ([2] if threads == 2 else [])
+
     def test_guards(self):
         fam = AlternativeFamily(kind="sparse", I=5, J=8)
         with pytest.raises(SampleTooSmall):
             dhat_samples(fam, n=3, epsilon=0.0, reps=5)
+        for bad_n in (None, "100", 100.0, -1):
+            with pytest.raises(DomainError, match="sample size must be a non-negative integer"):
+                dhat_samples(fam, n=bad_n, epsilon=0.0, reps=5)
         with pytest.raises(DomainError):
             dhat_samples(fam, n=10, epsilon=0.0, reps=0)
         with pytest.raises(DomainError, match="reps must be an integer, got 2.5"):

@@ -1,5 +1,8 @@
 """Tests for table validation, distributions, sampling, and subsampling."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -26,6 +29,9 @@ MARITAL_COUNTS = [
     [6, 9, 9, 3, 3],
     [3, 9, 9, 6, 3],
 ]
+
+# pickle (as a process pool sends its tasks), copy and deepcopy
+ROUND_TRIPS = [lambda x: pickle.loads(pickle.dumps(x)), copy.copy, copy.deepcopy]
 
 
 class TestValidation:
@@ -99,6 +105,17 @@ class TestValidation:
         assert a == b and hash(a) == hash(b)
         assert a != c
 
+    @pytest.mark.parametrize("round_trip", ROUND_TRIPS, ids=["pickle", "copy", "deepcopy"])
+    def test_pickle_and_copy_round_trip(self, round_trip):
+        t = validate_table(MARITAL_COUNTS)
+        back = round_trip(t)
+        assert back == t and back.n == t.n
+        np.testing.assert_array_equal(back.row_margins, t.row_margins)
+        np.testing.assert_array_equal(back.col_margins, t.col_margins)
+        assert not back.counts.flags.writeable
+        with pytest.raises(AttributeError):
+            back.n = 7
+
 
 class TestJointDistribution:
     def test_product_detection(self):
@@ -118,6 +135,17 @@ class TestJointDistribution:
     def test_negative_entry(self):
         with pytest.raises(DomainError):
             JointDistribution([[1.2, -0.2]])
+
+    @pytest.mark.parametrize("round_trip", ROUND_TRIPS, ids=["pickle", "copy", "deepcopy"])
+    def test_pickle_and_copy_round_trip(self, round_trip):
+        d = JointDistribution(np.outer([0.3, 0.7], [0.25, 0.25, 0.5]))
+        back = round_trip(d)
+        np.testing.assert_array_equal(back.probs, d.probs)
+        np.testing.assert_array_equal(back.row_margins, d.row_margins)
+        np.testing.assert_array_equal(back.col_margins, d.col_margins)
+        assert not back.probs.flags.writeable
+        with pytest.raises(AttributeError):
+            back.probs = None
 
 
 class TestExpectedCounts:
