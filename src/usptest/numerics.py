@@ -9,6 +9,7 @@ stochastic routine reproducible for any execution order or worker count.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,6 +30,17 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 _MAX_UINT64 = 2**64 - 1
+
+
+def _require_seed(seed) -> int:
+    # a seed must be an integer: int() would quietly truncate 1.5 to 1
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        raise DomainError(f"seed must be an integer, got {seed!r}") from None
+    if not 0 <= value <= _MAX_UINT64:
+        raise DomainError(f"seed must be a 64-bit unsigned integer, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -54,14 +66,18 @@ class RandomStream:
     stream_id: tuple[int, ...] = field(default=())
 
     def __post_init__(self) -> None:
-        if not (0 <= int(self.master_seed) <= _MAX_UINT64):
-            raise DomainError("master_seed must be a 64-bit unsigned integer")
+        object.__setattr__(self, "master_seed", _require_seed(self.master_seed))
         sid = self.stream_id
         if isinstance(sid, (int, np.integer)):
-            sid = (int(sid),)
-        sid = tuple(int(s) for s in sid)
+            sid = (sid,)
+        try:
+            sid = tuple(map(operator.index, sid))
+        except TypeError:
+            raise DomainError(
+                f"stream_id must be an integer or a sequence of integers, got {self.stream_id!r}"
+            ) from None
         if any(s < 0 for s in sid):
-            raise DomainError("stream_id indices must be non-negative")
+            raise DomainError(f"stream_id indices must be non-negative, got {sid}")
         object.__setattr__(self, "stream_id", sid)
 
     def child(self, *indices: int) -> "RandomStream":

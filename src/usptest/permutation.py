@@ -58,7 +58,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, InvalidMode
-from .numerics import RandomStream, as_generator, chi2_sf
+from .numerics import RandomStream, _require_seed, as_generator, chi2_sf
 from .stats import _CLASSIC_METHODS, METHODS, _rank_key, _require_positive_margins, _value
 from .table import _HYPERGEOMETRIC_LIMIT, ContingencyTable
 
@@ -110,6 +110,7 @@ class PermutationConfig:
 
     def __post_init__(self) -> None:
         _require_positive_int(self.B, "B")
+        _require_seed(self.seed)
         if not (0.0 < self.alpha < 1.0):
             raise DomainError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.tie_policy not in ("randomized", "conservative"):

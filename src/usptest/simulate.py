@@ -46,7 +46,7 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DomainError, InfeasibleEpsilon, SampleTooSmall, SubsampleTooLarge
-from .numerics import RandomStream
+from .numerics import RandomStream, _require_seed
 from .permutation import PermutationConfig, _block_pvalues, _check_test, _require_positive_int
 from .stats import _require_sample, dhat_statistic
 from .table import (
@@ -363,6 +363,11 @@ def _study(sources: list, reps: int, tests, config, threads: int) -> list[tuple[
     _require_positive_int(reps, "reps")
     tests = _validate_tests(tests)
     for _, n, _ in sources:
+        if n < 2:
+            raise SampleTooSmall(
+                f"a study needs n >= 2 observations per table, got n={n}: "
+                f"with fewer, the margins fix the table, so there is nothing to test"
+            )
         for method, _ in tests:
             _require_sample(method, n)
     if config is None:
@@ -425,6 +430,7 @@ def dhat_samples(
     if n < 4:
         raise SampleTooSmall(f"dhat needs n >= 4, got n={n}")
     _require_positive_int(reps, "reps")
+    _require_seed(seed)
     law = family.at(float(epsilon)).distribution()
     tasks = [(law, n, seed, r) for r in range(reps)]
     return np.array(_map_replicates(_dhat_replicate, tasks, threads), dtype=np.float64)

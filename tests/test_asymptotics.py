@@ -1,10 +1,12 @@
 """Tests for the exact asymptotic size curves of the classic tests."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from usptest import asymptotics
 from usptest.asymptotics import (
     DEFAULT_LAMBDA_GRID,
     g_asymptotic_size,
@@ -100,6 +102,85 @@ class TestReferenceValues:
             assert g_asymptotic_size(lam, alpha) == pytest.approx(
                 scipy_two_tail_size(lam, alpha, g_limit), abs=1e-12
             )
+
+
+class TestArrayPass:
+    # small and large lambdas in no order; 996 is about the largest lambda
+    # whose Poisson mass the oracle's 10^6 terms cover to 1 - 1e-12
+    MIXED = [0.3, 996.0, 2.0, 40.0, 0.05, 150.0, 7.5]
+
+    @pytest.mark.parametrize("test", ["pearson", "g"])
+    def test_mixed_grid_across_chunks_matches_the_summation_oracle(self, test, monkeypatch):
+        chunks = []
+        window_sizes = asymptotics._window_sizes
+
+        def spy(method, c, mu, lo, hi):
+            chunks.append(len(mu))
+            return window_sizes(method, c, mu, lo, hi)
+
+        monkeypatch.setattr(asymptotics, "_window_sizes", spy)
+        statistic = {"pearson": pearson_limit, "g": g_limit}[test]
+        c = chi2_quantile(0.95, 1)
+        pts = size_curve(test, 0.05, self.MIXED)
+        assert len(chunks) >= 2 and sum(chunks) == len(self.MIXED)
+        for pt in pts:
+            mu = pt.lam * pt.lam
+            want = poisson_tail_mass(lambda z: statistic(z, mu) > c, mu)
+            # the oracle stops 1e-12 short of the full mass, and its log-space
+            # point masses lose about 1e-9 relative at mu = 10^6
+            assert pt.asymptotic_size == pytest.approx(want, abs=1e-11), pt.lam
+
+    def test_a_size_depends_on_its_lambda_alone(self):
+        # sizes are summed sequentially, so neither the grid's order nor the
+        # other lambdas sharing a chunk move a value by one bit
+        grid = [float(x) for x in np.linspace(0.05, 60.0, 300)] + self.MIXED
+        shuffled = [grid[i] for i in np.random.default_rng(15).permutation(len(grid))]
+        for test, single in (("pearson", pearson_asymptotic_size), ("g", g_asymptotic_size)):
+            by_lambda = {pt.lam: pt.asymptotic_size for pt in size_curve(test, 0.01, grid)}
+            pts = size_curve(test, 0.01, shuffled)
+            assert [pt.lam for pt in pts] == shuffled
+            assert [pt.asymptotic_size for pt in pts] == [by_lambda[lam] for lam in shuffled]
+            for lam in self.MIXED:
+                assert single(lam, 0.01) == by_lambda[lam]
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ([1.0, -1.0, math.inf], "positive, got -1.0"),
+            ([1.0, math.inf, -1.0], "at most 1000, got inf"),
+            ([2.0, 0.0, math.nan], "positive, got 0.0"),
+            ([math.nan, 0.0], "at most 1000, got nan"),
+            ([-math.inf, 0.5], "at most 1000, got -inf"),
+            ([0.5, 1000.0, 1001.0], "at most 1000, got 1001.0"),
+        ],
+    )
+    def test_reports_the_first_bad_lambda_in_grid_order(self, grid, message):
+        with pytest.raises(DomainError, match=message):
+            size_curve("pearson", 0.05, grid)
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.9, 0.999, 0.999999])
+    def test_size_never_exceeds_one(self, alpha):
+        # near alpha = 1 almost every z is rejected, and at some lambdas every
+        # z in the window is; the rejected mass is summed like the total
+        grid = np.linspace(0.01, 50.0, 2000)
+        for test in ("pearson", "g"):
+            sizes = np.array([pt.asymptotic_size for pt in size_curve(test, alpha, grid)])
+            assert sizes.max() == 1.0
+            assert (sizes <= 1.0).all()
+
+    @pytest.mark.parametrize("grid", [None, [1000.0] * 50], ids=["default", "lambda-1000"])
+    def test_memory_stays_within_one_chunk(self, grid):
+        # one chunk's temporaries are a few float64 arrays of at most 2^13
+        # cells, or of one 24 025-cell window at lambda = 1000, whatever the
+        # grid's length; one pass over the whole default grid peaks near 3 MB
+        size_curve("g", 0.05, grid)
+        tracemalloc.start()
+        try:
+            size_curve("g", 0.05, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestCurveShape:

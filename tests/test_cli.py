@@ -183,6 +183,23 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["power", "--family", "sparse", "--n", "0", "--eps-grid", "0:0.02:2"],
+            ["power", "--family", "sparse", "--n", "1", "--eps-grid", "0:0.02:2"],
+            ["subsample", "--dataset", "marital", "--m", "0"],
+            ["subsample", "--dataset", "marital", "--m", "1", "--no-replace"],
+        ],
+    )
+    def test_study_of_fewer_than_two_observations_is_two(self, capsys, argv):
+        code, out, err = run_cli(
+            capsys, argv + ["--reps", "10", "--B", "19", "--tests", "pearson-perm,g-perm"]
+        )
+        assert code == 2
+        assert out == ""
+        assert "n >= 2 observations per table" in err
+
     def test_reps_zero_is_two(self, capsys):
         code, _, _ = run_cli(
             capsys, ["power", "--family", "sparse", "--reps", "0", "--B", "9"]

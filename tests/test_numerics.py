@@ -1,6 +1,7 @@
 """Tests for the special functions and the seeded stream scheme."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -204,6 +205,28 @@ class TestRandomStream:
             RandomStream(3, (-2,))
         with pytest.raises(DomainError):
             RandomStream(3).child(-1)
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0, "7", None, -1, 2**64])
+    def test_seed_must_be_a_64_bit_unsigned_integer(self, seed):
+        with pytest.raises(DomainError, match=re.escape(repr(seed))):
+            RandomStream(seed)
+
+    @pytest.mark.parametrize("indices", [(1.5,), (0, 2.0), ("1",), (None,), (0, -2)])
+    def test_stream_indices_must_be_non_negative_integers(self, indices):
+        with pytest.raises(DomainError, match="stream_id"):
+            RandomStream(3, indices)
+        with pytest.raises(DomainError, match="stream_id"):
+            RandomStream(3, (1,)).child(*indices)
+        with pytest.raises(DomainError, match=re.escape(repr(indices[-1]))):
+            RandomStream(3, indices[-1])
+
+    def test_numpy_integers_are_integers(self):
+        s = RandomStream(np.uint64(7), (np.int64(1), 2))
+        assert (s.master_seed, s.stream_id) == (7, (1, 2))
+        assert type(s.master_seed) is int
+        np.testing.assert_array_equal(
+            s.generator().random(4), RandomStream(7, (1, 2)).generator().random(4)
+        )
 
     def test_uniformity_chi_square(self):
         # One million draws binned into 64 cells; a goodness-of-fit check

@@ -1,5 +1,6 @@
 """Tests for permuted-table generation and the permutation test protocol."""
 
+import re
 from collections import Counter
 
 import numpy as np
@@ -131,6 +132,9 @@ class TestPermutationConfig:
             PermutationConfig(alpha=1.5)
         with pytest.raises(DomainError):
             PermutationConfig(tie_policy="sometimes")
+        for seed in (1.5, "x", None, -1, 2**64):
+            with pytest.raises(DomainError, match=re.escape(f"got {seed!r}")):
+                PermutationConfig(seed=seed)
 
     def test_warns_when_rejection_impossible(self):
         with pytest.warns(UserWarning, match="never reject"):

@@ -1,6 +1,8 @@
 """Tests for alternative families, power curves, estimator samples, and
 subsampling studies."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -240,6 +242,9 @@ class TestDhatSamples:
             dhat_samples(fam, n=10, epsilon=0.0, reps=0)
         with pytest.raises(DomainError, match="reps must be an integer, got 2.5"):
             dhat_samples(fam, n=10, epsilon=0.0, reps=2.5)
+        for seed in (1.5, "x", -1):
+            with pytest.raises(DomainError, match=re.escape(f"got {seed!r}")):
+                dhat_samples(fam, n=10, epsilon=0.0, reps=2, seed=seed)
 
 
 class TestPowerCurve:
@@ -308,6 +313,19 @@ class TestPowerCurve:
             power_curve(fam, [0.0], n=100.0, reps=5, tests=[("g", "permutation")])
         pts = power_curve(fam, [0.0], n=np.int64(100), reps=2, tests=[("g", "classic")])
         assert power_curve_csv(pts).splitlines()[1].startswith("0.0,100,2,")
+        # the margins of a table of fewer than 2 observations fix it, so a
+        # permutation test could only reject through its tie-break
+        for n in (0, 1):
+            with pytest.raises(SampleTooSmall, match=f"n >= 2 observations per table, got n={n}"):
+                power_curve(fam, [0.0], n=n, reps=5, tests=[("pearson", "permutation")])
+            with pytest.raises(SampleTooSmall, match="n >= 2"):
+                power_curve(fam, [0.0], n=n, reps=5, tests=[("g", "classic")])
+
+    def test_seed_must_be_an_integer(self):
+        fam = AlternativeFamily(kind="sparse", I=5, J=8)
+        with pytest.raises(DomainError, match="seed must be an integer, got 1.5"):
+            power_curve(fam, [0.0], n=20, reps=2, tests=[("g", "permutation")],
+                        config=PermutationConfig(B=9, alpha=0.2, seed=1.5))
 
 
 class TestSubsampleStudy:
@@ -344,6 +362,11 @@ class TestSubsampleStudy:
         # pearson and g take any total, as in power_curve
         small = subsample_study(MARITAL, m=3, reps=5, tests=[("pearson", "permutation")])
         assert (small.m, small.reps, len(small.rates)) == (3, 5, 1)
+        for m in (0, 1):
+            for replace in (True, False):
+                with pytest.raises(SampleTooSmall, match=f"got n={m}"):
+                    subsample_study(MARITAL, m=m, reps=5, tests=[("pearson", "permutation")],
+                                    replace=replace)
         with pytest.raises(DomainError):
             subsample_study(MARITAL, m=100, reps=0, tests=PERM_TESTS)
         with pytest.raises(DomainError, match="reps must be an integer, got 2.5"):
