@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from usptest.errors import DomainError, SampleTooSmall
-from usptest.numerics import RandomStream, as_generator
+from usptest.numerics import RandomStream, as_generator, chi2_cdf, chi2_sf
 from usptest.table import ContingencyTable
 
 
@@ -170,3 +170,35 @@ def poisson_tail_mass(predicate, mu: float) -> float:
         if cumulative >= 1.0 - _TAIL_TRUNCATION:
             break
     return mass
+
+
+def chi2_quantile_bisect(p: float, k: float) -> float:
+    """Reference for :func:`usptest.numerics.chi2_quantile`: the bisection it replays.
+
+    Doubles hi from max(k, 1) until it lies above the quantile, then bisects
+    [0, hi] until the bracket is exhausted to floating-point resolution.
+    Above the median it compares ``chi2_sf(x, k)`` with ``1 - p``, otherwise
+    ``chi2_cdf(x, k)`` with ``p``.
+    """
+    if not (0.0 < p < 1.0):
+        raise DomainError(f"chi2_quantile requires 0 < p < 1, got p={p}")
+    if not (k >= 1):
+        raise DomainError(f"chi2_quantile requires k >= 1, got k={k}")
+    tail = 1.0 - p  # exact for p >= 0.5
+
+    def below(x: float) -> bool:
+        # whether x lies below the quantile
+        return chi2_sf(x, k) > tail if p > 0.5 else chi2_cdf(x, k) < p
+
+    lo = 0.0
+    hi = max(float(k), 1.0)
+    while below(hi):
+        hi *= 2.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid

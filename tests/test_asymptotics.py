@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from usptest import asymptotics
 from usptest.asymptotics import (
     DEFAULT_LAMBDA_GRID,
+    SizeCurvePoint,
     g_asymptotic_size,
     pearson_asymptotic_size,
     size_curve,
@@ -246,6 +248,32 @@ class TestSizeCurve:
     def test_unknown_test(self):
         with pytest.raises(DomainError):
             size_curve("usp", 0.05, [1.0])
+
+    def test_size_outside_unit_interval_raises(self, monkeypatch):
+        def sizes(test, c, lam):
+            out = np.full(len(lam), 0.05)
+            out[1] = 1.5
+            return out
+
+        monkeypatch.setattr(asymptotics, "_sizes", sizes)
+        with pytest.raises(DomainError, match=r"size must lie in \[0, 1\], got 1.5"):
+            size_curve("g", 0.05, [0.5, 1.0, 2.0])
+
+    def test_point_fields(self):
+        assert SizeCurvePoint._fields == ("lam", "alpha", "asymptotic_size", "test")
+        pt = SizeCurvePoint(lam=1.0, alpha=0.05, asymptotic_size=0.08, test="pearson")
+        assert pt == (1.0, 0.05, 0.08, "pearson")
+        assert size_curve("pearson", 0.05, [1.0])[0] == SizeCurvePoint(
+            1.0, 0.05, pearson_asymptotic_size(1.0, 0.05), "pearson"
+        )
+
+    @pytest.mark.parametrize("lam", [1e-160, 1e-170, 1e-300])
+    def test_tiny_lambda_warns_nothing(self, lam):
+        # mu = lambda^2 is subnormal or 0; the size is P(Z >= 1) <= mu
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for fn in (pearson_asymptotic_size, g_asymptotic_size):
+                assert 0.0 <= fn(lam, 0.05) <= 2 * lam * lam + 1e-300
 
 
 class TestDomain:

@@ -4,6 +4,7 @@ All invocations go through ``usptest.cli.main(argv)`` in process, so exit
 codes and output bytes are asserted directly.
 """
 
+import hashlib
 import json
 import math
 import subprocess
@@ -307,6 +308,30 @@ class TestAsymsizeCommand:
         lines = out.strip().split("\n")
         assert lines[0] == "lambda,alpha,test,asymptotic_size"
         assert len(lines) == 501
+
+    # sha256 of stdout, recorded while chi2_quantile still bisected every
+    # step and each point was a frozen dataclass
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["--test", "pearson", "--alpha", "0.05"],
+             "851c2d33128a351dc7a7801944d8676ffdc467fe420326a5da03e989273b41a1"),
+            (["--test", "pearson", "--alpha", "0.01"],
+             "8c1d37bff755acbb6b86a50b62bbafe3e35f3744a1c8cf1b4d447a523cf01114"),
+            (["--test", "g", "--alpha", "0.05"],
+             "4933389b3cb0ef3c5f81f15a5ab62306663bcd64a492a4b0b35691c19c3bdc2c"),
+            (["--test", "g", "--alpha", "0.01"],
+             "c02dd2adc59393e9459b0165ce0d82b0d6c62c82d30f5b5d444b0b79f484d0d4"),
+            (["--test", "pearson", "--lambda", "0.5:2:4"],
+             "fc4d28719297641066e250a258fda2b085a4c0326fadcd6a0df8cfd0f5930613"),
+            (["--test", "g", "--lambda", "0.5:2:4"],
+             "0be914c29d877ce15b70ec477c78fd6e8e49a2468672991370733bbdb8f20f9b"),
+        ],
+    )
+    def test_stdout_bytes_are_pinned(self, capsys, argv, digest):
+        code, out, _ = run_cli(capsys, ["asymsize", *argv])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     @pytest.mark.parametrize("test", ["pearson", "g"])
     @pytest.mark.parametrize("grid", [None, "0.5:2:4"])

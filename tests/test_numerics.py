@@ -15,7 +15,7 @@ from usptest.numerics import (
     reg_lower_gamma,
 )
 
-from oracles import poisson_pmf, poisson_tail_mass
+from oracles import chi2_quantile_bisect, poisson_pmf, poisson_tail_mass
 
 scipy_special = pytest.importorskip("scipy.special")
 scipy_stats = pytest.importorskip("scipy.stats")
@@ -80,6 +80,44 @@ class TestChi2:
                 assert chi2_cdf(chi2_quantile(float(p), k), k) == pytest.approx(
                     p, abs=1.5e-10
                 )
+
+    # about 200 p: both tails down to 1e-8, the median and the levels in use
+    QUANTILE_PS = sorted(
+        {1e-6, 1e-4, 0.5, 0.95, 0.99, 0.9999, 1 - 1e-6}
+        | set(np.geomspace(1e-8, 0.5, 64).tolist())
+        | set((1.0 - np.geomspace(1e-8, 0.5, 64)).tolist())
+        | set(np.linspace(0.005, 0.995, 67).tolist())
+    )
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 7, 12, 20, 30, 100, 1000])
+    def test_quantile_is_the_bisection_to_the_bit(self, k):
+        for p in self.QUANTILE_PS:
+            assert chi2_quantile(p, k) == chi2_quantile_bisect(p, k), (k, p)
+
+    @pytest.mark.parametrize("name, value", [("_NEWTON_STEPS", 0), ("_QUANTILE_BAND", 1.0)])
+    def test_quantile_band_widens_to_the_whole_bisection(self, monkeypatch, name, value):
+        # with no Newton step the band starts at the bracket's midpoint and
+        # widens until its ends straddle the quantile; a band of 1 replays
+        # every step.  Either way the result is the bisection's
+        from usptest import numerics
+
+        monkeypatch.setattr(numerics, name, value)
+        for k in (1, 4, 30):
+            for p in (1e-6, 0.3, 0.5, 0.95, 1 - 1e-6):
+                assert chi2_quantile(p, k) == chi2_quantile_bisect(p, k), (k, p)
+
+    @pytest.mark.parametrize("p", [0.95, 0.99])
+    def test_quantile_tail_evaluations(self, monkeypatch, p):
+        # the bisection evaluates about 55 tails at k = 1
+        from usptest import numerics
+
+        calls = []
+        tails = numerics._gamma_tails
+        monkeypatch.setattr(
+            numerics, "_gamma_tails", lambda a, x: calls.append(x) or tails(a, x)
+        )
+        chi2_quantile(p, 1)
+        assert len(calls) < 35
 
     def test_reference_value(self):
         # The 95% point of chi-squared with 1 df, a textbook constant.
