@@ -50,7 +50,6 @@ alpha(B+1) is an integer, and conservative otherwise.
 
 from __future__ import annotations
 
-import operator
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -58,7 +57,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, InvalidMode
-from .numerics import RandomStream, _require_seed, as_generator, chi2_sf
+from .numerics import _MAX_UINT64, RandomStream, _require_int, as_generator, chi2_sf
 from .stats import _CLASSIC_METHODS, METHODS, _rank_key, _require_positive_margins, _value
 from .table import _HYPERGEOMETRIC_LIMIT, ContingencyTable
 
@@ -74,16 +73,6 @@ __all__ = [
 MODES = ("permutation", "classic")
 
 _BLOCK_CELLS = 1 << 18  # cells, or shuffled labels, per block of permuted tables (2 MiB of int64)
-
-
-def _require_positive_int(value, name: str) -> None:
-    # counts that size arrays and loops must be integers, not integral floats
-    try:
-        operator.index(value)
-    except TypeError:
-        raise DomainError(f"{name} must be an integer, got {value!r}") from None
-    if value < 1:
-        raise DomainError(f"{name} must be >= 1, got {value}")
 
 
 @dataclass(frozen=True)
@@ -109,8 +98,8 @@ class PermutationConfig:
     tie_policy: str = "randomized"
 
     def __post_init__(self) -> None:
-        _require_positive_int(self.B, "B")
-        _require_seed(self.seed)
+        _require_int(self.B, "B", 1)
+        _require_int(self.seed, "seed", 0, _MAX_UINT64)
         if not (0.0 < self.alpha < 1.0):
             raise DomainError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.tie_policy not in ("randomized", "conservative"):
@@ -250,7 +239,7 @@ def permuted_tables(
     ``permutation_pvalue(table, method, config, stream)`` scores exactly the
     tables of ``permuted_tables(table, config.B, stream)``.
     """
-    _require_positive_int(B, "B")
+    B = _require_int(B, "B", 1)
     rows, cols = table.row_margins[None, :], table.col_margins[None, :]
     chunks = _permuted(rows, cols, B, as_generator(rng))
     return np.concatenate([t[0] for _, _, t in chunks]).reshape(B, table.I, table.J)
@@ -427,8 +416,10 @@ def permutation_pvalue(
 
     which makes p uniform over {1/(B+1), ..., 1} under the null; the
     conservative policy counts every tie as an exceedance.  Tables are
-    compared through a key that ranks exactly like the statistic given the
-    margins; the usp key is an integer, so usp ties are exact.
+    compared through a key that ranks like the statistic given the margins.
+    The usp key is an integer, so usp ties are exact.  The pearson and g
+    keys are float sums, whose rounding can split a true tie: a table that
+    ties the data's statistic exactly may compare as above or below it.
 
     One generator, ``stream.generator()``, draws all B tables (see
     :func:`permuted_tables`) and then the tie-break, so the result depends on

@@ -46,13 +46,12 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DomainError, InfeasibleEpsilon, SampleTooSmall, SubsampleTooLarge
-from .numerics import RandomStream, _require_seed
-from .permutation import PermutationConfig, _block_pvalues, _check_test, _require_positive_int
+from .numerics import _MAX_UINT64, RandomStream, _require_int
+from .permutation import PermutationConfig, _block_pvalues, _check_test
 from .stats import _require_sample, dhat_statistic
 from .table import (
     ContingencyTable,
     JointDistribution,
-    _require_count,
     _require_hypergeometric_total,
     _sample_tables,
     sample_table,
@@ -306,7 +305,7 @@ def _dhat_replicate(task):
     # replicate r draws on substream (0, r, 0) from the call's one law
     law, n, seed, rep_idx = task
     table = sample_table(law, n, RandomStream(seed, (0, rep_idx, 0)))
-    return dhat_statistic(table).value
+    return dhat_statistic(table)
 
 
 def _worker_count(threads: int, tasks: int) -> int:
@@ -360,7 +359,7 @@ def _study(sources: list, reps: int, tests, config, threads: int) -> list[tuple[
     # (weights, n, replace) triple for table._sample_tables.  Source i runs
     # its blocks on streams (i, block), and every block of every source goes
     # through one pool: output is identical for any threads.
-    _require_positive_int(reps, "reps")
+    _require_int(reps, "reps", 1)
     tests = _validate_tests(tests)
     for _, n, _ in sources:
         if n < 2:
@@ -403,10 +402,10 @@ def power_curve(
     epsilon index, block index), and all blocks of all epsilons go through
     one pool: output is identical for any ``threads``.
     """
-    _require_count(n, "sample size")
+    n = _require_int(n, "sample size", 0)
     grid = [float(eps) for eps in eps_grid]
     # materializing each law checks feasibility before any block runs
-    sources = [(family.at(eps).distribution().probs, int(n), True) for eps in grid]
+    sources = [(family.at(eps).distribution().probs, n, True) for eps in grid]
     rates = _study(sources, reps, tests, config, threads)
     return [PowerCurvePoint(epsilon=eps, n=n, reps=reps, rates=r) for eps, r in zip(grid, rates)]
 
@@ -426,11 +425,10 @@ def dhat_samples(
     draws its table on substream (0, r, 0) of ``seed``: output is identical
     for any ``threads``.
     """
-    _require_count(n, "sample size")
-    if n < 4:
-        raise SampleTooSmall(f"dhat needs n >= 4, got n={n}")
-    _require_positive_int(reps, "reps")
-    _require_seed(seed)
+    n = _require_int(n, "sample size", 0)
+    _require_sample("dhat", n)
+    _require_int(reps, "reps", 1)
+    _require_int(seed, "seed", 0, _MAX_UINT64)
     law = family.at(float(epsilon)).distribution()
     tasks = [(law, n, seed, r) for r in range(reps)]
     return np.array(_map_replicates(_dhat_replicate, tasks, threads), dtype=np.float64)
@@ -455,13 +453,13 @@ def subsample_study(
     without replacement instead, so the subsample never distorts the
     original counts (and m = n returns the table itself every time).
     """
-    _require_count(m, "subsample size")
+    m = _require_int(m, "subsample size", 0)
     if m > table.n:
         raise SubsampleTooLarge(f"subsample size {m} exceeds table total {table.n}")
     if not replace:
         _require_hypergeometric_total(table.n)
     weights = table.counts / table.n if replace else table.counts
-    (rates,) = _study([(weights, int(m), replace)], reps, tests, config, threads)
+    (rates,) = _study([(weights, m, replace)], reps, tests, config, threads)
     return SubsampleStudy(m=m, reps=reps, rates=rates)
 
 

@@ -17,8 +17,6 @@ sparse 2x2 family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import (
@@ -36,7 +34,6 @@ _CLASSIC_METHODS = ("pearson", "g")  # the methods with a chi-squared reference 
 
 __all__ = [
     "METHODS",
-    "StatisticValue",
     "chi2_divergence",
     "dependence_measure",
     "pearson_statistic",
@@ -44,22 +41,6 @@ __all__ = [
     "usp_statistic",
     "dhat_statistic",
 ]
-
-
-@dataclass(frozen=True)
-class StatisticValue:
-    """A computed test statistic tagged with its kind.
-
-    ``pearson`` and ``g`` values are non-negative whenever defined; ``usp``
-    and ``dhat`` estimate a non-negative quantity without bias and may
-    therefore be negative.
-    """
-
-    value: float
-    kind: str  # one of {"pearson", "g", "usp", "dhat"}
-
-    def __float__(self) -> float:
-        return self.value
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +118,7 @@ def _g_value(counts: np.ndarray, n: int) -> np.ndarray:
     return 2.0 * _cell_sum(counts * np.log(np.where(counts > 0, counts / e, 1.0)))
 
 
-def pearson_statistic(table: ContingencyTable) -> StatisticValue:
+def pearson_statistic(table: ContingencyTable) -> float:
     """Pearson's chi-squared statistic sum((o - e)^2 / e).
 
     Expected counts are e_ij = (row margin i)(column margin j)/n.  Undefined
@@ -145,23 +126,24 @@ def pearson_statistic(table: ContingencyTable) -> StatisticValue:
     columns are an explicit error here, never silently dropped.
     """
     _require_positive_margins(table, "pearson")
-    return StatisticValue(float(_pearson_value(table.counts, table.n)), "pearson")
+    return float(_pearson_value(table.counts, table.n))
 
 
-def g_statistic(table: ContingencyTable) -> StatisticValue:
+def g_statistic(table: ContingencyTable) -> float:
     """Likelihood-ratio statistic G = 2 sum(o log(o / e)), with 0 log 0 = 0.
 
     Same definedness condition as Pearson's statistic: any zero row or
     column margin raises UndefinedStatistic.
     """
     _require_positive_margins(table, "g")
-    return StatisticValue(float(_g_value(table.counts, table.n)), "g")
+    return float(_g_value(table.counts, table.n))
 
 
 def _require_sample(method: str, n: int) -> None:
-    # U-hat divides by n(n-2)(n-3); pearson and g take any total
-    if method == "usp" and n < 4:
-        raise SampleTooSmall(f"usp statistic needs n >= 4, got n={n}")
+    # U-hat, and with it D-hat, divides by n(n-2)(n-3); pearson and g take any
+    # total
+    if method in ("usp", "dhat") and n < 4:
+        raise SampleTooSmall(f"{method} statistic needs n >= 4, got n={n}")
 
 
 def _usp_key_dtype(n: int):
@@ -175,11 +157,8 @@ def _usp_key_dtype(n: int):
 def _usp_key(o: np.ndarray, rc: np.ndarray, n: int) -> np.ndarray:
     # (n-2) sum(o^2) - 2 sum(o_ij r_i c_j) over the last axis, for cells o and
     # margin products rc of a dtype from _usp_key_dtype: an integer that ranks
-    # like U-hat among tables with the same margins
-    if o.ndim == 1 or o.dtype == object:
-        # one table, or Python ints (einsum has no object loops before numpy 1.25)
-        return (n - 2) * (o * o).sum(axis=-1) - 2 * (o * rc).sum(axis=-1)
-    # over a batch, einsum reduces the short cell axis about 3x faster than sum
+    # like U-hat among tables with the same margins.  Over a batch, einsum
+    # reduces the short cell axis about 3x faster than sum
     return (n - 2) * np.einsum("...k,...k->...", o, o) - 2 * np.einsum("...k,...k->...", o, rc)
 
 
@@ -238,17 +217,17 @@ def _rank_key(method: str, rows: np.ndarray, cols: np.ndarray, n: int):
     return lambda o, sl: np.einsum("rbk,rbk->rb", o, np.log(np.maximum(o, 1)))
 
 
-def usp_statistic(table: ContingencyTable) -> StatisticValue:
+def usp_statistic(table: ContingencyTable) -> float:
     """USP test statistic U-hat.
 
     U-hat = sum((o - e)^2) / (n(n-3)) - 4 sum(o * e) / (n(n-2)(n-3)).
     Defined for any table with n >= 4, zero margins included; over tables
     sharing margins it ranks identically to the unbiased estimator D-hat.
     """
-    return StatisticValue(_usp_value(table.counts, table.n), "usp")
+    return _usp_value(table.counts, table.n)
 
 
-def dhat_statistic(table: ContingencyTable) -> StatisticValue:
+def dhat_statistic(table: ContingencyTable) -> float:
     """Unbiased estimator D-hat of the dependence measure.
 
     Equals U-hat plus three margin-only correction terms:
@@ -260,17 +239,15 @@ def dhat_statistic(table: ContingencyTable) -> StatisticValue:
 
     Unbiased for dependence_measure of the sampling law; requires n >= 4.
     """
-    if table.n < 4:
-        raise SampleTooSmall(f"dhat statistic needs n >= 4, got n={table.n}")
+    _require_sample("dhat", table.n)
     n = float(table.n)
     # python floats throughout: margin power sums reach n^5 and would
     # overflow int64 aggregation for large n
     sum_row_sq = float(np.sum(table.row_margins.astype(np.float64) ** 2))
     sum_col_sq = float(np.sum(table.col_margins.astype(np.float64) ** 2))
-    value = (
+    return (
         _usp_value(table.counts, table.n)
         + (sum_row_sq + sum_col_sq) / (n * (n - 1.0) * (n - 3.0))
         + (3.0 * n - 2.0) * sum_row_sq * sum_col_sq / (n**3 * (n - 1.0) * (n - 2.0) * (n - 3.0))
         - n / ((n - 1.0) * (n - 3.0))
     )
-    return StatisticValue(value, "dhat")

@@ -10,8 +10,6 @@ explicit random stream so parallel callers stay reproducible.
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 
 from .errors import (
@@ -21,7 +19,7 @@ from .errors import (
     NegativeCount,
     SubsampleTooLarge,
 )
-from .numerics import RandomStream, as_generator
+from .numerics import RandomStream, _require_int, as_generator
 
 __all__ = [
     "ContingencyTable",
@@ -245,8 +243,8 @@ def sample_table(
     Cell counts jointly follow the multinomial law with the distribution's
     cell probabilities; the draw costs O(IJ) regardless of n.
     """
-    _require_count(n, "sample size")
-    tables = _sample_tables(dist.probs, int(n), True, 1, as_generator(rng))
+    n = _require_int(n, "sample size", 0)
+    tables = _sample_tables(dist.probs, n, True, 1, as_generator(rng))
     return ContingencyTable._from_valid_counts(tables[0])
 
 
@@ -260,11 +258,11 @@ def subsample(
     directly from counts in O(IJ).  numpy's sampler needs the table total
     below 10^9.
     """
-    _require_count(m, "subsample size")
+    m = _require_int(m, "subsample size", 0)
     if m > table.n:
         raise SubsampleTooLarge(f"subsample size {m} exceeds table total {table.n}")
     _require_hypergeometric_total(table.n)
-    tables = _sample_tables(table.counts, int(m), False, 1, as_generator(rng))
+    tables = _sample_tables(table.counts, m, False, 1, as_generator(rng))
     return ContingencyTable._from_valid_counts(tables[0])
 
 
@@ -282,17 +280,6 @@ def _sample_tables(
             weights.ravel(), total, size=size, method="marginals"
         )
     return flat.reshape(size, *weights.shape).astype(np.int64, copy=False)
-
-
-def _require_count(value, what: str) -> None:
-    # a table size must be an integer, not an integral float, which would
-    # echo into the output as 100.0
-    try:
-        operator.index(value)
-    except TypeError:
-        raise DomainError(f"{what} must be a non-negative integer, got {value!r}") from None
-    if value < 0:
-        raise DomainError(f"{what} must be a non-negative integer, got {value}")
 
 
 def _require_hypergeometric_total(n: int) -> None:

@@ -9,7 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from usptest.errors import DomainError, SampleTooSmall
-from usptest.numerics import RandomStream, as_generator, chi2_cdf, chi2_sf
+from usptest.numerics import RandomStream, _gamma_tails, as_generator, chi2_sf
 from usptest.table import ContingencyTable
 
 
@@ -178,7 +178,7 @@ def chi2_quantile_bisect(p: float, k: float) -> float:
     Doubles hi from max(k, 1) until it lies above the quantile, then bisects
     [0, hi] until the bracket is exhausted to floating-point resolution.
     Above the median it compares ``chi2_sf(x, k)`` with ``1 - p``, otherwise
-    ``chi2_cdf(x, k)`` with ``p``.
+    the CDF, ``_gamma_tails(k / 2, x / 2)[0]``, with ``p``.
     """
     if not (0.0 < p < 1.0):
         raise DomainError(f"chi2_quantile requires 0 < p < 1, got p={p}")
@@ -188,7 +188,7 @@ def chi2_quantile_bisect(p: float, k: float) -> float:
 
     def below(x: float) -> bool:
         # whether x lies below the quantile
-        return chi2_sf(x, k) > tail if p > 0.5 else chi2_cdf(x, k) < p
+        return chi2_sf(x, k) > tail if p > 0.5 else _gamma_tails(k / 2.0, x / 2.0)[0] < p
 
     lo = 0.0
     hi = max(float(k), 1.0)

@@ -342,6 +342,88 @@ class TestAsymsizeCommand:
         assert code == 0 and out == size_curve_csv(size_curve(test, 0.01, lambdas))
 
 
+_ALL_TESTS = "usp,pearson-perm,g-perm,pearson-classic,g-classic"
+
+
+class TestStdoutPins:
+    # sha256 of stdout, recorded while the statistics still returned a
+    # StatisticValue and each integer argument had its own check
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["marital", "--method", "usp"],
+             "a83813c11539bfa4cd05a9486af105e23936f9dc0ad13aa9c41a032eb3efd9fa"),
+            (["marital", "--method", "pearson"],
+             "97eafd298d806c2ac5310af60d1b5b82a28326e0d26fca13a08f9ecd25694ecc"),
+            (["marital", "--method", "g"],
+             "9c58f9d6553ea0eec84d4ee146292b273e3526849fd216dd8139ae7076b40ee6"),
+            (["marital", "--method", "pearson", "--mode", "classic"],
+             "8dc49ecb5cbf7d1e23ef78d52562c91eab004385debe84e130867e41a8e5dfac"),
+            (["marital", "--method", "g", "--mode", "classic"],
+             "1323ab7675925422bf237a253af98eb930e8f283f3804b822c763595dad01bbf"),
+            (["marital", "--method", "usp", "--tie-policy", "conservative"],
+             "a83813c11539bfa4cd05a9486af105e23936f9dc0ad13aa9c41a032eb3efd9fa"),
+            (["marital", "--method", "pearson", "--tie-policy", "conservative"],
+             "97eafd298d806c2ac5310af60d1b5b82a28326e0d26fca13a08f9ecd25694ecc"),
+            (["marital", "--method", "g", "--tie-policy", "conservative"],
+             "9c58f9d6553ea0eec84d4ee146292b273e3526849fd216dd8139ae7076b40ee6"),
+            (["eyecolour", "--method", "usp"],
+             "3b3378a7eb24bbadbbbfe124b4685210183233c5ed66b7b754f960a4552a812f"),
+            (["eyecolour", "--method", "pearson"],
+             "99636582b501ef13e2297f78b594e954327bf2ffc4025553a4bae8071df4b32e"),
+            (["eyecolour", "--method", "g"],
+             "3d019e4ac6d7b9b7feeb30fe49e7bcbe6b5f405cfeb544a3f96af253aa0aaf71"),
+            (["eyecolour", "--method", "pearson", "--mode", "classic"],
+             "f87d4f5270a2fb099d77cb06eea612c6f41ef0958ccc283f0e6c46429c503815"),
+            (["eyecolour", "--method", "g", "--mode", "classic"],
+             "238b0bdbbd85f3c6c6c571a7ee6d3e4cb6f1c54bbc409727c12e2331f4e975bb"),
+            (["eyecolour", "--method", "usp", "--tie-policy", "conservative"],
+             "3b3378a7eb24bbadbbbfe124b4685210183233c5ed66b7b754f960a4552a812f"),
+            (["eyecolour", "--method", "pearson", "--tie-policy", "conservative"],
+             "99636582b501ef13e2297f78b594e954327bf2ffc4025553a4bae8071df4b32e"),
+            (["eyecolour", "--method", "g", "--tie-policy", "conservative"],
+             "3d019e4ac6d7b9b7feeb30fe49e7bcbe6b5f405cfeb544a3f96af253aa0aaf71"),
+        ],
+    )
+    def test_test_command(self, capsys, argv, digest):
+        code, out, _ = run_cli(capsys, ["test", "--dataset", *argv, "--seed", "11"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["power", "--family", "sparse", "--n", "60", "--reps", "70", "--B", "19",
+              "--eps-grid", "0:0.02:2", "--tests", _ALL_TESTS, "--seed", "5"],
+             "866cbe990a40766bd3b349467a8ffc78825bc62f3d6d2cf8da8ed389727f2363"),
+            (["power", "--family", "dense", "--n", "40", "--reps", "70", "--B", "19",
+              "--eps-grid", "0:0.02:2", "--tests", _ALL_TESTS, "--seed", "5"],
+             "a19a788d129f0720482194f803082e52d9983f815ce38946d92c5f448583fa40"),
+            (["subsample", "--dataset", "eyecolour", "--m", "84", "--reps", "70", "--B", "19",
+              "--tests", _ALL_TESTS, "--seed", "4"],
+             "40d1fa8ff9e721fd935c36a6d8b1e60e371d0a98a5a74bc9a7a2b1b788b8e346"),
+            (["subsample", "--dataset", "eyecolour", "--m", "84", "--reps", "70", "--B", "19",
+              "--tests", _ALL_TESTS, "--seed", "4", "--no-replace"],
+             "fe001dd141dcebe79c73b0aaf198423823ecb7a83da24c6e05be57490c5bcdcf"),
+            (["subsample", "--dataset", "marital", "--m", "100", "--reps", "70", "--B", "19",
+              "--tests", _ALL_TESTS, "--seed", "4"],
+             "938c95471d260ac16da7b3a08b82e6c639713e1f4b5b5fc2a84da72236cad0c0"),
+            (["subsample", "--dataset", "marital", "--m", "100", "--reps", "70", "--B", "19",
+              "--tests", _ALL_TESTS, "--seed", "4", "--no-replace"],
+             "8f60b8fcd651ca05094e4b2db7ac1e120747379b7ea2f8f20d9be38145726271"),
+            (["dhat", "--family", "sparse", "--n", "100", "--eps", "0.05", "--reps", "200",
+              "--seed", "3"],
+             "cbd1dc2256312ee8933d4d9201c05d0c1d2a95a16b68512ca0f3e8a84f12923c"),
+        ],
+    )
+    def test_study_commands(self, capsys, argv, digest, threads):
+        code, out, _ = run_cli(capsys, [*argv, "--threads", threads])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestFamilyDefaults:
     @pytest.mark.parametrize(
         "family,dims", [("sparse", (5, 8)), ("dense", (6, 8)), ("multiplicative", (4, 4))]

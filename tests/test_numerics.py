@@ -7,18 +7,22 @@ import numpy as np
 import pytest
 
 from usptest.errors import DomainError
-from usptest.numerics import (
-    RandomStream,
-    chi2_cdf,
-    chi2_quantile,
-    chi2_sf,
-    reg_lower_gamma,
-)
+from usptest.numerics import RandomStream, _gamma_tails, chi2_quantile, chi2_sf
 
 from oracles import chi2_quantile_bisect, poisson_pmf, poisson_tail_mass
 
 scipy_special = pytest.importorskip("scipy.special")
 scipy_stats = pytest.importorskip("scipy.stats")
+
+
+def lower_gamma(a, x):
+    # the regularized lower incomplete gamma P(a, x), which chi2_quantile
+    # compares below the median
+    return _gamma_tails(a, x)[0]
+
+
+def chi2_cdf(x, k):
+    return lower_gamma(k / 2.0, x / 2.0)
 
 
 class TestRegLowerGamma:
@@ -27,26 +31,22 @@ class TestRegLowerGamma:
         a_vals = np.concatenate([rng.uniform(0.05, 2.0, 60), rng.uniform(2.0, 60.0, 60)])
         for a in a_vals:
             for x in [0.0, a / 7, a / 2, a, 2 * a, 5 * a + 1.0]:
-                got = reg_lower_gamma(a, x)
+                got = lower_gamma(a, x)
                 want = scipy_special.gammainc(a, x)
                 assert got == pytest.approx(want, abs=1e-12, rel=1e-12), (a, x)
 
     def test_half_half_is_erf(self):
         # P(1/2, x) = erf(sqrt(x)); an identity independent of any gamma code.
         for x in [0.1, 0.5, 1.0, 2.5]:
-            assert reg_lower_gamma(0.5, x) == pytest.approx(math.erf(math.sqrt(x)), abs=1e-13)
+            assert lower_gamma(0.5, x) == pytest.approx(math.erf(math.sqrt(x)), abs=1e-13)
 
-    def test_limits_and_domain(self):
-        assert reg_lower_gamma(3.0, 0.0) == 0.0
-        assert reg_lower_gamma(1.0, 745.0) == pytest.approx(1.0, abs=1e-12)
-        with pytest.raises(DomainError):
-            reg_lower_gamma(0.0, 1.0)
-        with pytest.raises(DomainError):
-            reg_lower_gamma(1.0, -0.5)
+    def test_limits(self):
+        assert lower_gamma(3.0, 0.0) == 0.0
+        assert lower_gamma(1.0, 745.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_monotone_in_x(self):
         xs = np.linspace(0.0, 30.0, 400)
-        vals = [reg_lower_gamma(4.5, x) for x in xs]
+        vals = [lower_gamma(4.5, x) for x in xs]
         assert all(b >= a for a, b in zip(vals, vals[1:]))
         assert all(0.0 <= v <= 1.0 for v in vals)
 
@@ -164,10 +164,6 @@ class TestChi2:
         with pytest.raises(DomainError):
             chi2_sf(1.0, 0)
         with pytest.raises(DomainError):
-            chi2_cdf(-1.0, 3)
-        with pytest.raises(DomainError):
-            chi2_cdf(1.0, 0)
-        with pytest.raises(DomainError):
             chi2_quantile(0.0, 3)
         with pytest.raises(DomainError):
             chi2_quantile(1.0, 3)
@@ -273,7 +269,7 @@ class TestRandomStream:
         bins = np.bincount((gen.random(1_000_000) * 64).astype(int), minlength=64)
         expected = 1_000_000 / 64
         stat = float(((bins - expected) ** 2 / expected).sum())
-        assert 1.0 - chi2_cdf(stat, 63) > 0.001
+        assert chi2_sf(stat, 63) > 0.001
 
     def test_sibling_streams_uncorrelated(self):
         x = RandomStream(9).child(0).generator().random(100_000)

@@ -53,6 +53,32 @@ def _unused_imports(path: Path) -> list[str]:
     ]
 
 
+def _unreferenced_private_functions(paths) -> list[str]:
+    # module-level functions named _x that no file of paths refers to, by
+    # name, attribute or import, except from inside their own def
+    defined, referenced = [], set()
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            own = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+            if own and own.startswith("_") and not own.startswith("__"):
+                defined.append((path.name, top.lineno, own))
+            for node in ast.walk(top):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                else:
+                    continue
+                if name != own:
+                    referenced.add(name)
+    return [
+        f"{file}:{line}: {name}" for file, line, name in defined if name not in referenced
+    ]
+
+
 class TestImports:
     def test_no_unused_import_in_the_library(self):
         unused = [u for path in sorted(SRC.glob("*.py")) for u in _unused_imports(path)]
@@ -62,6 +88,23 @@ class TestImports:
         path = tmp_path / "mod.py"
         path.write_text("import os\nimport sys\nfrom math import pi, tau\nprint(sys.argv, tau)\n")
         assert _unused_imports(path) == ["mod.py:1: os", "mod.py:3: pi"]
+
+    def test_every_private_function_is_referenced(self):
+        # a path that a faster one replaced is deleted, not left behind
+        assert _unreferenced_private_functions(sorted(SRC.glob("*.py"))) == []
+
+    def test_checker_sees_an_unreferenced_private_function(self, tmp_path):
+        a, b = tmp_path / "a.py", tmp_path / "b.py"
+        a.write_text(
+            "def _old(n):\n    return _old(n - 1) if n else 0\n"
+            "def _used():\n    pass\n"
+            "def _imported():\n    pass\n"
+            "def _attr():\n    pass\n"
+            "def __dunder__():\n    pass\n"
+            "def public():\n    return _used()\n"
+        )
+        b.write_text("from a import _imported\nimport a\na._attr()\n")
+        assert _unreferenced_private_functions([a, b]) == ["a.py:1: _old"]
 
     def test_cli_import_leaves_the_pool_module_out(self):
         # only a study that starts a pool imports concurrent.futures
