@@ -84,7 +84,13 @@ ASYMSIZE_CSV_HEADER = "lambda,alpha,test,asymptotic_size"
 
 
 def size_curve_csv(points: Sequence[SizeCurvePoint]) -> str:
-    rows = [f"{lam!r},{alpha!r},{test},{size!r}" for lam, alpha, size, test in points]
+    # a curve shares one alpha and one test object, so their text is formatted
+    # once per run of points that hold the same objects, not once per row
+    rows, run = [], None
+    for lam, alpha, size, test in points:
+        if run is None or alpha is not run[0] or test is not run[1]:
+            run, middle = (alpha, test), f",{alpha!r},{test},"
+        rows.append(f"{lam!r}{middle}{size!r}")
     return "\n".join([ASYMSIZE_CSV_HEADER, *rows]) + "\n"
 
 

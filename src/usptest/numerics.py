@@ -1,15 +1,11 @@
 """Special functions and seeded random streams.
 
 Only the numerics the rest of the package needs: the regularized
-incomplete gamma functions (and with them the chi-squared tail and
-quantile), a small splittable random-stream wrapper that makes every
-stochastic routine reproducible for any execution order or worker count,
-and the one check of an integer argument.
-
-The chi-squared quantile is defined as the point a bisection to
-floating-point resolution reaches.  It is computed by Newton steps to a
-narrow band around the quantile, then an exact replay of that bisection
-which evaluates the tail only at midpoints inside the band.
+incomplete gamma functions, in closed form at one degree of freedom, and
+with them the chi-squared tail and its quantile by bisection; a small
+splittable random-stream wrapper that makes every stochastic routine
+reproducible for any execution order or worker count; and the one check
+of an integer argument.
 """
 
 from __future__ import annotations
@@ -113,11 +109,6 @@ def as_generator(rng: RandomStream | np.random.Generator) -> np.random.Generator
 
 _EPS = 2.22e-16
 _FPMIN = 1e-300
-# chi2_quantile: the relative band that Newton steps find the quantile in,
-# and a cap on those steps; at the cap the band widens, and the result is
-# the same
-_QUANTILE_BAND = 2.0**-40
-_NEWTON_STEPS = 100
 
 
 def _term_budget(a: float) -> int:
@@ -175,10 +166,15 @@ def _gamma_cf(a: float, x: float) -> float:
 
 
 def _gamma_tails(a: float, x: float) -> tuple[float, float]:
-    # (P(a,x), Q(a,x)) for a > 0, x >= 0: the lower series below x = a + 1 and
-    # the upper continued fraction from there, times one prefactor; the other
-    # tail is 1 minus the one computed.  Relative error is below 1e-12 for a
-    # up to 500 and grows to about 1e-8 at a = 5 * 10^6
+    # (P(a,x), Q(a,x)) for a > 0, x >= 0.  At a = 1/2 (one degree of
+    # freedom) both are closed forms, erf and erfc of sqrt(x).  Otherwise the
+    # lower series below x = a + 1 and the upper continued fraction from
+    # there, times one prefactor; the other tail is 1 minus the one computed.
+    # Relative error is below 1e-12 for a up to 500 and grows to about 1e-8
+    # at a = 5 * 10^6
+    if a == 0.5:
+        t = math.sqrt(x)
+        return math.erf(t), math.erfc(t)
     if x == 0.0:
         return 0.0, 1.0
     prefactor = math.exp(-x + a * math.log(x) - math.lgamma(a))
@@ -192,9 +188,9 @@ def _gamma_tails(a: float, x: float) -> tuple[float, float]:
 def chi2_sf(x: float, k: float) -> float:
     """Upper tail P(X > x) of the chi-squared distribution with k degrees of freedom.
 
-    Computed directly from the continued fraction where the tail is small,
-    so it keeps its relative accuracy far below the 1e-16 that subtracting
-    the CDF from one can resolve.
+    Computed directly (erfc at k = 1, else the continued fraction) where
+    the tail is small, so it keeps its relative accuracy far below the
+    1e-16 that subtracting the CDF from one can resolve.
     """
     if not (k >= 1):
         raise DomainError(f"chi2_sf requires k >= 1, got k={k}")
@@ -206,90 +202,31 @@ def chi2_sf(x: float, k: float) -> float:
 def chi2_quantile(p: float, k: float) -> float:
     """Inverse chi-squared CDF: the point that bracketed bisection reaches.
 
-    The result is defined by a bisection of [0, hi] to floating-point
-    resolution, hi being max(k, 1) doubled until it lies above the quantile.
-    Above the median a point lies below the quantile where ``chi2_sf(x, k)
-    > 1 - p``, so the upper quantiles keep the relative accuracy of the
-    tail, not of the CDF; at or below it, where the CDF ``P(k/2, x/2) < p``.
-
-    The bisection is not run step by step.  Safeguarded Newton steps on the
-    log of the compared tail find the quantile to within a relative band of
-    about 2^-40, whose ends are checked to lie on either side of it (the
-    band widens until they do).  The bisection is then replayed: midpoints
-    outside the band are decided by their side of it, and only those inside
-    evaluate the tail.  Rounding makes the computed tail non-monotone only
-    much closer to the quantile than the band's ends, so this returns the
-    bisection's value to the bit (tested for k from 1 to 1000), with about
-    25 tail evaluations in place of about 55.
+    hi starts at max(k, 1) and doubles until it lies above the quantile,
+    then [0, hi] is bisected until the bracket is exhausted.  Above the
+    median a point lies below the quantile where ``chi2_sf(x, k) > 1 - p``,
+    so upper quantiles keep the relative accuracy of the tail, not of the
+    CDF; at or below it, where the CDF ``P(k/2, x/2) < p``.
     """
     if not (0.0 < p < 1.0):
         raise DomainError(f"chi2_quantile requires 0 < p < 1, got p={p}")
     if not (k >= 1):
         raise DomainError(f"chi2_quantile requires k >= 1, got k={k}")
-    a = k / 2.0
-    upper = p > 0.5
-    side = 1 if upper else 0
     tail = 1.0 - p  # exact for p >= 0.5
 
-    def compared(x: float) -> float:
-        # the tail that decides x's side, Q above the median and P below, as
-        # _gamma_tails computes them
-        return _gamma_tails(a, x / 2.0)[side]
+    def below(x: float) -> bool:
+        # whether x lies below the quantile
+        lower, upper = _gamma_tails(k / 2.0, x / 2.0)
+        return upper > tail if p > 0.5 else lower < p
 
-    def is_below(t: float) -> bool:
-        # whether a point whose compared tail is t lies below the quantile
-        return t > tail if upper else t < p
-
-    start = max(float(k), 1.0)
-    top = start
-    while is_below(compared(top)):
-        top *= 2.0
-
-    # Newton on u = log t(x) - log(target), t the compared tail, whose slope
-    # needs x times the chi-squared density, the prefactor of _gamma_tails:
-    # in x for the upper tail, where log Q is nearly linear, and in log x for
-    # the lower one, where P grows like a power of x.  The bracket [lo, hi]
-    # starts from the doubling (the last point doubled lies below), and a
-    # step that leaves it, or none where t or the density is 0, is replaced
-    # by its midpoint
-    log_target = math.log(tail if upper else p)
-    lgamma_a = math.lgamma(a)
-    lo, hi = (0.5 * top if top > start else 0.0), top
-    x = 0.5 * (lo + hi)
-    for _ in range(_NEWTON_STEPS):
-        t = compared(x)
-        if is_below(t):
-            lo = x
-        else:
-            hi = x
-        y = x / 2.0
-        x_density = math.exp(-y + a * math.log(y) - lgamma_a) if y > 0.0 else 0.0
-        step = math.nan
-        if t > 0.0 and x_density > 0.0:
-            u = (math.log(t) - log_target) * t / x_density
-            # (math.exp overflows past 709; a step that large leaves the bracket)
-            step = x * u if upper else x * math.expm1(min(-u, 700.0))
-            if abs(step) <= 0.25 * _QUANTILE_BAND * x:
-                x += step
-                break
-        x = x + step if lo < x + step < hi else 0.5 * (lo + hi)
-
-    band = _QUANTILE_BAND
-    while band < 1.0:
-        band_lo, band_hi = x * (1.0 - band), min(top, x * (1.0 + band))
-        if is_below(compared(band_lo)) and not is_below(compared(band_hi)):
-            break
-        band *= 16.0
-    else:
-        # no band straddles the quantile: replay every step, a plain bisection
-        band_lo, band_hi = 0.0, top
-
-    lo, hi = 0.0, top
+    lo, hi = 0.0, max(float(k), 1.0)
+    while below(hi):
+        hi *= 2.0
     while True:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             return mid
-        if mid <= band_lo or (mid < band_hi and is_below(compared(mid))):
+        if below(mid):
             lo = mid
         else:
             hi = mid

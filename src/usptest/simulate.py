@@ -93,8 +93,7 @@ def sparse_family(I: int, J: int, epsilon: float) -> JointDistribution:
     (2,1), which leaves every margin unchanged.  The dependence measure of
     the result is exactly 4 epsilon^2.
     """
-    if I < 2 or J < 2:
-        raise DomainError(f"sparse family needs I, J >= 2, got {I}x{J}")
+    I, J = _require_int(I, "sparse family I", 2), _require_int(J, "sparse family J", 2)
     q = 2.0 ** -np.arange(1, I + 1) / (1.0 - 2.0**-I)
     r = 2.0 ** -np.arange(1, J + 1) / (1.0 - 2.0**-J)
     probs = np.outer(q, r)
@@ -127,8 +126,7 @@ def dense_family(I: int, J: int, epsilon: float) -> JointDistribution:
     margins remain uniform and the dependence measure is IJ epsilon^2; a
     nonzero epsilon needs at least one even dimension to sum to 1.
     """
-    if I < 2 or J < 2:
-        raise DomainError(f"dense family needs I, J >= 2, got {I}x{J}")
+    I, J = _require_int(I, "dense family I", 2), _require_int(J, "dense family J", 2)
     if not (0.0 <= epsilon <= 1.0 / (I * J)):
         raise InfeasibleEpsilon(
             f"dense family needs 0 <= epsilon <= 1/(IJ) = {1.0 / (I * J):.6g}, got {epsilon}"
@@ -251,8 +249,12 @@ def _validate_tests(tests: Sequence[tuple[str, str]]) -> tuple[tuple[str, str], 
     tests = tuple((str(m), str(md)) for m, md in tests)
     if not tests:
         raise DomainError("at least one (method, mode) test is required")
-    for method, mode in tests:
+    for i, (method, mode) in enumerate(tests):
         _check_test(method, mode)
+        if (method, mode) in tests[:i]:
+            # one exceedance row would serve both entries with two tie-breaks,
+            # so one test on the same tables would get two rates
+            raise DomainError(f"test ({method!r}, {mode!r}) is listed twice")
     return tests
 
 

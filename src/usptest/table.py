@@ -117,8 +117,11 @@ def _coerce_counts(raw) -> np.ndarray:
     if arr.ndim != 2:
         raise DomainError(f"table must be a 2-d matrix, got {arr.ndim} dimension(s)")
     if arr.dtype == object:
-        raise DomainError("table entries must be numeric")
-    if np.issubdtype(arr.dtype, np.floating):
+        # numpy keeps an integer past the uint64 range as a Python int; an
+        # array of nothing but integers goes on to the range check
+        if not all(isinstance(v, (int, np.integer)) for v in arr.flat):
+            raise DomainError("table entries must be numeric")
+    elif np.issubdtype(arr.dtype, np.floating):
         if not np.all(np.isfinite(arr)) or np.any(arr != np.floor(arr)):
             i, j = _first_offender(~np.isfinite(arr) | (arr != np.floor(arr)))
             raise DomainError(f"cell ({i},{j}) is not an integer: {arr[i, j]!r}")
@@ -128,7 +131,9 @@ def _coerce_counts(raw) -> np.ndarray:
     out_of_range = (arr >= _INT64_LIMIT) | (arr < -_INT64_LIMIT)
     if np.any(out_of_range):
         i, j = _first_offender(out_of_range)
-        raise DomainError(f"cell ({i},{j}) is outside the int64 range: {arr[i, j].item()!r}")
+        # numpy reads a list holding 2**63 as float64: report the entry as given
+        value = np.asarray(raw, dtype=object)[i, j]
+        raise DomainError(f"cell ({i},{j}) is outside the int64 range: {value!r}")
     # always copy so freezing never touches a caller-owned buffer
     arr = np.array(arr, dtype=np.int64, order="C", copy=True)
     if np.any(arr < 0):

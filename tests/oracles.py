@@ -173,7 +173,7 @@ def poisson_tail_mass(predicate, mu: float) -> float:
 
 
 def chi2_quantile_bisect(p: float, k: float) -> float:
-    """Reference for :func:`usptest.numerics.chi2_quantile`: the bisection it replays.
+    """Reference for :func:`usptest.numerics.chi2_quantile`: the bisection it is.
 
     Doubles hi from max(k, 1) until it lies above the quantile, then bisects
     [0, hi] until the bracket is exhausted to floating-point resolution.

@@ -129,6 +129,15 @@ class TestInputParsing:
         assert code == 2
         assert "cannot read" in err
 
+    def test_cell_past_int64_names_the_exact_integer(self, capsys, tmp_path):
+        # numpy holds 2**64 as a Python object and reads 2**63 as a float
+        for big in (2**64, 2**63, -(2**70)):
+            path = tmp_path / "big.csv"
+            path.write_text(f"1,2\n3,{big}\n")
+            code, out, err = run_cli(capsys, ["test", "--input", str(path)])
+            assert (code, out) == (2, "")
+            assert err == f"error: cell (1,1) is outside the int64 range: {big}\n"
+
     def test_negative_count_rejected(self, capsys, tmp_path):
         path = tmp_path / "neg.csv"
         path.write_text("1,-2\n3,4\n")
@@ -232,6 +241,21 @@ class TestExitCodes:
         )
         assert code == 2
         assert "median" in err
+
+    def test_repeated_test_is_two(self, capsys):
+        # both entries would share one exceedance row with two tie-breaks, so
+        # one test would print two rates for the same tables
+        for command in (
+            ["power", "--family", "sparse", "--n", "12", "--eps-grid", "0:0.06:2"],
+            ["subsample", "--dataset", "marital", "--m", "50"],
+        ):
+            code, out, err = run_cli(
+                capsys,
+                [*command, "--reps", "20", "--B", "19", "--seed", "5",
+                 "--tests", "pearson-perm,pearson-perm,g-perm"],
+            )
+            assert (code, out) == (2, ""), command
+            assert err == "error: test ('pearson', 'permutation') is listed twice\n"
 
     def test_bad_grids_are_two(self, capsys):
         base = ["power", "--family", "sparse", "--reps", "2", "--B", "9", "--eps-grid"]

@@ -94,30 +94,19 @@ class TestChi2:
         for p in self.QUANTILE_PS:
             assert chi2_quantile(p, k) == chi2_quantile_bisect(p, k), (k, p)
 
-    @pytest.mark.parametrize("name, value", [("_NEWTON_STEPS", 0), ("_QUANTILE_BAND", 1.0)])
-    def test_quantile_band_widens_to_the_whole_bisection(self, monkeypatch, name, value):
-        # with no Newton step the band starts at the bracket's midpoint and
-        # widens until its ends straddle the quantile; a band of 1 replays
-        # every step.  Either way the result is the bisection's
+    @pytest.mark.parametrize("p", [0.95, 0.99, 0.3])
+    def test_quantile_at_one_degree_of_freedom_sums_no_series(self, monkeypatch, p):
+        # at k = 1 both tails are erf and erfc, so no step of the bisection
+        # runs the series or the continued fraction
         from usptest import numerics
 
-        monkeypatch.setattr(numerics, name, value)
-        for k in (1, 4, 30):
-            for p in (1e-6, 0.3, 0.5, 0.95, 1 - 1e-6):
-                assert chi2_quantile(p, k) == chi2_quantile_bisect(p, k), (k, p)
+        def no_call(*args):
+            raise AssertionError("incomplete gamma expansion called")
 
-    @pytest.mark.parametrize("p", [0.95, 0.99])
-    def test_quantile_tail_evaluations(self, monkeypatch, p):
-        # the bisection evaluates about 55 tails at k = 1
-        from usptest import numerics
-
-        calls = []
-        tails = numerics._gamma_tails
-        monkeypatch.setattr(
-            numerics, "_gamma_tails", lambda a, x: calls.append(x) or tails(a, x)
-        )
-        chi2_quantile(p, 1)
-        assert len(calls) < 35
+        want = chi2_quantile(p, 1)
+        monkeypatch.setattr(numerics, "_gamma_series", no_call)
+        monkeypatch.setattr(numerics, "_gamma_cf", no_call)
+        assert chi2_quantile(p, 1) == want
 
     def test_reference_value(self):
         # The 95% point of chi-squared with 1 df, a textbook constant.
@@ -139,6 +128,16 @@ class TestChi2:
             1.9984990900553828e-303, rel=1e-12
         )
         assert chi2_sf(300.0, 12) == pytest.approx(scipy_stats.chi2.sf(300.0, 12), rel=1e-12)
+
+    def test_one_degree_of_freedom_against_scipy(self):
+        # the closed forms erfc(sqrt(x / 2)) and erf(sqrt(y)), from the far
+        # left tail to where the upper one nears the float minimum
+        for x in np.geomspace(1e-12, 1400.0, 300):
+            assert chi2_sf(x, 1) == pytest.approx(scipy_stats.chi2.sf(x, 1), rel=1e-12), x
+            y = x / 2.0
+            assert lower_gamma(0.5, y) == pytest.approx(
+                scipy_special.gammainc(0.5, y), rel=1e-12
+            ), y
 
     @pytest.mark.parametrize("k", [1, 10, 10**3, 10**4, 10**5, 10**6, 10**7])
     def test_large_degrees_of_freedom_against_scipy(self, k):

@@ -53,14 +53,23 @@ def _unused_imports(path: Path) -> list[str]:
     ]
 
 
-def _unreferenced_private_functions(paths) -> list[str]:
-    # module-level functions named _x that no file of paths refers to, by
-    # name, attribute or import, except from inside their own def
+def _bound_name(top: ast.stmt) -> str | None:
+    # the name a module-level def, or an assignment to one name, binds
+    if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return top.name
+    targets = top.targets if isinstance(top, ast.Assign) else [getattr(top, "target", None)]
+    return targets[0].id if len(targets) == 1 and isinstance(targets[0], ast.Name) else None
+
+
+def _unreferenced_private_names(paths) -> list[str]:
+    # module-level functions and constants named _x that no file of paths
+    # refers to, by name, attribute or import, except from inside their own
+    # def or assignment
     defined, referenced = [], set()
     for path in paths:
         tree = ast.parse(path.read_text(encoding="utf-8"))
         for top in tree.body:
-            own = top.name if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+            own = _bound_name(top)
             if own and own.startswith("_") and not own.startswith("__"):
                 defined.append((path.name, top.lineno, own))
             for node in ast.walk(top):
@@ -91,7 +100,7 @@ class TestImports:
 
     def test_every_private_function_is_referenced(self):
         # a path that a faster one replaced is deleted, not left behind
-        assert _unreferenced_private_functions(sorted(SRC.glob("*.py"))) == []
+        assert _unreferenced_private_names(sorted(SRC.glob("*.py"))) == []
 
     def test_checker_sees_an_unreferenced_private_function(self, tmp_path):
         a, b = tmp_path / "a.py", tmp_path / "b.py"
@@ -104,7 +113,22 @@ class TestImports:
             "def public():\n    return _used()\n"
         )
         b.write_text("from a import _imported\nimport a\na._attr()\n")
-        assert _unreferenced_private_functions([a, b]) == ["a.py:1: _old"]
+        assert _unreferenced_private_names([a, b]) == ["a.py:1: _old"]
+
+    def test_checker_sees_an_unreferenced_private_constant(self, tmp_path):
+        a, b = tmp_path / "a.py", tmp_path / "b.py"
+        a.write_text(
+            "_KNOB = 2.0**-40\n"
+            "_TYPED: int = 100\n"
+            "_USED = 1\n"
+            "_IMPORTED = 2\n"
+            "_ATTR = 3\n"
+            "__all__ = []\n"
+            "_PAIR, _OTHER = 1, 2\n"
+            "def public():\n    return _USED\n"
+        )
+        b.write_text("from a import _IMPORTED\nimport a\nprint(a._ATTR)\n")
+        assert _unreferenced_private_names([a, b]) == ["a.py:1: _KNOB", "a.py:2: _TYPED"]
 
     def test_cli_import_leaves_the_pool_module_out(self):
         # only a study that starts a pool imports concurrent.futures

@@ -186,6 +186,21 @@ class TestAlternativeFamily:
         with pytest.raises(InfeasibleEpsilon):
             fam.distribution()
 
+    @pytest.mark.parametrize(
+        "dims, message",
+        [((2.5, 4), "I must be an integer, got 2.5"), ((5, 5.5), "J must be an integer, got 5.5"),
+         ((4.0, 4), "I must be an integer, got 4.0"), ((1, 4), "I must be >= 2, got 1"),
+         ((4, 1), "J must be >= 2, got 1")],
+    )
+    @pytest.mark.parametrize("kind", ["sparse", "dense"])
+    def test_dimensions_are_integers_from_two(self, kind, dims, message):
+        # unchecked, a fractional dimension surfaces as a probability sum error
+        with pytest.raises(DomainError, match=f"^{kind} family {message}$"):
+            AlternativeFamily(kind, *dims).distribution()
+        with pytest.raises(DomainError, match=f"^{kind} family {message}$"):
+            simulate._FAMILIES[kind].law(*dims, 0.0)
+        assert AlternativeFamily(kind, np.int64(4), 4).distribution().I == 4
+
 
 class TestDhatSamples:
     def test_unbiased_across_families(self):
@@ -301,6 +316,12 @@ class TestPowerCurve:
             power_curve(fam, [0.0], n=20, reps=5, tests=[("median", "permutation")])
         with pytest.raises(DomainError):
             power_curve(fam, [0.0], n=20, reps=5, tests=[])
+        # one exceedance row would serve both entries, with two tie-breaks
+        twice = [("pearson", "permutation"), ("g", "permutation"), ("pearson", "permutation")]
+        with pytest.raises(DomainError, match="test \\('pearson', 'permutation'\\) is listed twice"):
+            power_curve(fam, [0.0], n=20, reps=5, tests=twice)
+        with pytest.raises(DomainError, match="test \\('g', 'classic'\\) is listed twice"):
+            power_curve(fam, [0.0], n=20, reps=5, tests=[("g", "classic")] * 2)
 
     def test_sample_size_guards(self):
         fam = AlternativeFamily(kind="sparse", I=5, J=8)
@@ -382,6 +403,8 @@ class TestSubsampleStudy:
         with pytest.raises(DomainError, match="at least a 2x2 table"):
             subsample_study(validate_table([[4, 5, 6]]), m=10, reps=5,
                             tests=[("pearson", "classic")])
+        with pytest.raises(DomainError, match="test \\('usp', 'permutation'\\) is listed twice"):
+            subsample_study(MARITAL, m=100, reps=5, tests=[("usp", "permutation")] * 2)
         with pytest.raises(DomainError, match="below 10\\^9"):
             subsample_study(validate_table([[10**9, 1], [1, 1]]), m=10, reps=5,
                             tests=PERM_TESTS, replace=False)

@@ -66,6 +66,25 @@ class TestValidation:
         for raw in ([[1e20, 1], [1, 1]], [[1, -1e20]], np.array([[1, 2**63]], dtype=np.uint64)):
             with pytest.raises(DomainError, match="outside the int64 range"):
                 validate_table(raw)
+        # past uint64 numpy holds an integer as a Python object, and a list
+        # holding 2**63 reads as float64: either way the message has the
+        # cell and the exact integer
+        for raw, cell, big in (
+            ([[1, 2], [3, 2**64]], "(1,1)", 2**64),
+            ([[1, 2], [3, 2**63]], "(1,1)", 2**63),
+            ([[-1, 2**64 - 1]], "(0,1)", 2**64 - 1),
+            ([[1, -(2**70)]], "(0,1)", -(2**70)),
+        ):
+            message = re.escape(f"cell {cell} is outside the int64 range: {big}") + "$"
+            with pytest.raises(DomainError, match=message):
+                validate_table(raw)
+        with pytest.raises(DomainError, match="outside the int64 range: 1e\\+20$"):
+            validate_table([[1e20, 1], [1, 1]])
+        # object entries that are not integers keep their message
+        for raw in ([[1, None]], [[1, 2], [3, "4"], [None, 2**64]]):
+            with pytest.raises(DomainError, match="table entries must be numeric"):
+                validate_table(raw)
+        assert validate_table(np.array([[1, 2]], dtype=object)).counts.dtype == np.int64
         assert validate_table([[2**63 - 1]]).counts[0, 0] == 2**63 - 1
 
     def test_total_past_int64_rejected(self):
