@@ -108,7 +108,8 @@ class PermutationConfig:
             warnings.warn(
                 f"alpha*(B+1) = {self.alpha * (self.B + 1):.3g} < 1: the smallest "
                 f"attainable p-value 1/(B+1) exceeds alpha, so the test can never reject",
-                stacklevel=2,
+                # past the __init__ that dataclass generates, to the caller
+                stacklevel=3,
             )
 
 

@@ -63,7 +63,7 @@ def chi2_divergence(p: JointDistribution, p_ref: JointDistribution) -> float:
     if np.any(bad):
         i, j = np.argwhere(bad)[0]
         raise DivergenceUndefined(
-            f"reference cell ({i},{j}) has zero probability but p has {a[i, j]!r}"
+            f"reference cell ({i},{j}) has zero probability but p has {float(a[i, j])!r}"
         )
     support = b > 0.0
     diff = a[support] - b[support]
@@ -162,15 +162,35 @@ def _usp_key(o: np.ndarray, rc: np.ndarray, n: int) -> np.ndarray:
     return (n - 2) * np.einsum("...k,...k->...", o, o) - 2 * np.einsum("...k,...k->...", o, rc)
 
 
-def _usp_value(counts: np.ndarray, n: int) -> float:
+def _usp_terms(counts: np.ndarray, n: int) -> tuple[float, int, int]:
     # U-hat = (n^2 K + (n-2) sum(r_i^2) sum(c_j^2)) / (n^3 (n-2)(n-3)) with K
-    # the integer _usp_key: exact integers rounded once, so tables with equal
-    # keys and margins get equal floats
+    # the integer _usp_key, and the margin power sums sum(r_i^2), sum(c_j^2):
+    # exact integers, U-hat rounded once, so tables with equal keys and
+    # margins get equal floats
     o = counts.astype(_usp_key_dtype(n), copy=False)
     rows, cols = o.sum(axis=1), o.sum(axis=0)
     key = int(_usp_key(o.ravel(), np.outer(rows, cols).ravel(), n))
     r2, c2 = int((rows * rows).sum()), int((cols * cols).sum())
-    return (n * n * key + (n - 2) * r2 * c2) / (n**3 * (n - 2) * (n - 3))
+    return (n * n * key + (n - 2) * r2 * c2) / (n**3 * (n - 2) * (n - 3)), r2, c2
+
+
+def _usp_value(counts: np.ndarray, n: int) -> float:
+    return _usp_terms(counts, n)[0]
+
+
+def _dhat_value(counts: np.ndarray, n: int) -> float:
+    # D-hat = U-hat plus three terms of the margins alone, from the power
+    # sums of _usp_terms taken as floats: exact while they stay below 2^53,
+    # that is for n below about 9.4e7
+    _require_sample("dhat", n)
+    uhat, r2, c2 = _usp_terms(counts, n)
+    n, r2, c2 = float(n), float(r2), float(c2)
+    return (
+        uhat
+        + (r2 + c2) / (n * (n - 1.0) * (n - 3.0))
+        + (3.0 * n - 2.0) * r2 * c2 / (n**3 * (n - 1.0) * (n - 2.0) * (n - 3.0))
+        - n / ((n - 1.0) * (n - 3.0))
+    )
 
 
 def _value(method: str, counts: np.ndarray, n: int):
@@ -239,15 +259,4 @@ def dhat_statistic(table: ContingencyTable) -> float:
 
     Unbiased for dependence_measure of the sampling law; requires n >= 4.
     """
-    _require_sample("dhat", table.n)
-    n = float(table.n)
-    # python floats throughout: margin power sums reach n^5 and would
-    # overflow int64 aggregation for large n
-    sum_row_sq = float(np.sum(table.row_margins.astype(np.float64) ** 2))
-    sum_col_sq = float(np.sum(table.col_margins.astype(np.float64) ** 2))
-    return (
-        _usp_value(table.counts, table.n)
-        + (sum_row_sq + sum_col_sq) / (n * (n - 1.0) * (n - 3.0))
-        + (3.0 * n - 2.0) * sum_row_sq * sum_col_sq / (n**3 * (n - 1.0) * (n - 2.0) * (n - 3.0))
-        - n / ((n - 1.0) * (n - 3.0))
-    )
+    return _dhat_value(table.counts, table.n)

@@ -57,21 +57,10 @@ class ContingencyTable:
 
     def __init__(self, counts) -> None:
         arr = _coerce_counts(counts)
-        self._init_from(arr)
-
-    def _init_from(self, arr: np.ndarray) -> None:
         object.__setattr__(self, "counts", _freeze(arr))
         object.__setattr__(self, "row_margins", _freeze(arr.sum(axis=1)))
         object.__setattr__(self, "col_margins", _freeze(arr.sum(axis=0)))
         object.__setattr__(self, "n", int(arr.sum()))
-
-    @classmethod
-    def _from_valid_counts(cls, arr: np.ndarray) -> "ContingencyTable":
-        # internal fast path for sampling loops; arr must already be a fresh
-        # non-negative int64 matrix
-        self = object.__new__(cls)
-        self._init_from(arr)
-        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("ContingencyTable is immutable")
@@ -117,16 +106,23 @@ def _coerce_counts(raw) -> np.ndarray:
     if arr.ndim != 2:
         raise DomainError(f"table must be a 2-d matrix, got {arr.ndim} dimension(s)")
     if arr.dtype == object:
-        # numpy keeps an integer past the uint64 range as a Python int; an
-        # array of nothing but integers goes on to the range check
-        if not all(isinstance(v, (int, np.integer)) for v in arr.flat):
+        # numpy keeps an integer past the uint64 range as a Python int, and
+        # every entry as given: numbers go on to the integer and range checks
+        if not all(isinstance(v, (int, float, np.integer, np.floating)) for v in arr.flat):
             raise DomainError("table entries must be numeric")
+        fractional = np.reshape(
+            [isinstance(v, (float, np.floating)) and not float(v).is_integer() for v in arr.flat],
+            arr.shape,
+        )
     elif np.issubdtype(arr.dtype, np.floating):
-        if not np.all(np.isfinite(arr)) or np.any(arr != np.floor(arr)):
-            i, j = _first_offender(~np.isfinite(arr) | (arr != np.floor(arr)))
-            raise DomainError(f"cell ({i},{j}) is not an integer: {arr[i, j]!r}")
-    elif not np.issubdtype(arr.dtype, np.integer):
+        fractional = ~np.isfinite(arr) | (arr != np.floor(arr))
+    elif np.issubdtype(arr.dtype, np.integer):
+        fractional = np.zeros(arr.shape, dtype=bool)
+    else:
         raise DomainError(f"table entries must be integers, got dtype {arr.dtype}")
+    if np.any(fractional):
+        i, j = _first_offender(fractional)
+        raise DomainError(f"cell ({i},{j}) is not an integer: {float(arr[i, j])!r}")
     # check before the cast to int64, which would wrap silently
     out_of_range = (arr >= _INT64_LIMIT) | (arr < -_INT64_LIMIT)
     if np.any(out_of_range):
@@ -190,7 +186,7 @@ class JointDistribution:
             )
         if np.any(arr < 0.0) or np.any(arr > 1.0) or not np.all(np.isfinite(arr)):
             i, j = _first_offender((arr < 0.0) | (arr > 1.0) | ~np.isfinite(arr))
-            raise DomainError(f"cell ({i},{j}) probability {arr[i, j]!r} is outside [0, 1]")
+            raise DomainError(f"cell ({i},{j}) probability {float(arr[i, j])!r} is outside [0, 1]")
         total = float(arr.sum())
         if abs(total - 1.0) > _PROB_SUM_TOL:
             raise DomainError(f"probabilities must sum to 1 within {_PROB_SUM_TOL}, got {total!r}")
@@ -250,7 +246,7 @@ def sample_table(
     """
     n = _require_int(n, "sample size", 0)
     tables = _sample_tables(dist.probs, n, True, 1, as_generator(rng))
-    return ContingencyTable._from_valid_counts(tables[0])
+    return ContingencyTable(tables[0])
 
 
 def subsample(
@@ -268,7 +264,7 @@ def subsample(
         raise SubsampleTooLarge(f"subsample size {m} exceeds table total {table.n}")
     _require_hypergeometric_total(table.n)
     tables = _sample_tables(table.counts, m, False, 1, as_generator(rng))
-    return ContingencyTable._from_valid_counts(tables[0])
+    return ContingencyTable(tables[0])
 
 
 def _sample_tables(

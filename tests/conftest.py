@@ -65,10 +65,11 @@ def _no_child_process_left():
 def pool_spy(monkeypatch):
     """Make every multi-block study start its pool; list the pools started.
 
-    Studies start workers only for enough permutation work, which small test
-    studies never reach.  This lowers that threshold to one cell and reports
-    two cores, so ``threads=2`` starts a 2-process pool; the returned list
-    gets each pool's worker count.
+    Studies start workers only for enough permutation work, and ``dhat`` only
+    for enough replicates, which small test calls never reach.  This lowers
+    both thresholds to one cell or replicate and reports two cores, so
+    ``threads=2`` starts a 2-process pool; the returned list gets each pool's
+    worker count.
     """
     started = []
 
@@ -78,6 +79,7 @@ def pool_spy(monkeypatch):
             super().__init__(max_workers=max_workers, **kwargs)
 
     monkeypatch.setattr(simulate, "_POOL_MIN_CELLS", 1)
+    monkeypatch.setattr(simulate, "_POOL_MIN_REPS", 1)
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
     # simulate imports the executor when it starts a pool, so patch its source
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)

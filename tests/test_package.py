@@ -173,6 +173,46 @@ class TestMethodDispatch:
         assert _method_comparisons(path) == ["mod.py:1: 'pearson'", "mod.py:2: 'usp'"]
 
 
+TABLE_BUILDERS = ("ContingencyTable", "validate_table", "sample_table", "subsample")
+MONTE_CARLO_MODULES = ("asymptotics.py", "permutation.py", "simulate.py", "stats.py")
+
+
+def _table_builds(path: Path) -> list[str]:
+    # calls that build a ContingencyTable, by bare name or as an attribute
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = sorted(
+        (node.lineno, name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        for name in [getattr(node.func, "id", None) or getattr(node.func, "attr", None)]
+        if name in TABLE_BUILDERS
+    )
+    return [f"{path.name}:{line}: {name}" for line, name in found]
+
+
+class TestMonteCarloBuildsNoTables:
+    def test_monte_carlo_code_scores_counts(self):
+        # replicates and permuted tables stay int64 count arrays: a table
+        # object per draw would copy, validate and freeze counts that the
+        # code itself made
+        found = [c for name in MONTE_CARLO_MODULES for c in _table_builds(SRC / name)]
+        assert found == []
+
+    def test_checker_sees_a_table_build(self, tmp_path):
+        path = tmp_path / "mod.py"
+        path.write_text(
+            "t = sample_table(law, n, rng)\n"
+            "u = table.subsample(t, 5, rng)\n"
+            "def f(x: ContingencyTable) -> ContingencyTable:\n"
+            "    return ContingencyTable(x.counts) if ok else validate_table(x)\n"
+            '"""a docstring that calls sample_table() is prose"""\n'
+        )
+        assert _table_builds(path) == [
+            "mod.py:1: sample_table", "mod.py:2: subsample",
+            "mod.py:4: ContingencyTable", "mod.py:4: validate_table",
+        ]
+
+
 FAMILY_KINDS = tuple(simulate._FAMILIES)
 
 

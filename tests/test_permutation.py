@@ -137,8 +137,11 @@ class TestPermutationConfig:
                 PermutationConfig(seed=seed)
 
     def test_warns_when_rejection_impossible(self):
-        with pytest.warns(UserWarning, match="never reject"):
+        with pytest.warns(UserWarning, match="never reject") as record:
             PermutationConfig(B=9, alpha=0.05)
+        # the warning points at the line that builds the config, not at the
+        # __init__ that dataclass generates
+        assert record[0].filename == __file__
 
 
 class TestPermutationPvalue:

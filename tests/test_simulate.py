@@ -1,6 +1,7 @@
 """Tests for alternative families, power curves, estimator samples, and
 subsampling studies."""
 
+import concurrent.futures
 import re
 
 import numpy as np
@@ -163,6 +164,23 @@ class TestAlternativeFamily:
         # one dimension given, the other from the kind
         assert AlternativeFamily(kind="sparse", J=3) == AlternativeFamily(kind="sparse", I=5, J=3)
 
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(4.0, "must be an integer, got 4.0"), (5.0, "must be an integer, got 5.0"),
+         ("6", "must be an integer, got '6'"), (1, "must be >= 2, got 1")],
+    )
+    @pytest.mark.parametrize("kind", ["sparse", "dense", "multiplicative"])
+    def test_dimensions_are_integers_from_construction(self, kind, bad, message):
+        # checked for every kind before the 4x4 rule, so the multiplicative
+        # family too rejects 4.0, and a bad dimension never waits for
+        # distribution()
+        for dims, dim in (((bad, 4), "I"), ((4, bad), "J")):
+            pattern = re.escape(f"{kind} family {dim} {message}") + "$"
+            with pytest.raises(DomainError, match=pattern):
+                AlternativeFamily(kind, *dims)
+        fam = AlternativeFamily(kind, np.int64(4), 4)
+        assert type(fam.I) is int and fam.I == 4
+
     def test_at_returns_new_family(self):
         fam = AlternativeFamily(kind="sparse", I=5, J=8)
         shifted = fam.at(0.05)
@@ -245,6 +263,21 @@ class TestDhatSamples:
         ]
         assert values.tolist() == expected
         assert pool_spy == ([2] if threads == 2 else [])
+
+    def test_pool_only_where_the_replicates_pay(self, monkeypatch):
+        # one worker per _POOL_MIN_REPS replicates: on two cores, 100
+        # replicates at threads=2 run in the calling process
+        def no_pool(*args, **kwargs):
+            raise AssertionError("dhat_samples started a pool")
+
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        assert 100 < simulate._POOL_MIN_REPS
+        fam = AlternativeFamily(kind="sparse")
+        serial = dhat_samples(fam, n=100, epsilon=0.05, reps=100, seed=4)
+        assert dhat_samples(fam, n=100, epsilon=0.05, reps=100, seed=4, threads=2).tolist() == (
+            serial.tolist()
+        )
 
     def test_guards(self):
         fam = AlternativeFamily(kind="sparse", I=5, J=8)

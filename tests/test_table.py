@@ -87,6 +87,22 @@ class TestValidation:
         assert validate_table(np.array([[1, 2]], dtype=object)).counts.dtype == np.int64
         assert validate_table([[2**63 - 1]]).counts[0, 0] == 2**63 - 1
 
+    def test_messages_name_the_fault_in_plain_numbers(self):
+        # an object array of numbers is checked as the float path checks a
+        # float array, integrality first and range second, and every message
+        # prints a value as Python prints it, not as a numpy repr
+        for raw, message in (
+            ([[1.5, 2**64]], "cell (0,0) is not an integer: 1.5"),
+            ([[2.0, 2**64]], "cell (0,1) is outside the int64 range: 18446744073709551616"),
+            ([[1.5, 2]], "cell (0,0) is not an integer: 1.5"),
+            ([[1, float("nan")]], "cell (0,1) is not an integer: nan"),
+            (np.array([[1, np.float32(2.5)]], dtype=object), "cell (0,1) is not an integer: 2.5"),
+            ([[2**64, "4"]], "table entries must be numeric"),
+        ):
+            with pytest.raises(DomainError, match=re.escape(message) + "$"):
+                validate_table(raw)
+        assert validate_table([[2.0, 3], [2**62, 0]]).counts.tolist() == [[2, 3], [2**62, 0]]
+
     def test_total_past_int64_rejected(self):
         # every cell fits in int64, but the total and the margins would wrap
         with pytest.raises(DomainError, match="table total 13835058055282163713 is outside"):
@@ -155,6 +171,9 @@ class TestJointDistribution:
     def test_negative_entry(self):
         with pytest.raises(DomainError):
             JointDistribution([[1.2, -0.2]])
+        message = "cell (0,0) probability -0.1 is outside [0, 1]"
+        with pytest.raises(DomainError, match=re.escape(message) + "$"):
+            JointDistribution([[-0.1, 1.1]])
 
     @pytest.mark.parametrize("round_trip", ROUND_TRIPS, ids=["pickle", "copy", "deepcopy"])
     def test_pickle_and_copy_round_trip(self, round_trip):
