@@ -18,12 +18,12 @@ USP_THREADS environment variable) only changes runtime, never output.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import math
 import os
 import sys
+import warnings
 from typing import Sequence
 
 import numpy as np
@@ -174,6 +174,19 @@ def _warn_undefined(rates) -> None:
             )
 
 
+def _permutation_config(tests: list[tuple[str, str]], **fields) -> PermutationConfig:
+    # the library warns at its caller's line when no permutation p-value can
+    # reach alpha; the CLI prints that warning as one note line, and only
+    # when a permutation test runs, since a classic test can still reject
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        config = PermutationConfig(**fields)
+    if any(mode == "permutation" for _, mode in tests):
+        for warning in caught:
+            print(f"note: {warning.message}", file=sys.stderr)
+    return config
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -181,11 +194,12 @@ def _warn_undefined(rates) -> None:
 
 def _cmd_test(args) -> int:
     table = _resolve_table(args)
-    config = PermutationConfig(
-        B=args.B, alpha=args.alpha, seed=args.seed, tie_policy=args.tie_policy
+    config = _permutation_config(
+        [(args.method, args.mode)],
+        B=args.B, alpha=args.alpha, seed=args.seed, tie_policy=args.tie_policy,
     )
     result = run_test(table, args.method, args.mode, config)
-    _emit(json.dumps(dataclasses.asdict(result), indent=2) + "\n", args.out)
+    _emit(json.dumps(vars(result), indent=2) + "\n", args.out)
     return _EXIT_OK
 
 
@@ -196,13 +210,14 @@ def _cmd_power(args) -> int:
         if args.eps_grid is not None
         else family.default_eps_grid()
     )
-    config = PermutationConfig(B=args.B, alpha=args.alpha, seed=args.seed)
+    tests = _parse_tests(args.tests)
+    config = _permutation_config(tests, B=args.B, alpha=args.alpha, seed=args.seed)
     points = power_curve(
         family,
         grid,
         n=args.n,
         reps=args.reps,
-        tests=_parse_tests(args.tests),
+        tests=tests,
         config=config,
         threads=args.threads,
     )
@@ -224,12 +239,13 @@ def _cmd_asymsize(args) -> int:
 
 def _cmd_subsample(args) -> int:
     table = _resolve_table(args)
-    config = PermutationConfig(B=args.B, alpha=args.alpha, seed=args.seed)
+    tests = _parse_tests(args.tests)
+    config = _permutation_config(tests, B=args.B, alpha=args.alpha, seed=args.seed)
     study = subsample_study(
         table,
         m=args.m,
         reps=args.reps,
-        tests=_parse_tests(args.tests),
+        tests=tests,
         config=config,
         threads=args.threads,
         replace=not args.no_replace,

@@ -133,39 +133,47 @@ class TestResult:
     seed: int
 
 
-def _draw(rows: np.ndarray, cols: np.ndarray, gen: np.random.Generator) -> np.ndarray:
-    # M tables, table m drawn with row margins rows[m] and column margins
-    # cols[m], by Patefield's sequential-conditional method vectorized over
-    # the batch: row i given the column counts still unplaced is multivariate
-    # hypergeometric, drawn one column at a time from its marginals.
-    M, I = rows.shape
+def _draw(rows: np.ndarray, cols: np.ndarray, b: int, gen: np.random.Generator) -> np.ndarray:
+    # b tables for each of the k sources with margins rows (k, I) and cols
+    # (k, J), as an array (k, b, I*J), by Patefield's sequential-conditional
+    # method vectorized over the k*b tables: row i given the column counts
+    # still unplaced is multivariate hypergeometric, drawn one column at a
+    # time from its marginals.  A lone source draws its cell (0, 0), where
+    # every table shares the arguments, through numpy's scalar path, which
+    # skips the array call's fixed cost and consumes the generator exactly
+    # as the array call would.
+    k, I = rows.shape
     J = cols.shape[1]
-    unplaced = np.einsum("mi->m", rows)  # table totals; sum(axis=1) is slow on short rows
+    totals = np.einsum("mi->m", rows)  # sum(axis=1) is slow on short rows
     if I > 1 and J > 1:
         # numpy's draws see ngood = c_j and nbad = c_{j+1} + ... + c_{J-1};
         # the largest are c_0 and n - c_0, which bounds every later c_j
-        big = max(cols[:, 0].max(), (unplaced - cols[:, 0]).max())
+        big = max(cols[:, 0].max(), (totals - cols[:, 0]).max())
         if big >= _HYPERGEOMETRIC_LIMIT:
             raise DomainError(
                 f"permutation mode needs the first column margin, and the total of "
                 f"the other columns, below 10^9 (numpy's hypergeometric sampler "
                 f"takes no larger counts); this table has {big}"
             )
-    out = np.empty((M, I, J), dtype=np.int64)
-    rest = cols.copy()
+    out = np.empty((k * b, I, J), dtype=np.int64)
+    unplaced = np.repeat(totals, b)
+    rows, rest = np.repeat(rows, b, axis=0), np.repeat(cols, b, axis=0)
     for i in range(I - 1):
         need = rows[:, i].copy()
         left = unplaced.copy()
         for j in range(J - 1):
             left -= rest[:, j]
-            x = gen.hypergeometric(rest[:, j], left, need)
+            if k == 1 and i == j == 0:
+                x = gen.hypergeometric(int(rest[0, 0]), int(left[0]), int(need[0]), size=b)
+            else:
+                x = gen.hypergeometric(rest[:, j], left, need)
             out[:, i, j] = x
             need -= x
         out[:, i, J - 1] = need
         rest -= out[:, i]
         unplaced -= rows[:, i]
     out[:, I - 1] = rest
-    return out
+    return out.reshape(k, b, I * J)
 
 
 def _shuffle(rows: np.ndarray, cols: np.ndarray, b: int, gen: np.random.Generator) -> np.ndarray:
@@ -204,22 +212,20 @@ def _permuted(rows: np.ndarray, cols: np.ndarray, B: int, gen: np.random.Generat
     # for each source lo..hi-1.  A chunk holds whole sources when B fits in
     # it, else consecutive pieces of one source.  The sampler is chosen once
     # from (n, I, J): label shuffles, n labels a table, where tables are
-    # sparse, and Patefield's draws, (I-1)(J-1) a table, elsewhere.
+    # sparse, and Patefield's draws, (I-1)(J-1) a table, elsewhere.  Both
+    # take the chunk's per-source margins and its table count b.
     R, I = rows.shape
     J = cols.shape[1]
     n = int(rows[0].sum())
     shuffle = _shuffles(n, I, J)
+    sampler = _shuffle if shuffle else _draw
     step = max(1, _BLOCK_CELLS // (max(n, I * J) if shuffle else I * J))
     if B <= step:
         spans = [(lo, min(lo + step // B, R), B) for lo in range(0, R, step // B)]
     else:
         spans = [(r, r + 1, min(step, B - s)) for r in range(R) for s in range(0, B, step)]
     for lo, hi, b in spans:
-        if shuffle:
-            yield lo, hi, _shuffle(rows[lo:hi], cols[lo:hi], b, gen)
-        else:
-            r, c = np.repeat(rows[lo:hi], b, axis=0), np.repeat(cols[lo:hi], b, axis=0)
-            yield lo, hi, _draw(r, c, gen).reshape(hi - lo, b, I * J)
+        yield lo, hi, sampler(rows[lo:hi], cols[lo:hi], b, gen)
 
 
 def permuted_tables(

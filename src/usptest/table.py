@@ -105,6 +105,28 @@ def _coerce_counts(raw) -> np.ndarray:
         raise EmptyTable(f"table must have at least one row and one column, got shape {arr.shape}")
     if arr.ndim != 2:
         raise DomainError(f"table must be a 2-d matrix, got {arr.ndim} dimension(s)")
+    # a signed-integer array holds integers within the int64 range already
+    if arr.dtype.kind != "i":
+        _require_int64_values(arr, raw)
+    # always copy so freezing never touches a caller-owned buffer
+    arr = np.array(arr, dtype=np.int64, order="C", copy=True)
+    if np.any(arr < 0):
+        i, j = _first_offender(arr < 0)
+        raise NegativeCount(f"cell ({i},{j}) is negative: {arr[i, j]}")
+    # margins and n are int64 sums, which would wrap: a float total far below
+    # the limit clears the table, else the exact Python-int total decides
+    if arr.sum(dtype=np.float64) >= 2.0**62:
+        total = int(arr.sum(dtype=object))
+        if total >= _INT64_LIMIT:
+            raise DomainError(
+                f"table total {total} is outside the int64 range (at most {_INT64_LIMIT - 1})"
+            )
+    return arr
+
+
+def _require_int64_values(arr: np.ndarray, raw) -> None:
+    # every entry must be an integer within the int64 range, checked before
+    # the cast to int64, which would wrap silently
     if arr.dtype == object:
         # numpy keeps an integer past the uint64 range as a Python int, and
         # every entry as given: numbers go on to the integer and range checks
@@ -123,27 +145,12 @@ def _coerce_counts(raw) -> np.ndarray:
     if np.any(fractional):
         i, j = _first_offender(fractional)
         raise DomainError(f"cell ({i},{j}) is not an integer: {float(arr[i, j])!r}")
-    # check before the cast to int64, which would wrap silently
     out_of_range = (arr >= _INT64_LIMIT) | (arr < -_INT64_LIMIT)
     if np.any(out_of_range):
         i, j = _first_offender(out_of_range)
         # numpy reads a list holding 2**63 as float64: report the entry as given
         value = np.asarray(raw, dtype=object)[i, j]
         raise DomainError(f"cell ({i},{j}) is outside the int64 range: {value!r}")
-    # always copy so freezing never touches a caller-owned buffer
-    arr = np.array(arr, dtype=np.int64, order="C", copy=True)
-    if np.any(arr < 0):
-        i, j = _first_offender(arr < 0)
-        raise NegativeCount(f"cell ({i},{j}) is negative: {arr[i, j]}")
-    # margins and n are int64 sums, which would wrap: a float total far below
-    # the limit clears the table, else the exact Python-int total decides
-    if arr.sum(dtype=np.float64) >= 2.0**62:
-        total = int(arr.sum(dtype=object))
-        if total >= _INT64_LIMIT:
-            raise DomainError(
-                f"table total {total} is outside the int64 range (at most {_INT64_LIMIT - 1})"
-            )
-    return arr
 
 
 def _first_offender(mask: np.ndarray) -> tuple[int, int]:

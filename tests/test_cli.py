@@ -82,6 +82,40 @@ class TestTestCommand:
         _, second, _ = run_cli(capsys, argv)
         assert first == second
 
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["test", "--dataset", "marital", "--B", "9"],
+             "401f1a2611c4670a2ca5978df05c56c8d6e5650ec4705ea8fbb880a4d698ef82"),
+            (["subsample", "--dataset", "marital", "--m", "50", "--reps", "3", "--B", "9",
+              "--tests", "usp"],
+             "88ffa553219657cc08f31d4566753a5408dd95415285680ab2bc946d520165a7"),
+        ],
+    )
+    def test_unattainable_level_is_one_note_line(self, capsys, argv, digest):
+        # alpha (B + 1) = 0.5: the library's UserWarning reaches stderr as one
+        # note, with no source line, and stdout keeps its bytes
+        code, out, err = run_cli(capsys, argv)
+        assert code == 0
+        assert err == (
+            "note: alpha*(B+1) = 0.5 < 1: the smallest attainable p-value 1/(B+1) "
+            "exceeds alpha, so the test can never reject\n"
+        )
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_classic_mode_gets_no_unattainable_note(self, capsys, tmp_path):
+        # alpha (B + 1) = 0.1 bounds permutation p-values only: this classic
+        # test rejects, so a note that it never can would be false
+        path = tmp_path / "diagonal.csv"
+        path.write_text("500,0\n0,500\n")
+        code, out, err = run_cli(
+            capsys,
+            ["test", "--input", str(path), "--method", "pearson", "--mode", "classic",
+             "--alpha", "0.0001"],
+        )
+        assert code == 0 and err == ""
+        assert json.loads(out)["reject"] is True
+
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "result.json"
         code, out, _ = run_cli(

@@ -1,5 +1,6 @@
 """Tests for permuted-table generation and the permutation test protocol."""
 
+import hashlib
 import re
 from collections import Counter
 
@@ -14,7 +15,7 @@ from oracles import (
     two_row_tail,
     usp_exact,
 )
-from usptest import permutation, stats
+from usptest import get_dataset, permutation, stats
 from usptest.errors import DomainError, InvalidMode, UndefinedStatistic
 from usptest.numerics import RandomStream, chi2_sf
 from usptest.permutation import (
@@ -113,6 +114,66 @@ class TestPermutedTable:
             permuted_tables(MARITAL, 0, RandomStream(0))
         with pytest.raises(DomainError, match="B must be an integer, got 10.0"):
             permuted_tables(MARITAL, 10.0, RandomStream(0))
+
+
+class TestDrawsPinned:
+    # sha256 of permuted_tables(table, B, RandomStream(seed)).tobytes(),
+    # recorded before a lone source drew its cell (0, 0) through numpy's
+    # scalar path; all of these tables go to Patefield's draws
+    PINS = {
+        "2x2": ([[12, 7], [5, 16]], 999, 11,
+                "ef12438a36c24cabb0a3376822819ddf6861f9283ad37d43124ac2e4d2b5adaf"),
+        "eyecolour": ("eyecolour", 999, 12,
+                      "5631310989425d4eca09edbc916f958aef0750e3cc034dc2d9f54e03a5f2166a"),
+        "marital": ("marital", 999, 13,
+                    "5ae5378ed20cc00db34d49f55c4bce082b4e3bbce36220107b43cf93b2e7a3ab"),
+        "10x12": ((np.arange(120).reshape(10, 12) % 7 + 3).tolist(), 199, 14,
+                  "a194f914adcdcb76e8d0c683d27aad0be7fa9c9765ad63cfa40aca6772a3d61e"),
+        "zero-first-column": ([[0, 3, 4], [0, 5, 6]], 999, 15,
+                              "38fec26b78ace95ec66b4bdad57046646d8bd6b4d2132a62e4eb1fd5230c4458"),
+        # 99 tables of 3 600 cells span two chunks of at most 72
+        "60x60": ([[5] * 60] * 60, 99, 16,
+                  "3117c571fbb5e66c673ea7d581353bd8bc98d0c1f6df9ac45ee8d69f3dc1fccf"),
+    }
+
+    @pytest.mark.parametrize("name", list(PINS))
+    def test_tables_did_not_move(self, name):
+        raw, B, seed, digest = self.PINS[name]
+        table = get_dataset(raw).table if isinstance(raw, str) else validate_table(raw)
+        assert not permutation._shuffles(table.n, table.I, table.J)
+        if name == "60x60":
+            assert permutation._BLOCK_CELLS // (60 * 60) < B
+        tables = permuted_tables(table, B, RandomStream(seed))
+        assert hashlib.sha256(tables.tobytes()).hexdigest() == digest
+
+    class SpyGenerator:
+        # records the arguments of every hypergeometric call
+        def __init__(self, seed):
+            self.gen = np.random.default_rng(seed)
+            self.calls = []
+
+        def hypergeometric(self, ngood, nbad, nsample, size=None):
+            self.calls.append((ngood, nbad, nsample, size))
+            return self.gen.hypergeometric(ngood, nbad, nsample, size=size)
+
+    def test_lone_source_draws_its_first_cell_as_scalars(self):
+        rows, cols = MARITAL.row_margins[None], MARITAL.col_margins[None]
+        spy = self.SpyGenerator(0)
+        list(permutation._permuted(rows, cols, 50, spy))
+        assert len(spy.calls) == 12
+        first, rest = spy.calls[0], spy.calls[1:]
+        assert [type(v) for v in first] == [int, int, int, int]
+        assert first == (39, 300 - 39, 90, 50)
+        assert all(isinstance(c[0], np.ndarray) and c[3] is None for c in rest)
+
+    def test_several_sources_draw_arrays(self):
+        rows = np.stack([MARITAL.row_margins] * 3)
+        cols = np.stack([MARITAL.col_margins] * 3)
+        spy = self.SpyGenerator(0)
+        list(permutation._permuted(rows, cols, 50, spy))
+        assert len(spy.calls) == 12
+        assert all(isinstance(c[0], np.ndarray) and c[3] is None for c in spy.calls)
+        assert spy.calls[0][0].shape == (150,)
 
 
 class TestPermutationConfig:

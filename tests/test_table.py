@@ -153,6 +153,42 @@ class TestValidation:
             back.n = 7
 
 
+class TestCoercionByDtype:
+    # a signed-integer array skips the integrality and int64-range checks,
+    # which cannot fire on it; every other dtype keeps them
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64])
+    def test_signed_integers_validate_into_a_copy(self, dtype):
+        arr = np.array([[0, 2], [3, np.iinfo(dtype).max - 5]], dtype=dtype)  # total: the max
+        t = validate_table(arr)
+        assert t.counts.dtype == np.int64
+        assert t.counts.tolist() == arr.tolist()
+        assert not np.shares_memory(t.counts, arr)
+        assert arr.flags.writeable and not t.counts.flags.writeable
+        with pytest.raises(NegativeCount, match=re.escape("cell (1,0) is negative: -3")):
+            validate_table(np.array([[1, 2], [-3, 4]], dtype=dtype))
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            (np.array([[1, 2**63]], dtype=np.uint64),
+             "cell (0,1) is outside the int64 range: 9223372036854775808"),
+            (np.array([[1.0, 2.5]]), "cell (0,1) is not an integer: 2.5"),
+            (np.array([[np.inf, 2.0]]), "cell (0,0) is not an integer: inf"),
+            (np.array([[1.0, -2.0]]), "cell (0,1) is negative: -2"),
+            (np.array([[1.0, 1e19]]), "cell (0,1) is outside the int64 range: 1e+19"),
+            (np.array([[True, False]]), "table entries must be integers, got dtype bool"),
+            (np.array([[1, None]], dtype=object), "table entries must be numeric"),
+            (np.array([[1, 2.5]], dtype=object), "cell (0,1) is not an integer: 2.5"),
+            (np.array([[1, 2**64]], dtype=object),
+             "cell (0,1) is outside the int64 range: 18446744073709551616"),
+        ],
+    )
+    def test_other_dtypes_keep_their_messages(self, raw, message):
+        with pytest.raises((DomainError, NegativeCount), match=re.escape(message) + "$"):
+            validate_table(raw)
+
+
 class TestJointDistribution:
     def test_product_detection(self):
         q = np.array([0.3, 0.7])
