@@ -30,10 +30,7 @@ _CHUNK_CELLS = 2^13 cells of padded windows, or one window where that is
 wider (lambda above about 340), so memory stays bounded for any grid.
 Both masses of a row are summed sequentially in order of z, which keeps a
 size independent of the grid it is evaluated in; single points
-(pearson_asymptotic_size, g_asymptotic_size) are one-point grids.  Sizes
-can differ from the per-lambda loop of earlier versions in the last digits,
-from the new summation order: below 1e-16 on the default grid, up to about
-1.5e-15 at lambda near 1000.
+(pearson_asymptotic_size, g_asymptotic_size) are one-point grids.
 """
 
 from __future__ import annotations

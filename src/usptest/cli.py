@@ -72,7 +72,7 @@ def _read_table_csv(path: str) -> ContingencyTable:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from None
     for lineno, raw in enumerate(lines, start=1):
         text = raw.strip()

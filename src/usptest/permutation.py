@@ -1,10 +1,11 @@
 """Margin-preserving permutation tests and classic chi-squared-quantile tests.
 
-The permutation engine draws all B permuted tables of a run as one
-(B, I, J) array, in blocks of bounded size, so memory does not grow with B.
-Every table follows the law of re-pairing the column labels with a
-uniformly random permutation of the row labels.  One of two samplers draws
-them, chosen once per call from the total n and the shape alone:
+The permutation engine draws the B permuted tables of a run in chunks of at
+most 2^18 cells (one table, where a table is larger), and scores each chunk
+before it draws the next, so memory does not grow with B.  Every table
+follows the law of re-pairing the column labels with a uniformly random
+permutation of the row labels.  One of two samplers draws them, chosen once
+per call from the total n and the shape alone:
 
 * sparse tables, n < 5 (I-1)(J-1), shuffle that definition literally: each
   table permutes its n column labels against the row labels, and one
@@ -206,26 +207,24 @@ def _shuffles(n: int, I: int, J: int) -> bool:
 
 def _permuted(rows: np.ndarray, cols: np.ndarray, B: int, gen: np.random.Generator):
     # B permuted tables for each of the R source tables whose margins are
-    # rows (R, I) and cols (R, J), all of one total n, source by source, as
-    # chunks of bounded size so that peak memory does not grow with R or B.
-    # Yields (lo, hi, tables) with tables of shape (hi - lo, b, I*J): b tables
-    # for each source lo..hi-1.  A chunk holds whole sources when B fits in
-    # it, else consecutive pieces of one source.  The sampler is chosen once
-    # from (n, I, J): label shuffles, n labels a table, where tables are
-    # sparse, and Patefield's draws, (I-1)(J-1) a table, elsewhere.  Both
-    # take the chunk's per-source margins and its table count b.
+    # rows (R, I) and cols (R, J), all of one total n, drawn lazily in chunks
+    # of at most `step` tables, so that peak memory grows with neither R nor
+    # B.  Yields (lo, hi, tables) with tables of shape (hi - lo, b, I*J): b
+    # tables for each source lo..hi-1.  A chunk holds whole sources when B
+    # fits in it, else consecutive pieces of one source.  The sampler is
+    # chosen once from (n, I, J), by the rule of the module docstring.
     R, I = rows.shape
     J = cols.shape[1]
     n = int(rows[0].sum())
     shuffle = _shuffles(n, I, J)
     sampler = _shuffle if shuffle else _draw
     step = max(1, _BLOCK_CELLS // (max(n, I * J) if shuffle else I * J))
-    if B <= step:
-        spans = [(lo, min(lo + step // B, R), B) for lo in range(0, R, step // B)]
-    else:
-        spans = [(r, r + 1, min(step, B - s)) for r in range(R) for s in range(0, B, step)]
-    for lo, hi, b in spans:
-        yield lo, hi, sampler(rows[lo:hi], cols[lo:hi], b, gen)
+    b = min(B, step)
+    per = step // b
+    for lo in range(0, R, per):
+        hi = min(lo + per, R)
+        for s in range(0, B, b):
+            yield lo, hi, sampler(rows[lo:hi], cols[lo:hi], min(b, B - s), gen)
 
 
 def permuted_tables(
@@ -270,56 +269,6 @@ def _stop_points(B: int, R: int, shuffle: bool) -> list[int]:
     if not shuffle and R * B < _STOP_MIN_TABLES:
         return [B]
     return sorted({B // 8, B // 8 + B // 4, B} - {0})
-
-
-def _exceedances(
-    tables: np.ndarray,
-    n: int,
-    methods: Sequence[str],
-    config: PermutationConfig,
-    gen: np.random.Generator,
-    stop: bool = False,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rank each of R tables among B permuted tables of its own margins.
-
-    ``tables`` is an int64 array (R, I, J) of tables with the common total n.
-    Draws the permuted tables source by source (see :func:`_permuted`), and
-    scores the same tables with every method's key.  Returns ``(greater,
-    ties, live)``: int64 arrays of shape (len(methods), R) that count how
-    many of a source's tables have a key above, and equal to, the source's
-    own, and the indices of the sources that drew all B tables.
-
-    Without ``stop`` every source draws all B tables in one pass.  With it,
-    the tables come in the chunks of :func:`_stop_points`, and a source
-    leaves by the stopping rule of the module docstring.
-    """
-    R, I, J = tables.shape
-    B = config.B
-    rows, cols = tables.sum(axis=2), tables.sum(axis=1)
-    keys = [_rank_key(method, rows, cols, n) for method in methods]
-    own = tables.reshape(R, 1, I * J)
-    k0 = [key(own, slice(None)) for key in keys]
-    greater = np.zeros((len(methods), R), dtype=np.int64)
-    ties = np.zeros((len(methods), R), dtype=np.int64)
-    live = np.arange(R)
-    points = iter(_stop_points(B, R, _shuffles(n, I, J)) if stop else [B])
-    drawn = 0
-    while drawn < B and live.size:
-        point = next(points)
-        for lo, hi, block in _permuted(rows[live], cols[live], point - drawn, gen):
-            sl = live[lo:hi]
-            for t, key in enumerate(keys):
-                k, ref = key(block, sl), k0[t][sl]
-                greater[t, sl] += (k > ref).sum(axis=1)
-                ties[t, sl] += (k == ref).sum(axis=1)
-        drawn = point
-        if stop:
-            G = greater[:, live] + (ties[:, live] if config.tie_policy == "conservative" else 0)
-            going = ((1 + G) / (B + 1.0) <= config.alpha).any(axis=0)
-            if going.all():
-                points = iter([B])
-            live = live[going]
-    return greater, ties, live
 
 
 def _observed_statistic(table: ContingencyTable, method: str) -> float:
@@ -377,20 +326,47 @@ def _block_pvalues(
     """P-values of every (method, mode) test on each of R tables.
 
     ``tables`` is an int64 array (R, I, J) of tables with the common total n.
-    All permutation tests score the same permuted tables, drawn from ``gen``
-    (see :func:`_exceedances`); ties are then broken test by test, in order.
     Returns a float array (len(tests), R), NaN where a classic statistic is
-    undefined.
+    undefined.  Every permutation test scores the same permuted tables,
+    drawn from ``gen`` by :func:`_permuted`, with its rank key, and counts
+    for each source the permuted keys above and equal to its own; ties are
+    then broken test by test, in order.
 
-    With ``stop`` a table stops drawing by the stopping rule of the module
-    docstring.  Its tie-breaks are not drawn, and each of its permutation
-    p-values is the lower bound (1 + G) / (B + 1), which exceeds alpha, so
-    ``p <= alpha`` decides every test as a run of all B tables would.
+    Without ``stop`` every source draws all B tables in one pass.  With it,
+    the tables come in the chunks of :func:`_stop_points`, and a source
+    leaves by the stopping rule of the module docstring: its tie-breaks are
+    not drawn, and each of its permutation p-values is the lower bound
+    (1 + G) / (B + 1) > alpha, so ``p <= alpha`` decides every test as a run
+    of all B tables would.
     """
+    R, I, J = tables.shape
+    B = config.B
     perm = [method for method, mode in tests if mode == "permutation"]
-    if perm:
-        greater, ties, live = _exceedances(tables, n, perm, config, gen, stop)
-    p = np.empty((len(tests), len(tables)))
+    rows, cols = tables.sum(axis=2), tables.sum(axis=1)
+    keys = [_rank_key(method, rows, cols, n) for method in perm]
+    own = tables.reshape(R, 1, I * J)
+    k0 = [key(own, slice(None)) for key in keys]
+    greater = np.zeros((len(perm), R), dtype=np.int64)
+    ties = np.zeros((len(perm), R), dtype=np.int64)
+    live = np.arange(R)
+    points = iter(_stop_points(B, R, _shuffles(n, I, J)) if stop else [B])
+    drawn = 0
+    while perm and drawn < B and live.size:
+        point = next(points)
+        for lo, hi, block in _permuted(rows[live], cols[live], point - drawn, gen):
+            sl = live[lo:hi]
+            for t, key in enumerate(keys):
+                k, ref = key(block, sl), k0[t][sl]
+                greater[t, sl] += (k > ref).sum(axis=1)
+                ties[t, sl] += (k == ref).sum(axis=1)
+        drawn = point
+        if stop:
+            G = greater[:, live] + (ties[:, live] if config.tie_policy == "conservative" else 0)
+            going = ((1 + G) / (B + 1.0) <= config.alpha).any(axis=0)
+            if going.all():
+                points = iter([B])
+            live = live[going]
+    p = np.empty((len(tests), R))
     for t, (method, mode) in enumerate(tests):
         if mode == "classic":
             p[t] = _classic_scores(tables, n, method)[1]
@@ -404,7 +380,7 @@ def _block_pvalues(
                 share = np.zeros_like(share)
                 if ties[k, live].any():
                     share[live] = gen.integers(0, ties[k, live] + 1)
-            p[t] = (1 + greater[k] + share) / (config.B + 1.0)
+            p[t] = (1 + greater[k] + share) / (B + 1.0)
     return p
 
 

@@ -29,12 +29,12 @@ reduction.  Workers take whole blocks, and the chunks depend on the block
 alone, so results are bit-identical for any worker count, and workers never
 share streams.
 
-``threads`` is an upper bound on the worker processes.  A study starts one
-worker per ``_POOL_MIN_CELLS`` cells of the tables that its permutation
-tests would draw without stopping, and never more than it has blocks or the
-machine has cores: a small study runs in the calling process, where a pool
-would cost more to start than it saves.  ``dhat_samples`` starts one worker
-per ``_POOL_MIN_REPS`` replicates, by the same rule.
+``threads``, an integer >= 1, is an upper bound on the worker processes.  A
+study starts one worker per ``_POOL_MIN_CELLS`` cells of the tables that its
+permutation tests would draw without stopping, and never more than it has
+blocks or the machine has cores: a small study runs in the calling process,
+where a pool would cost more to start than it saves.  ``dhat_samples``
+starts one worker per ``_POOL_MIN_REPS`` replicates, by the same rule.
 """
 
 from __future__ import annotations
@@ -346,8 +346,7 @@ def _study_workers(tasks: list, threads: int) -> int:
     return _worker_count(threads, min(len(tasks), cells // _POOL_MIN_CELLS))
 
 
-def _map_replicates(worker, tasks: list, threads: int) -> list:
-    workers = _worker_count(threads, len(tasks))
+def _map_replicates(worker, tasks: list, workers: int) -> list:
     if workers == 1:
         return [worker(t) for t in tasks]
     # imported here, the one place a pool starts, so commands that never
@@ -370,6 +369,7 @@ def _study(sources: list, reps: int, tests, config, threads: int) -> list[tuple[
     # its blocks on streams (i, block), and every block of every source goes
     # through one pool: output is identical for any threads.
     _require_int(reps, "reps", 1)
+    _require_int(threads, "threads", 1)
     tests = _validate_tests(tests)
     for _, n, _ in sources:
         if n < 2:
@@ -441,6 +441,7 @@ def dhat_samples(
     _require_sample("dhat", n)
     _require_int(reps, "reps", 1)
     _require_int(seed, "seed", 0, _MAX_UINT64)
+    _require_int(threads, "threads", 1)
     probs = family.at(float(epsilon)).distribution().probs
     tasks = [(probs, n, seed, r) for r in range(reps)]
     workers = _worker_count(threads, reps // _POOL_MIN_REPS)

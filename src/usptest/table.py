@@ -101,6 +101,12 @@ def _coerce_counts(raw) -> np.ndarray:
         arr = np.asarray(raw)
     except ValueError as exc:  # ragged nested sequences
         raise DomainError(f"table must be rectangular: {exc}") from None
+    # np.asarray drops a numpy.ma mask, which would count the masked cells
+    if isinstance(raw, np.ndarray) and np.any(getattr(raw, "mask", False)):
+        raise DomainError(
+            f"table has {int(np.sum(raw.mask))} masked cell(s): a count table has no "
+            f"missing cells, so fill the mask first"
+        )
     if arr.size == 0:
         raise EmptyTable(f"table must have at least one row and one column, got shape {arr.shape}")
     if arr.ndim != 2:
@@ -127,7 +133,8 @@ def _coerce_counts(raw) -> np.ndarray:
 def _require_int64_values(arr: np.ndarray, raw) -> None:
     # every entry must be an integer within the int64 range, checked before
     # the cast to int64, which would wrap silently
-    if arr.dtype == object:
+    kind = arr.dtype.kind
+    if kind == "O":
         # numpy keeps an integer past the uint64 range as a Python int, and
         # every entry as given: numbers go on to the integer and range checks
         if not all(isinstance(v, (int, float, np.integer, np.floating)) for v in arr.flat):
@@ -136,9 +143,11 @@ def _require_int64_values(arr: np.ndarray, raw) -> None:
             [isinstance(v, (float, np.floating)) and not float(v).is_integer() for v in arr.flat],
             arr.shape,
         )
-    elif np.issubdtype(arr.dtype, np.floating):
+    elif kind == "f":
         fractional = ~np.isfinite(arr) | (arr != np.floor(arr))
-    elif np.issubdtype(arr.dtype, np.integer):
+        # the range check casts 2^63 to the array's dtype: at least float64
+        arr = arr.astype(np.promote_types(arr.dtype, np.float64), copy=False)
+    elif kind == "u":
         fractional = np.zeros(arr.shape, dtype=bool)
     else:
         raise DomainError(f"table entries must be integers, got dtype {arr.dtype}")

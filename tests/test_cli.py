@@ -163,6 +163,14 @@ class TestInputParsing:
         assert code == 2
         assert "cannot read" in err
 
+    def test_file_not_utf8_rejected(self, capsys, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes("# caf\xe9\n1,2\n3,4\n".encode("latin-1"))
+        code, out, err = run_cli(capsys, ["test", "--input", str(path)])
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot read {path}: 'utf-8' codec can't decode")
+        assert "Traceback" not in err
+
     def test_cell_past_int64_names_the_exact_integer(self, capsys, tmp_path):
         # numpy holds 2**64 as a Python object and reads 2**63 as a float
         for big in (2**64, 2**63, -(2**70)):

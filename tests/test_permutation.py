@@ -2,6 +2,7 @@
 
 import hashlib
 import re
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -114,6 +115,21 @@ class TestPermutedTable:
             permuted_tables(MARITAL, 0, RandomStream(0))
         with pytest.raises(DomainError, match="B must be an integer, got 10.0"):
             permuted_tables(MARITAL, 10.0, RandomStream(0))
+
+    def test_first_chunk_does_not_wait_on_B(self):
+        # chunks are drawn lazily: at B = 10^10 the first chunk costs what one
+        # chunk of 2^18 cells costs, with no list of the chunks to come
+        rows, cols = MARITAL.row_margins[None], MARITAL.col_margins[None]
+        chunks = permutation._permuted(rows, cols, 10**10, np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            lo, hi, tables = next(chunks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (lo, hi) == (0, 1)
+        assert tables.shape == (1, permutation._BLOCK_CELLS // 20, 20)
+        assert peak < 16 * 2**20
 
 
 class TestDrawsPinned:
@@ -522,17 +538,23 @@ class TestStopping:
     def fixed_sampler(monkeypatch, tables, B):
         # each chunk of b tables continues every live source's sequence where
         # the previous chunk of the run ended; returns the (sources, b) of
-        # each chunk, which the caller clears between runs
-        sequences = {}
-        for counts in tables:
-            key = (counts.sum(axis=1).tobytes(), counts.sum(axis=0).tobytes())
-            sequences[key] = permuted_tables(validate_table(counts), B, RandomStream(len(sequences)))
+        # each chunk, sources as indices into tables, which the caller clears
+        # between runs
+        index = {}
+        for s, counts in enumerate(tables):
+            index[counts.sum(axis=1).tobytes(), counts.sum(axis=0).tobytes()] = s
+        assert len(index) == len(tables)  # the margins name the source
+        sequences = [
+            permuted_tables(validate_table(counts), B, RandomStream(s))
+            for s, counts in enumerate(tables)
+        ]
         chunks = []
 
         def permuted(rows, cols, b, gen):
             lo = sum(size for _, size in chunks)
-            chunks.append((len(rows), b))
-            drawn = [sequences[r.tobytes(), c.tobytes()][lo : lo + b] for r, c in zip(rows, cols)]
+            sources = [index[r.tobytes(), c.tobytes()] for r, c in zip(rows, cols)]
+            chunks.append((sources, b))
+            drawn = [sequences[s][lo : lo + b] for s in sources]
             yield 0, len(rows), np.stack(drawn).reshape(len(rows), b, -1)
 
         monkeypatch.setattr(permutation, "_permuted", permuted)
@@ -552,7 +574,7 @@ class TestStopping:
             gen = np.random.default_rng(41)
             p = permutation._block_pvalues(tables, self.N, self.TESTS, cfg, gen, stop=True)
             decisions.append(p <= cfg.alpha)
-            drawn.append(sum(sources * b for sources, b in chunks))
+            drawn.append(sum(len(sources) * b for sources, b in chunks))
         np.testing.assert_array_equal(decisions[0], decisions[1])
         # the schedule stopped tables early, and the tests still disagree
         assert drawn[0] < drawn[1] == len(tables) * B
@@ -569,14 +591,15 @@ class TestStopping:
         cfg = PermutationConfig(B=B, alpha=0.05, tie_policy=policy)
         chunks = self.fixed_sampler(monkeypatch, tables, B)
         gen = np.random.default_rng(42)
-        methods = [method for method, _ in self.TESTS]
-        _, _, live = permutation._exceedances(tables, self.N, methods, cfg, gen, stop=True)
-        stopped = np.setdiff1d(np.arange(len(tables)), live)
-        assert 0 < stopped.size < len(tables)
+        stopping = permutation._block_pvalues(tables, self.N, self.TESTS, cfg, gen, stop=True)
+        # the stopped sources are those that drew fewer than B tables
+        drawn = Counter()
+        for sources, b in chunks:
+            drawn.update(dict.fromkeys(sources, b))
+        stopped = [s for s in range(len(tables)) if drawn[s] < B]
+        assert 0 < len(stopped) < len(tables)
         chunks.clear()
         p = permutation._block_pvalues(tables, self.N, self.TESTS, cfg, gen)
         assert (p[:, stopped] > cfg.alpha).all()
         # a stopping run reports the lower bound (1 + G) / (B + 1) > alpha
-        chunks.clear()
-        p = permutation._block_pvalues(tables, self.N, self.TESTS, cfg, gen, stop=True)
-        assert (p[:, stopped] > cfg.alpha).all()
+        assert (stopping[:, stopped] > cfg.alpha).all()

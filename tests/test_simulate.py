@@ -588,6 +588,22 @@ class TestWorkerCount:
         monkeypatch.setattr("usptest.simulate.os.cpu_count", lambda: None)
         assert _worker_count(8, 100) == 1
 
+    @pytest.mark.parametrize("threads, message", [
+        ("2", "threads must be an integer, got '2'"),
+        (2.0, "threads must be an integer, got 2.0"),
+        (0, "threads must be >= 1, got 0"),
+        (-5, "threads must be >= 1, got -5"),
+    ])
+    def test_library_checks_threads(self, threads, message):
+        # as --threads does at the command line, before any table is drawn
+        fam = AlternativeFamily(kind="sparse", I=5, J=8)
+        with pytest.raises(DomainError, match=re.escape(message)):
+            power_curve(fam, [0.0], n=20, reps=2, tests=PERM_TESTS, threads=threads)
+        with pytest.raises(DomainError, match=re.escape(message)):
+            subsample_study(MARITAL, m=50, reps=2, tests=PERM_TESTS, threads=threads)
+        with pytest.raises(DomainError, match=re.escape(message)):
+            dhat_samples(fam, n=20, epsilon=0.0, reps=2, threads=threads)
+
 
 class TestStudyWorkers:
     # The benchmark's power call: sparse 5x8, n = 100, B = 99, two epsilons.

@@ -3,6 +3,7 @@
 import copy
 import pickle
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -178,6 +179,9 @@ class TestCoercionByDtype:
             (np.array([[1.0, -2.0]]), "cell (0,1) is negative: -2"),
             (np.array([[1.0, 1e19]]), "cell (0,1) is outside the int64 range: 1e+19"),
             (np.array([[True, False]]), "table entries must be integers, got dtype bool"),
+            # numpy files timedelta64 under the signed integers
+            (np.array([[1, 2]], dtype="m8[s]"),
+             "table entries must be integers, got dtype timedelta64[s]"),
             (np.array([[1, None]], dtype=object), "table entries must be numeric"),
             (np.array([[1, 2.5]], dtype=object), "cell (0,1) is not an integer: 2.5"),
             (np.array([[1, 2**64]], dtype=object),
@@ -187,6 +191,20 @@ class TestCoercionByDtype:
     def test_other_dtypes_keep_their_messages(self, raw, message):
         with pytest.raises((DomainError, NegativeCount), match=re.escape(message) + "$"):
             validate_table(raw)
+
+    def test_float16_validates_without_a_warning(self):
+        # the int64 range check must not cast 2^63 to float16, where it overflows
+        arr = np.array([[1, 2], [3, 65504]], dtype=np.float16)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert validate_table(arr).counts.tolist() == [[1, 2], [3, 65504]]
+
+    def test_masked_cells_rejected(self):
+        # np.asarray would drop the mask and count the masked cells
+        masked = np.ma.array([[1, 2], [3, 4]], mask=[[0, 1], [0, 0]])
+        with pytest.raises(DomainError, match=r"table has 1 masked cell\(s\)"):
+            validate_table(masked)
+        assert validate_table(np.ma.array([[1, 2], [3, 4]])).counts.tolist() == [[1, 2], [3, 4]]
 
 
 class TestJointDistribution:
