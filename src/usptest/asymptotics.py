@@ -41,7 +41,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .numerics import chi2_quantile
+from .numerics import _require_alpha, chi2_quantile
 from .stats import _CLASSIC_METHODS, _poisson_limit
 
 __all__ = [
@@ -92,8 +92,7 @@ def size_curve_csv(points: Sequence[SizeCurvePoint]) -> str:
 
 
 def _critical_value(alpha: float) -> float:
-    if not (0.0 < alpha < 1.0):
-        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+    _require_alpha(alpha)
     return chi2_quantile(1.0 - alpha, 1)
 
 

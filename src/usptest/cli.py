@@ -11,8 +11,8 @@ Subcommands:
 Exit codes: 0 success, 2 usage/parse/validation error, 3 statistic undefined
 (zero row or column margin in classic mode, on a table of at least 2x2).
 Every command is byte-identical for identical invocations: all but asymsize
-take --seed, and asymsize draws nothing at random.  --threads (or the
-USP_THREADS environment variable) only changes runtime, never output.
+take --seed, and asymsize draws nothing at random.  --threads only changes
+runtime, never output.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 import warnings
 from typing import Sequence
@@ -132,27 +131,6 @@ def _parse_tests(spec: str) -> list[tuple[str, str]]:
             )
         tests.append(_TEST_TOKENS[token])
     return tests
-
-
-def _thread_count(text: str) -> int:
-    # --threads: at least one worker; argparse names the flag in the message
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
-def _threads_default() -> int:
-    env = os.environ.get("USP_THREADS", "").strip()
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            return 1
-    return 1
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -296,10 +274,7 @@ def _add_common_sim(sub: argparse.ArgumentParser, default_reps: int, default_b: 
     sub.add_argument("--alpha", type=float, default=0.05, help="nominal level")
     sub.add_argument("--seed", type=int, default=0, help="master seed")
     sub.add_argument(
-        "--threads",
-        type=_thread_count,
-        default=None,
-        help="worker processes (default: USP_THREADS env var or 1); never changes output",
+        "--threads", type=int, default=1, help="worker processes (default 1); never changes output"
     )
     sub.add_argument("--out", metavar="PATH", default=None, help="write output here instead of stdout")
 
@@ -361,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_dhat.add_argument("--eps", type=float, default=0.0)
     p_dhat.add_argument("--reps", type=int, default=1000)
     p_dhat.add_argument("--seed", type=int, default=0)
-    p_dhat.add_argument("--threads", type=_thread_count, default=None)
+    p_dhat.add_argument("--threads", type=int, default=1)
     p_dhat.add_argument("--out", metavar="PATH", default=None)
     p_dhat.set_defaults(handler=_cmd_dhat)
 
@@ -381,8 +356,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse already printed a message
         return int(exc.code) if exc.code is not None else _EXIT_OK
-    if getattr(args, "threads", None) is None and hasattr(args, "threads"):
-        args.threads = _threads_default()
     try:
         return args.handler(args)
     except _UsageError as exc:

@@ -5,12 +5,13 @@ incomplete gamma functions, in closed form at one degree of freedom, and
 with them the chi-squared tail and its quantile by bisection; a small
 splittable random-stream wrapper that makes every stochastic routine
 reproducible for any execution order or worker count; and the one check
-of an integer argument.
+each of an integer argument and of a level alpha.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 
@@ -43,6 +44,14 @@ def _require_int(value, what: str, lo: int, hi: int | None = None) -> int:
         bounds = f">= {lo}" if hi is None else f"in [{lo}, {hi}]"
         raise DomainError(f"{what} must be {bounds}, got {v}")
     return v
+
+
+def _require_alpha(alpha) -> None:
+    # a level is a real number in (0, 1): a string such as "0.05" is refused, not coerced
+    if not isinstance(alpha, numbers.Real):
+        raise DomainError(f"alpha must be a number, got {alpha!r}")
+    if not (0.0 < alpha < 1.0):
+        raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
 
 
 @dataclass(frozen=True)

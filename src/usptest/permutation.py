@@ -58,7 +58,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, InvalidMode
-from .numerics import _MAX_UINT64, RandomStream, _require_int, as_generator, chi2_sf
+from .numerics import _MAX_UINT64, RandomStream, _require_alpha, _require_int, as_generator, chi2_sf
 from .stats import _CLASSIC_METHODS, METHODS, _rank_key, _require_positive_margins, _value
 from .table import _HYPERGEOMETRIC_LIMIT, ContingencyTable
 
@@ -101,8 +101,7 @@ class PermutationConfig:
     def __post_init__(self) -> None:
         _require_int(self.B, "B", 1)
         _require_int(self.seed, "seed", 0, _MAX_UINT64)
-        if not (0.0 < self.alpha < 1.0):
-            raise DomainError(f"alpha must lie in (0, 1), got {self.alpha}")
+        _require_alpha(self.alpha)
         if self.tie_policy not in ("randomized", "conservative"):
             raise DomainError(f"unknown tie policy {self.tie_policy!r}")
         if self.alpha * (self.B + 1) < 1.0:

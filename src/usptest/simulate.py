@@ -27,14 +27,15 @@ permutation test, because every test compares its statistic over the same
 exchangeable draws.  Classic tests score all of a block's tables with one
 reduction.  Workers take whole blocks, and the chunks depend on the block
 alone, so results are bit-identical for any worker count, and workers never
-share streams.
+share streams.  ``dhat_samples`` runs in the same blocks, but replicate r
+draws its one table on its own substream (0, r, 0), whatever its block.
 
 ``threads``, an integer >= 1, is an upper bound on the worker processes.  A
 study starts one worker per ``_POOL_MIN_CELLS`` cells of the tables that its
-permutation tests would draw without stopping, and never more than it has
-blocks or the machine has cores: a small study runs in the calling process,
-where a pool would cost more to start than it saves.  ``dhat_samples``
-starts one worker per ``_POOL_MIN_REPS`` replicates, by the same rule.
+permutation tests would draw without stopping, ``dhat_samples`` one per
+``_POOL_MIN_REPS`` replicates, and neither more than it has blocks or the
+machine has cores: a small study runs in the calling process, where a pool
+would cost more to start than it saves.
 """
 
 from __future__ import annotations
@@ -97,7 +98,7 @@ def sparse_family(I: int, J: int, epsilon: float) -> JointDistribution:
     q = 2.0 ** -np.arange(1, I + 1) / (1.0 - 2.0**-I)
     r = 2.0 ** -np.arange(1, J + 1) / (1.0 - 2.0**-J)
     probs = np.outer(q, r)
-    if epsilon < 0:
+    if not epsilon >= 0:
         raise InfeasibleEpsilon(f"epsilon must be >= 0, got {epsilon}")
     probs[0, 0] += epsilon
     probs[1, 1] += epsilon
@@ -285,7 +286,7 @@ def _aggregate_rates(
 # study blocks and workers (module-level so process pools can pickle them)
 # ---------------------------------------------------------------------------
 
-_BLOCK_REPS = 64  # replicates per block: one generator and one pool task each
+_BLOCK_REPS = 64  # replicates per block and per pool task; a study block has one generator
 
 
 def _block_sizes(reps: int) -> list[int]:
@@ -305,16 +306,20 @@ def _study_block(task) -> np.ndarray:
     return np.stack([(p <= config.alpha).sum(axis=1), np.isnan(p).sum(axis=1)])
 
 
-def _dhat_replicate(task):
-    # replicate r draws on substream (0, r, 0) from the call's one law
-    probs, n, seed, rep_idx = task
-    gen = RandomStream(seed, (0, rep_idx, 0)).generator()
-    return _dhat_value(_sample_tables(probs, n, True, 1, gen)[0], n)
+def _dhat_block(task) -> list[float]:
+    # replicates lo .. lo + size - 1 of the call's one law; replicate r draws
+    # on its own substream (0, r, 0), so its value does not depend on its block
+    probs, n, seed, lo, size = task
+    values = []
+    for r in range(lo, lo + size):
+        gen = RandomStream(seed, (0, r, 0)).generator()
+        values.append(_dhat_value(_sample_tables(probs, n, True, 1, gen)[0], n))
+    return values
 
 
 def _worker_count(threads: int, tasks: int) -> int:
     # a requested thread count never starts more processes than there are
-    # cores or tasks, whatever the caller or USP_THREADS asked for
+    # cores or tasks, whatever the caller asked for
     return max(1, min(threads, os.cpu_count() or 1, tasks))
 
 
@@ -434,8 +439,8 @@ def dhat_samples(
     emits the samples.  The law is built once per call, and replicate r
     draws its table on substream (0, r, 0) of ``seed``: output is identical
     for any ``threads``.  One worker starts per ``_POOL_MIN_REPS``
-    replicates, up to ``threads``; fewer replicates run in the calling
-    process.
+    replicates, up to ``threads`` and the number of blocks; fewer replicates
+    run in the calling process.
     """
     n = _require_int(n, "sample size", 0)
     _require_sample("dhat", n)
@@ -443,9 +448,9 @@ def dhat_samples(
     _require_int(seed, "seed", 0, _MAX_UINT64)
     _require_int(threads, "threads", 1)
     probs = family.at(float(epsilon)).distribution().probs
-    tasks = [(probs, n, seed, r) for r in range(reps)]
-    workers = _worker_count(threads, reps // _POOL_MIN_REPS)
-    return np.array(_map_replicates(_dhat_replicate, tasks, workers), dtype=np.float64)
+    tasks = [(probs, n, seed, k * _BLOCK_REPS, s) for k, s in enumerate(_block_sizes(reps))]
+    workers = _worker_count(threads, min(len(tasks), reps // _POOL_MIN_REPS))
+    return np.concatenate(_map_replicates(_dhat_block, tasks, workers), dtype=np.float64)
 
 
 def subsample_study(

@@ -1,6 +1,7 @@
 """Tests for the exact asymptotic size curves of the classic tests."""
 
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -296,3 +297,14 @@ class TestDomain:
             pearson_asymptotic_size(1.0, 0.0)
         with pytest.raises(DomainError):
             g_asymptotic_size(1.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "alpha, message",
+        [("0.05", "alpha must be a number, got '0.05'"), (None, "alpha must be a number, got None"),
+         (0.0, "alpha must lie in (0, 1), got 0.0"), (1.0, "alpha must lie in (0, 1), got 1.0"),
+         (math.nan, "alpha must lie in (0, 1), got nan")],
+    )
+    def test_size_curve_alpha(self, alpha, message):
+        # a string level is refused, not coerced, and never reaches a comparison
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            size_curve("pearson", alpha, [1.0])

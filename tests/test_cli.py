@@ -557,15 +557,6 @@ class TestDhatCommand:
 
 
 class TestThreads:
-    def test_env_var_thread_count_keeps_output(self, capsys, monkeypatch, pool_spy):
-        argv = ["power", "--family", "dense", "--n", "30", "--reps", "8", "--B", "19",
-                "--eps-grid", "0:0.01:2", "--tests", "usp"]
-        _, serial, _ = run_cli(capsys, argv + ["--threads", "1"])
-        monkeypatch.setenv("USP_THREADS", "2")
-        _, from_env, _ = run_cli(capsys, argv)
-        assert pool_spy == [2]
-        assert from_env == serial
-
     def test_shuffled_study_keeps_output_across_a_real_pool(self, capsys, monkeypatch):
         # dense 6x8 at n = 100 shuffles its labels (100 observations over 35
         # free cells); 2 x 128 replicates x 99 tables x 48 cells = 1 216 512
@@ -603,16 +594,7 @@ class TestThreads:
                      ["dhat", "--family", "sparse", "--n", "20", "--reps", "3"]):
             code, out, err = run_cli(capsys, argv + ["--threads", threads])
             assert code == 2 and out == ""
-            assert f"argument --threads: must be >= 1, got {threads}" in err
-
-    def test_env_var_garbage_falls_back(self, capsys, monkeypatch):
-        monkeypatch.setenv("USP_THREADS", "many")
-        code, out, _ = run_cli(
-            capsys,
-            ["dhat", "--family", "sparse", "--n", "20", "--reps", "3"],
-        )
-        assert code == 0
-        assert len(out.strip().split("\n")) == 4
+            assert f"error: threads must be >= 1, got {threads}" in err
 
 
 class TestParserReuse:

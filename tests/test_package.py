@@ -247,3 +247,41 @@ class TestFamilyTable:
         assert _family_literals(path) == [
             "mod.py:1: 'sparse'", "mod.py:2: 'dense'", "mod.py:2: 'multiplicative'",
         ]
+
+
+ENV_READERS = ("environ", "getenv")
+
+
+def _environment_reads(path: Path) -> list[str]:
+    # os.environ and os.getenv, as attributes or as names imported from os
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = sorted(
+        (node.lineno, name)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Attribute, ast.Name))
+        for name in [getattr(node, "attr", None) or getattr(node, "id", None)]
+        if name in ENV_READERS
+    )
+    return [f"{path.name}:{line}: {name}" for line, name in found]
+
+
+class TestNoEnvironment:
+    def test_library_reads_no_environment_variable(self):
+        # every knob is an argument or a flag: a variable would change a run
+        # without showing on its command line
+        found = [r for path in sorted(SRC.glob("*.py")) for r in _environment_reads(path)]
+        assert found == []
+
+    def test_checker_sees_an_environment_read(self, tmp_path):
+        path = tmp_path / "mod.py"
+        path.write_text(
+            "import os\n"
+            'a = os.environ.get("X", "")\n'
+            'b = os.getenv("Y")\n'
+            "from os import environ\n"
+            'c = environ["Z"]\n'
+            '"""os.environ in a docstring is prose"""\n'
+        )
+        assert _environment_reads(path) == [
+            "mod.py:2: environ", "mod.py:3: getenv", "mod.py:5: environ",
+        ]

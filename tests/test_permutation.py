@@ -207,6 +207,11 @@ class TestPermutationConfig:
             PermutationConfig(alpha=0.0)
         with pytest.raises(DomainError):
             PermutationConfig(alpha=1.5)
+        for alpha in ("0.05", None, [0.05]):
+            with pytest.raises(DomainError, match=re.escape(f"alpha must be a number, got {alpha!r}")):
+                PermutationConfig(alpha=alpha)
+        with pytest.raises(DomainError, match=r"^alpha must lie in \(0, 1\), got nan$"):
+            PermutationConfig(alpha=float("nan"))
         with pytest.raises(DomainError):
             PermutationConfig(tie_policy="sometimes")
         for seed in (1.5, "x", None, -1, 2**64):

@@ -84,6 +84,8 @@ class TestSparseFamily:
             sparse_family(5, 8, 0.13)
         with pytest.raises(InfeasibleEpsilon):
             sparse_family(5, 8, -0.01)
+        with pytest.raises(InfeasibleEpsilon, match="^epsilon must be >= 0, got nan$"):
+            sparse_family(5, 8, float("nan"))
         with pytest.raises(DomainError):
             sparse_family(1, 8, 0.0)
 
@@ -254,15 +256,30 @@ class TestDhatSamples:
         # is D-hat of one table of the family's law drawn on (seed; 0, r, 0)
         fam = AlternativeFamily(kind="sparse")
         law = fam.at(0.05).distribution()
-        values = dhat_samples(fam, n=60, epsilon=0.05, reps=12, seed=23, threads=threads)
+        values = dhat_samples(fam, n=60, epsilon=0.05, reps=130, seed=23, threads=threads)
         expected = [
             stats.dhat_statistic(
                 sample_table(law, 60, RandomStream(23).child(0, r).child(0))
             )
-            for r in range(12)
+            for r in range(130)
         ]
         assert values.tolist() == expected
         assert pool_spy == ([2] if threads == 2 else [])
+
+    def test_replicates_go_to_the_pool_in_blocks(self, monkeypatch):
+        # one task per block of _BLOCK_REPS replicates, the last one partial,
+        # as in the studies; a task per replicate would pickle the law each time
+        handed = []
+        map_replicates = simulate._map_replicates
+
+        def spy(worker, tasks, workers):
+            handed.append([task[3:] for task in tasks])
+            return map_replicates(worker, tasks, workers)
+
+        monkeypatch.setattr(simulate, "_map_replicates", spy)
+        values = dhat_samples(AlternativeFamily(kind="sparse"), n=60, epsilon=0.05, reps=130)
+        assert handed == [[(0, 64), (64, 64), (128, 2)]]
+        assert len(values) == 130
 
     def test_pool_only_where_the_replicates_pay(self, monkeypatch):
         # one worker per _POOL_MIN_REPS replicates: on two cores, 100
@@ -295,6 +312,8 @@ class TestDhatSamples:
         for seed in (1.5, "x", -1):
             with pytest.raises(DomainError, match=re.escape(f"got {seed!r}")):
                 dhat_samples(fam, n=10, epsilon=0.0, reps=2, seed=seed)
+        with pytest.raises(InfeasibleEpsilon, match="epsilon must be >= 0, got nan"):
+            dhat_samples(fam, n=10, epsilon=float("nan"), reps=2)
 
 
 class TestPowerCurve:
@@ -340,6 +359,8 @@ class TestPowerCurve:
         fam = AlternativeFamily(kind="sparse", I=5, J=8)
         with pytest.raises(InfeasibleEpsilon):
             power_curve(fam, [0.0, 0.9], n=20, reps=5, tests=[("usp", "permutation")])
+        with pytest.raises(InfeasibleEpsilon, match="epsilon must be >= 0, got nan"):
+            power_curve(fam, [float("nan")], n=20, reps=5, tests=[("usp", "permutation")])
 
     def test_test_list_validation(self):
         fam = AlternativeFamily(kind="sparse", I=5, J=8)
