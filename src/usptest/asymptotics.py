@@ -35,6 +35,7 @@ size independent of the grid it is evaluated in; single points
 
 from __future__ import annotations
 
+import math
 from itertools import repeat
 from typing import Iterable, NamedTuple, Sequence
 
@@ -63,6 +64,8 @@ _WINDOW_HALF_WIDTH = 12.0  # window half-width, in units of lambda + 1
 # 64 KiB a float64 temporary stays below glibc's default 128 KiB mmap
 # threshold, so a pass reuses heap memory instead of faulting in fresh pages
 _CHUNK_CELLS = 2**13
+# the smallest level whose 1 - alpha is below 1 in double precision
+_ALPHA_MIN = math.nextafter(2.0**-54, 1.0)
 
 
 class SizeCurvePoint(NamedTuple):
@@ -93,6 +96,11 @@ def size_curve_csv(points: Sequence[SizeCurvePoint]) -> str:
 
 def _critical_value(alpha: float) -> float:
     _require_alpha(alpha)
+    if 1.0 - alpha == 1.0:
+        raise DomainError(
+            f"alpha must be at least {_ALPHA_MIN!r}, below which 1 - alpha rounds to 1 "
+            f"and the critical value is infinite, got {alpha}"
+        )
     return chi2_quantile(1.0 - alpha, 1)
 
 

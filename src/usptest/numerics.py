@@ -31,6 +31,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 _MAX_UINT64 = 2**64 - 1
+_INT64_LIMIT = 2**63  # counts and totals stay below this, numpy's int64 range
 
 
 def _require_int(value, what: str, lo: int, hi: int | None = None) -> int:
@@ -176,9 +177,10 @@ def _gamma_cf(a: float, x: float) -> float:
 
 def _gamma_tails(a: float, x: float) -> tuple[float, float]:
     # (P(a,x), Q(a,x)) for a > 0, x >= 0.  At a = 1/2 (one degree of
-    # freedom) both are closed forms, erf and erfc of sqrt(x).  Otherwise the
-    # lower series below x = a + 1 and the upper continued fraction from
-    # there, times one prefactor; the other tail is 1 minus the one computed.
+    # freedom) both are closed forms, erf and erfc of sqrt(x), and at x = 0
+    # and x = inf they are exact.  Otherwise the lower series below x = a + 1
+    # and the upper continued fraction from there, times one prefactor; the
+    # other tail is 1 minus the one computed.
     # Relative error is below 1e-12 for a up to 500 and grows to about 1e-8
     # at a = 5 * 10^6
     if a == 0.5:
@@ -186,6 +188,8 @@ def _gamma_tails(a: float, x: float) -> tuple[float, float]:
         return math.erf(t), math.erfc(t)
     if x == 0.0:
         return 0.0, 1.0
+    if x == math.inf:
+        return 1.0, 0.0
     prefactor = math.exp(-x + a * math.log(x) - math.lgamma(a))
     if x < a + 1.0:
         lower = _gamma_series(a, x) * prefactor

@@ -53,13 +53,20 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .errors import DomainError, InvalidMode
 from .numerics import _MAX_UINT64, RandomStream, _require_alpha, _require_int, as_generator, chi2_sf
-from .stats import _CLASSIC_METHODS, METHODS, _rank_key, _require_positive_margins, _value
+from .stats import (
+    _CLASSIC_METHODS,
+    METHODS,
+    _classic_defined,
+    _rank_key,
+    _require_positive_margins,
+    _value,
+)
 from .table import _HYPERGEOMETRIC_LIMIT, ContingencyTable
 
 __all__ = [
@@ -297,7 +304,7 @@ def _classic_scores(tables: np.ndarray, n: int, method: str) -> tuple[np.ndarray
     # NaN for both
     R, I, J = tables.shape
     df = _classic_df(I, J)
-    defined = (tables.sum(axis=2) > 0).all(axis=1) & (tables.sum(axis=1) > 0).all(axis=1)
+    defined = _classic_defined(tables.sum(axis=2), tables.sum(axis=1))
     stats = np.full(R, np.nan)
     p = np.full(R, np.nan)
     stats[defined] = _value(method, tables[defined], n)
@@ -305,13 +312,31 @@ def _classic_scores(tables: np.ndarray, n: int, method: str) -> tuple[np.ndarray
     return stats, p
 
 
-def _check_test(method: str, mode: str) -> None:
-    if method not in METHODS:
-        raise InvalidMode(f"unknown method {method!r}; expected one of {METHODS}")
-    if mode not in MODES:
-        raise InvalidMode(f"unknown mode {mode!r}; expected one of {MODES}")
-    if mode == "classic" and method not in _CLASSIC_METHODS:
-        raise InvalidMode(f"{method} has no classic mode; use mode='permutation'")
+def _check_tests(tests: Iterable[tuple[str, str]]) -> tuple[tuple[str, str], ...]:
+    # the one check of a test list: at least one entry, each a (method, mode)
+    # pair that exists, none listed twice
+    if isinstance(tests, str) or not isinstance(tests, Iterable):
+        raise DomainError(f"tests must be a list of (method, mode) pairs, got {tests!r}")
+    checked = []
+    for entry in tests:
+        pair = () if isinstance(entry, str) or not isinstance(entry, Iterable) else tuple(entry)
+        if len(pair) != 2:
+            raise DomainError(f"a test must be a (method, mode) pair, got {entry!r}")
+        method, mode = pair
+        if not (isinstance(method, str) and method in METHODS):
+            raise InvalidMode(f"unknown method {method!r}; expected one of {METHODS}")
+        if not (isinstance(mode, str) and mode in MODES):
+            raise InvalidMode(f"unknown mode {mode!r}; expected one of {MODES}")
+        if mode == "classic" and method not in _CLASSIC_METHODS:
+            raise InvalidMode(f"{method} has no classic mode; use mode='permutation'")
+        if pair in checked:
+            # one exceedance row would serve both entries with two tie-breaks,
+            # so one test on the same tables would get two rates
+            raise DomainError(f"test {pair!r} is listed twice")
+        checked.append(pair)
+    if not checked:
+        raise DomainError("at least one (method, mode) test is required")
+    return tuple(checked)
 
 
 def _block_pvalues(
@@ -412,7 +437,7 @@ def permutation_pvalue(
     (statistic, p_value)
         ``statistic`` is the method's statistic on the data, as in the paper.
     """
-    _check_test(method, "permutation")
+    _check_tests([(method, "permutation")])
     if not isinstance(stream, RandomStream):
         raise TypeError("permutation_pvalue needs a RandomStream to derive its generator")
     t0 = _observed_statistic(table, method)
@@ -440,14 +465,14 @@ def run_test(
         Level, permutation count, seed, tie policy.  Defaults apply.  The
         permutation stream is RandomStream(config.seed).
     """
-    _check_test(method, mode)
+    _check_tests([(method, mode)])
     if config is None:
         config = PermutationConfig()
     if mode == "classic":
-        stats, p = _classic_scores(table.counts[None], table.n, method)
+        df = _classic_df(table.I, table.J)
         _require_positive_margins(table, method)
-        stat, p_value = float(stats[0]), float(p[0])
-        B, df = None, _classic_df(table.I, table.J)
+        stat = float(_value(method, table.counts, table.n))
+        p_value, B = chi2_sf(stat, df), None
     else:
         stat, p_value = permutation_pvalue(table, method, config, RandomStream(config.seed))
         B, df = config.B, None

@@ -47,15 +47,16 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DomainError, InfeasibleEpsilon, SampleTooSmall, SubsampleTooLarge
+from .errors import DomainError, InfeasibleEpsilon, SampleTooSmall
 from .numerics import _MAX_UINT64, RandomStream, _require_int
-from .permutation import PermutationConfig, _block_pvalues, _check_test
+from .permutation import PermutationConfig, _block_pvalues, _check_tests
 from .stats import _dhat_value, _require_sample
 from .table import (
     ContingencyTable,
     JointDistribution,
-    _require_hypergeometric_total,
+    _require_sample_size,
     _sample_tables,
+    _subsample_source,
 )
 
 __all__ = [
@@ -248,19 +249,6 @@ class SubsampleStudy:
     rates: tuple[TestRate, ...]
 
 
-def _validate_tests(tests: Sequence[tuple[str, str]]) -> tuple[tuple[str, str], ...]:
-    tests = tuple((str(m), str(md)) for m, md in tests)
-    if not tests:
-        raise DomainError("at least one (method, mode) test is required")
-    for i, (method, mode) in enumerate(tests):
-        _check_test(method, mode)
-        if (method, mode) in tests[:i]:
-            # one exceedance row would serve both entries with two tie-breaks,
-            # so one test on the same tables would get two rates
-            raise DomainError(f"test ({method!r}, {mode!r}) is listed twice")
-    return tests
-
-
 def _aggregate_rates(
     tests: Sequence[tuple[str, str]], reps: int, blocks: Sequence[np.ndarray]
 ) -> tuple[TestRate, ...]:
@@ -375,7 +363,7 @@ def _study(sources: list, reps: int, tests, config, threads: int) -> list[tuple[
     # through one pool: output is identical for any threads.
     _require_int(reps, "reps", 1)
     _require_int(threads, "threads", 1)
-    tests = _validate_tests(tests)
+    tests = _check_tests(tests)
     for _, n, _ in sources:
         if n < 2:
             raise SampleTooSmall(
@@ -417,7 +405,7 @@ def power_curve(
     epsilon index, block index), and all blocks of all epsilons go through
     one pool: output is identical for any ``threads``.
     """
-    n = _require_int(n, "sample size", 0)
+    n = _require_sample_size(n)
     grid = [float(eps) for eps in eps_grid]
     # materializing each law checks feasibility before any block runs
     sources = [(family.at(eps).distribution().probs, n, True) for eps in grid]
@@ -442,7 +430,7 @@ def dhat_samples(
     replicates, up to ``threads`` and the number of blocks; fewer replicates
     run in the calling process.
     """
-    n = _require_int(n, "sample size", 0)
+    n = _require_sample_size(n)
     _require_sample("dhat", n)
     _require_int(reps, "reps", 1)
     _require_int(seed, "seed", 0, _MAX_UINT64)
@@ -472,14 +460,9 @@ def subsample_study(
     without replacement instead, so the subsample never distorts the
     original counts (and m = n returns the table itself every time).
     """
-    m = _require_int(m, "subsample size", 0)
-    if m > table.n:
-        raise SubsampleTooLarge(f"subsample size {m} exceeds table total {table.n}")
-    if not replace:
-        _require_hypergeometric_total(table.n)
-    weights = table.counts / table.n if replace else table.counts
-    (rates,) = _study([(weights, m, replace)], reps, tests, config, threads)
-    return SubsampleStudy(m=m, reps=reps, rates=rates)
+    source = _subsample_source(table, m, replace)
+    (rates,) = _study([source], reps, tests, config, threads)
+    return SubsampleStudy(m=source[1], reps=reps, rates=rates)
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,8 @@ from .errors import (
     SampleTooSmall,
     UndefinedStatistic,
 )
+from .numerics import _INT64_LIMIT
 from .table import ContingencyTable, JointDistribution
-
-_INT64_MAX = 2**63 - 1
 
 METHODS = ("usp", "pearson", "g")
 _CLASSIC_METHODS = ("pearson", "g")  # the methods with a chi-squared reference law
@@ -90,8 +89,14 @@ def _expected(counts: np.ndarray, n: int) -> np.ndarray:
     return rows[..., :, None] * cols[..., None, :] / float(n)
 
 
+def _classic_defined(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    # whether a classic statistic is defined on each table with row margins
+    # rows (..., I) and column margins cols (..., J): every margin positive
+    return (rows > 0).all(axis=-1) & (cols > 0).all(axis=-1)
+
+
 def _require_positive_margins(table: ContingencyTable, kind: str) -> None:
-    if table.n == 0 or np.any(table.row_margins == 0) or np.any(table.col_margins == 0):
+    if not _classic_defined(table.row_margins, table.col_margins):
         raise UndefinedStatistic(
             f"{kind} statistic is undefined: the table has a zero row or column margin"
         )
@@ -151,7 +156,7 @@ def _usp_key_dtype(n: int):
     # The terms of _usp_key stay below 3n^3 in magnitude: int64 holds them up
     # to n of about 1.4 million, Python ints (object arrays) beyond
     _require_sample("usp", n)
-    return np.int64 if 3 * n**3 <= _INT64_MAX else object
+    return np.int64 if 3 * n**3 < _INT64_LIMIT else object
 
 
 def _usp_key(o: np.ndarray, rc: np.ndarray, n: int) -> np.ndarray:

@@ -6,9 +6,15 @@ population analogue, a cell-probability matrix summing to one.  Sampling
 routines draw tables from a distribution (multinomial) or shrink a table
 without replacement (multivariate hypergeometric), each driven by an
 explicit random stream so parallel callers stay reproducible.
+
+This module validates the size of every sampled table, a single draw's or
+a Monte Carlo study's: a sample size, or a subsample size and its source
+table, is checked here and nowhere else.
 """
 
 from __future__ import annotations
+
+from numbers import Real
 
 import numpy as np
 
@@ -19,7 +25,7 @@ from .errors import (
     NegativeCount,
     SubsampleTooLarge,
 )
-from .numerics import RandomStream, _require_int, as_generator
+from .numerics import _INT64_LIMIT, RandomStream, _require_int, as_generator
 
 __all__ = [
     "ContingencyTable",
@@ -30,7 +36,6 @@ __all__ = [
     "subsample",
 ]
 
-_INT64_LIMIT = 2**63
 _HYPERGEOMETRIC_LIMIT = 10**9  # numpy's hypergeometric samplers take counts below this
 _PROB_SUM_TOL = 1e-12  # family constructors are analytically normalized
 
@@ -96,21 +101,28 @@ class ContingencyTable:
         return f"ContingencyTable({self.counts.tolist()!r})"
 
 
-def _coerce_counts(raw) -> np.ndarray:
+def _matrix(raw, what: str) -> np.ndarray:
+    # raw as a nonempty 2-d array, entries as given: the shape rules that a
+    # table and a distribution share
     try:
         arr = np.asarray(raw)
     except ValueError as exc:  # ragged nested sequences
-        raise DomainError(f"table must be rectangular: {exc}") from None
+        raise DomainError(f"{what} must be rectangular: {exc}") from None
+    if arr.size == 0:
+        raise EmptyTable(f"{what} must have at least one row and one column, got shape {arr.shape}")
+    if arr.ndim != 2:
+        raise DomainError(f"{what} must be a 2-d matrix, got {arr.ndim} dimension(s)")
+    return arr
+
+
+def _coerce_counts(raw) -> np.ndarray:
+    arr = _matrix(raw, "table")
     # np.asarray drops a numpy.ma mask, which would count the masked cells
     if isinstance(raw, np.ndarray) and np.any(getattr(raw, "mask", False)):
         raise DomainError(
             f"table has {int(np.sum(raw.mask))} masked cell(s): a count table has no "
             f"missing cells, so fill the mask first"
         )
-    if arr.size == 0:
-        raise EmptyTable(f"table must have at least one row and one column, got shape {arr.shape}")
-    if arr.ndim != 2:
-        raise DomainError(f"table must be a 2-d matrix, got {arr.ndim} dimension(s)")
     # a signed-integer array holds integers within the int64 range already
     if arr.dtype.kind != "i":
         _require_int64_values(arr, raw)
@@ -193,20 +205,20 @@ class JointDistribution:
     __slots__ = ("probs", "row_margins", "col_margins")
 
     def __init__(self, probs) -> None:
-        arr = np.asarray(probs, dtype=np.float64)
-        if arr.ndim != 2:
-            raise DomainError(f"distribution must be a 2-d matrix, got {arr.ndim} dimension(s)")
-        if arr.shape[0] == 0 or arr.shape[1] == 0:
-            raise EmptyTable(
-                f"distribution must have at least one row and one column, got shape {arr.shape}"
-            )
+        arr = _matrix(probs, "distribution")
+        kind = arr.dtype.kind
+        bad = [v for v in arr.flat if not isinstance(v, Real)] if kind == "O" else []
+        if kind not in "iufO" or bad:
+            got = repr(bad[0]) if bad else f"dtype {arr.dtype}"
+            raise DomainError(f"distribution entries must be real numbers, got {got}")
+        # always a C-ordered copy, so freezing never touches a caller-owned buffer
+        arr = arr.astype(np.float64, order="C")
         if np.any(arr < 0.0) or np.any(arr > 1.0) or not np.all(np.isfinite(arr)):
             i, j = _first_offender((arr < 0.0) | (arr > 1.0) | ~np.isfinite(arr))
             raise DomainError(f"cell ({i},{j}) probability {float(arr[i, j])!r} is outside [0, 1]")
         total = float(arr.sum())
         if abs(total - 1.0) > _PROB_SUM_TOL:
             raise DomainError(f"probabilities must sum to 1 within {_PROB_SUM_TOL}, got {total!r}")
-        arr = np.array(arr, dtype=np.float64, order="C", copy=True)
         object.__setattr__(self, "probs", _freeze(arr))
         object.__setattr__(self, "row_margins", _freeze(arr.sum(axis=1)))
         object.__setattr__(self, "col_margins", _freeze(arr.sum(axis=0)))
@@ -260,7 +272,7 @@ def sample_table(
     Cell counts jointly follow the multinomial law with the distribution's
     cell probabilities; the draw costs O(IJ) regardless of n.
     """
-    n = _require_int(n, "sample size", 0)
+    n = _require_sample_size(n)
     tables = _sample_tables(dist.probs, n, True, 1, as_generator(rng))
     return ContingencyTable(tables[0])
 
@@ -275,12 +287,33 @@ def subsample(
     directly from counts in O(IJ).  numpy's sampler needs the table total
     below 10^9.
     """
+    tables = _sample_tables(*_subsample_source(table, m, False), 1, as_generator(rng))
+    return ContingencyTable(tables[0])
+
+
+def _require_sample_size(value) -> int:
+    # the size of every table drawn from a law: numpy's samplers take int64
+    # counts.  A subsample's size needs no such bound, being at most its
+    # table's total
+    n = _require_int(value, "sample size", 0)
+    if n >= _INT64_LIMIT:
+        raise DomainError(
+            f"sample size must be below 2^63 (numpy's samplers draw int64 counts), got {n}"
+        )
+    return n
+
+
+def _subsample_source(table: ContingencyTable, m, replace: bool) -> tuple[np.ndarray, int, bool]:
+    # the (weights, m, replace) arguments of _sample_tables that draw m of the
+    # table's observations: i.i.d. from its empirical law, or without
+    # replacement.  An empty table's law divides by 1, not 0: it only takes
+    # m = 0, which a study refuses
     m = _require_int(m, "subsample size", 0)
     if m > table.n:
         raise SubsampleTooLarge(f"subsample size {m} exceeds table total {table.n}")
-    _require_hypergeometric_total(table.n)
-    tables = _sample_tables(table.counts, m, False, 1, as_generator(rng))
-    return ContingencyTable(tables[0])
+    if not replace:
+        _require_hypergeometric_total(table.n)
+    return (table.counts / max(table.n, 1) if replace else table.counts), m, replace
 
 
 def _sample_tables(

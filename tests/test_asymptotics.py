@@ -308,3 +308,15 @@ class TestDomain:
         # a string level is refused, not coerced, and never reaches a comparison
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             size_curve("pearson", alpha, [1.0])
+
+    def test_alpha_below_the_floor_names_alpha(self):
+        # 1 - alpha rounded to 1, and the message named chi2_quantile's p
+        floor = math.nextafter(2.0**-54, 1.0)
+        for test in ("pearson", "g"):
+            for alpha in (1e-17, 2.0**-54, math.nextafter(floor, 0.0), 5e-324):
+                with pytest.raises(DomainError, match=re.escape(
+                    f"alpha must be at least {floor!r}, below which 1 - alpha rounds to 1"
+                ) + f".*got {re.escape(str(alpha))}$"):
+                    size_curve(test, alpha, [1.0])
+            # the floor itself is taken
+            assert 0.0 <= size_curve(test, floor, [1.0])[0].asymptotic_size <= 1.0

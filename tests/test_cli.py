@@ -275,6 +275,30 @@ class TestExitCodes:
         # with replacement the table is only a set of cell probabilities
         assert run_cli(capsys, argv)[0] == 0
 
+    def test_sample_size_past_the_int64_range_is_two(self, capsys):
+        # both exited 1 with an OverflowError traceback from numpy's multinomial
+        for argv in (
+            ["power", "--family", "sparse", "--n", "9223372036854775808", "--reps", "1",
+             "--eps-grid", "0:0:1", "--B", "9"],
+            ["dhat", "--family", "sparse", "--n", "9223372036854775808", "--reps", "1"],
+        ):
+            code, out, err = run_cli(capsys, argv)
+            assert (code, out) == (2, ""), argv
+            errors = [line for line in err.splitlines() if line.startswith("error:")]
+            assert errors == [
+                "error: sample size must be below 2^63 (numpy's samplers draw int64 counts), "
+                "got 9223372036854775808"
+            ]
+            assert "Traceback" not in err
+
+    def test_asymsize_alpha_below_its_floor_is_two(self, capsys):
+        # the message named p = 1 - alpha, which the user never gave
+        argv = ["asymsize", "--test", "g", "--alpha", "1e-17", "--lambda", "1:1:1"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: alpha must be at least 5.551115123125784e-17")
+        assert err.endswith("got 1e-17\n") and err.count("\n") == 1 and "p=" not in err
+
     def test_unknown_test_token_is_two(self, capsys):
         code, _, err = run_cli(
             capsys,

@@ -131,6 +131,11 @@ class TestChi2:
         )
         assert chi2_sf(300.0, 12) == pytest.approx(scipy_stats.chi2.sf(300.0, 12), rel=1e-12)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 12, 1000])
+    def test_sf_at_infinity_against_scipy(self, k):
+        # every k but 1 raised "continued fraction did not converge" at x = inf
+        assert chi2_sf(math.inf, k) == scipy_stats.chi2.sf(math.inf, k) == 0.0
+
     def test_one_degree_of_freedom_against_scipy(self):
         # the closed forms erfc(sqrt(x / 2)) and erf(sqrt(y)), from the far
         # left tail to where the upper one nears the float minimum

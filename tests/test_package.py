@@ -285,3 +285,51 @@ class TestNoEnvironment:
         assert _environment_reads(path) == [
             "mod.py:2: environ", "mod.py:3: getenv", "mod.py:5: environ",
         ]
+
+
+# each input rule and the one module that may state it: a raise of the error
+# class, or a call of the check
+RULE_OWNERS = {
+    "SubsampleTooLarge": "table.py",
+    "_require_hypergeometric_total": "table.py",
+    "InvalidMode": "permutation.py",
+}
+
+
+def _rule_statements(path: Path) -> list[tuple[int, str]]:
+    # (line, name) of each raise of a rule's error class, called or not, and
+    # each call of a rule's check, by bare name or as an attribute
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    nodes = [node.exc for node in ast.walk(tree) if isinstance(node, ast.Raise) and node.exc]
+    nodes += [node.func for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    names = ((n.lineno, getattr(n, "id", None) or getattr(n, "attr", None)) for n in nodes)
+    return sorted({(line, name) for line, name in names if name in RULE_OWNERS})
+
+
+class TestRuleOwners:
+    def test_each_rule_is_stated_by_its_owner_alone(self):
+        found = [
+            f"{path.name}:{line}: {name}"
+            for path in sorted(SRC.glob("*.py"))
+            for line, name in _rule_statements(path)
+            if RULE_OWNERS[name] != path.name
+        ]
+        assert found == []
+
+    def test_every_rule_is_stated_by_its_owner(self):
+        owners = set(RULE_OWNERS.values())
+        stated = {name for owner in owners for _, name in _rule_statements(SRC / owner)}
+        assert stated == set(RULE_OWNERS)
+
+    def test_checker_sees_a_second_copy_of_a_rule(self, tmp_path):
+        path = tmp_path / "mod.py"
+        path.write_text(
+            "if m > n:\n    raise SubsampleTooLarge(f'{m} > {n}')\n"
+            "table._require_hypergeometric_total(n)\n"
+            "raise errors.InvalidMode\n"
+            "isinstance(exc, InvalidMode)\n"
+            '"""a docstring that raises InvalidMode is prose"""\n'
+        )
+        assert _rule_statements(path) == [
+            (2, "SubsampleTooLarge"), (3, "_require_hypergeometric_total"), (4, "InvalidMode"),
+        ]

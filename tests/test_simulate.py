@@ -315,6 +315,14 @@ class TestDhatSamples:
         with pytest.raises(InfeasibleEpsilon, match="epsilon must be >= 0, got nan"):
             dhat_samples(fam, n=10, epsilon=float("nan"), reps=2)
 
+    def test_size_past_the_int64_range_rejected(self):
+        # numpy's multinomial sampler raised OverflowError at 2^63; one below
+        # it is drawn and scored
+        fam = AlternativeFamily(kind="sparse")
+        with pytest.raises(DomainError, match=r"sample size must be below 2\^63.*got 9223372036854775808$"):
+            dhat_samples(fam, n=2**63, epsilon=0.0, reps=1)
+        assert np.isfinite(dhat_samples(fam, n=2**63 - 1, epsilon=0.0, reps=1)).all()
+
 
 class TestPowerCurve:
     def test_size_is_exact_at_null(self):
@@ -377,6 +385,23 @@ class TestPowerCurve:
         with pytest.raises(DomainError, match="test \\('g', 'classic'\\) is listed twice"):
             power_curve(fam, [0.0], n=20, reps=5, tests=[("g", "classic")] * 2)
 
+    def test_test_list_entries_must_be_pairs(self):
+        # a bare string, or an entry that is not a pair, raised "not enough
+        # values to unpack" from the unpacking
+        fam = AlternativeFamily("sparse")
+        message = "tests must be a list of (method, mode) pairs, got 'usp'"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            power_curve(fam, [0.0], 20, 2, "usp")
+        for entry in [("usp",), ("usp", "permutation", "x"), "us", None]:
+            message = f"a test must be a (method, mode) pair, got {entry!r}"
+            with pytest.raises(DomainError, match=re.escape(message)):
+                power_curve(fam, [0.0], 20, 2, [entry])
+        with pytest.raises(DomainError, match="tests must be a list"):
+            subsample_study(MARITAL, 10, 2, None)
+        # any iterable pair will do, a list included
+        pts = power_curve(fam, [0.0], 20, 2, [["g", "classic"]])
+        assert (pts[0].rates[0].method, pts[0].rates[0].mode) == ("g", "classic")
+
     def test_sample_size_guards(self):
         fam = AlternativeFamily(kind="sparse", I=5, J=8)
         with pytest.raises(SampleTooSmall):
@@ -388,6 +413,9 @@ class TestPowerCurve:
         # an integral float would print as 100.0 in the CSV
         with pytest.raises(DomainError, match="sample size must be an integer, got 100.0"):
             power_curve(fam, [0.0], n=100.0, reps=5, tests=[("g", "permutation")])
+        # numpy's multinomial sampler raised OverflowError at 2^63
+        with pytest.raises(DomainError, match=r"sample size must be below 2\^63.*got 9223372036854775808$"):
+            power_curve(fam, [0.0], n=2**63, reps=1, tests=[("g", "classic")])
         pts = power_curve(fam, [0.0], n=np.int64(100), reps=2, tests=[("g", "classic")])
         assert power_curve_csv(pts).splitlines()[1].startswith("0.0,100,2,")
         # the margins of a table of fewer than 2 observations fix it, so a
@@ -462,6 +490,14 @@ class TestSubsampleStudy:
         with pytest.raises(DomainError, match="below 10\\^9"):
             subsample_study(validate_table([[10**9, 1], [1, 1]]), m=10, reps=5,
                             tests=PERM_TESTS, replace=False)
+
+    def test_empty_table_is_refused_without_a_warning(self):
+        # the empirical law of an empty table divided 0 by 0 with a
+        # RuntimeWarning before the study refused m = 0
+        empty = validate_table([[0, 0], [0, 0]])
+        for replace in (True, False):
+            with pytest.raises(SampleTooSmall, match="got n=0"):
+                subsample_study(empty, m=0, reps=1, tests=[("g", "classic")], replace=replace)
 
     def test_thread_count_never_changes_output(self, pool_spy):
         # 80 replicates: two blocks, so threads=2 has two tasks to share out

@@ -4,6 +4,7 @@ import copy
 import pickle
 import re
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -229,6 +230,27 @@ class TestJointDistribution:
         with pytest.raises(DomainError, match=re.escape(message) + "$"):
             JointDistribution([[-0.1, 1.1]])
 
+    def test_raw_input_errors_are_domain_errors(self):
+        # numpy's own ValueError leaked for ragged and non-numeric input
+        with pytest.raises(DomainError, match="distribution must be rectangular"):
+            JointDistribution([[0.5], [0.25, 0.25]])
+        with pytest.raises(EmptyTable, match="at least one row and one column"):
+            JointDistribution([[], []])
+        for raw, got in (
+            ([["a", "b"]], "dtype <U1"),
+            ([["0.5", "0.5"]], "dtype <U3"),
+            ([[True, False]], "dtype bool"),
+            ([[0.5 + 0j, 0.5]], "dtype complex128"),
+            ([[None, 0.5]], "None"),
+        ):
+            message = f"distribution entries must be real numbers, got {got}"
+            with pytest.raises(DomainError, match=re.escape(message) + "$"):
+                JointDistribution(raw)
+        # integers and exact fractions are real numbers
+        assert JointDistribution([[0, 1]]).probs.tolist() == [[0.0, 1.0]]
+        exact = JointDistribution([[Fraction(1, 4), Fraction(3, 4)]])
+        assert exact.probs.tolist() == [[0.25, 0.75]]
+
     @pytest.mark.parametrize("round_trip", ROUND_TRIPS, ids=["pickle", "copy", "deepcopy"])
     def test_pickle_and_copy_round_trip(self, round_trip):
         d = JointDistribution(np.outer([0.3, 0.7], [0.25, 0.25, 0.5]))
@@ -321,6 +343,14 @@ class TestSampleTable:
         with pytest.raises(DomainError, match="sample size must be >= 0, got -1"):
             sample_table(d, -1, RandomStream(0))
         assert sample_table(d, np.int64(100), RandomStream(0)).n == 100
+
+    def test_size_past_the_int64_range_rejected(self):
+        # numpy's multinomial sampler raised OverflowError at 2^63
+        d = JointDistribution(np.full((2, 2), 0.25))
+        for n in (2**63, 2**64):
+            with pytest.raises(DomainError, match=rf"sample size must be below 2\^63.*got {n}$"):
+                sample_table(d, n, RandomStream(0))
+        assert sample_table(d, 2**63 - 1, RandomStream(0)).n == 2**63 - 1
 
 
 class TestSubsample:
