@@ -95,7 +95,6 @@ def size_curve_csv(points: Sequence[SizeCurvePoint]) -> str:
 
 
 def _critical_value(alpha: float) -> float:
-    _require_alpha(alpha)
     if 1.0 - alpha == 1.0:
         raise DomainError(
             f"alpha must be at least {_ALPHA_MIN!r}, below which 1 - alpha rounds to 1 "
@@ -219,6 +218,7 @@ def size_curve(
     if test not in _CLASSIC_METHODS:
         raise DomainError(f"unknown test {test!r}; expected one of {_CLASSIC_METHODS}")
     grid = [float(x) for x in (DEFAULT_LAMBDA_GRID if lambda_grid is None else lambda_grid)]
+    alpha = _require_alpha(alpha)
     sizes = _sizes(test, _critical_value(alpha), np.array(grid))
     outside = ~((sizes >= 0.0) & (sizes <= 1.0))
     if outside.any():

@@ -30,7 +30,7 @@ import numpy as np
 from .asymptotics import DEFAULT_LAMBDA_GRID, size_curve, size_curve_csv
 from .datasets import DATASET_NAMES, get_dataset
 from .errors import UndefinedStatistic, UspError
-from .permutation import MODES, PermutationConfig, run_test
+from .permutation import _TIE_POLICIES, MODES, PermutationConfig, run_test
 from .simulate import (
     _FAMILIES,
     AlternativeFamily,
@@ -295,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_test.add_argument("--B", type=int, default=999, help="permutations (permutation mode)")
     p_test.add_argument("--alpha", type=float, default=0.05)
     p_test.add_argument("--seed", type=int, default=0)
-    p_test.add_argument("--tie-policy", choices=("randomized", "conservative"), default="randomized")
+    p_test.add_argument("--tie-policy", choices=_TIE_POLICIES, default="randomized")
     p_test.add_argument("--out", metavar="PATH", default=None)
     p_test.set_defaults(handler=_cmd_test)
 

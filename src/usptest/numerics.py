@@ -47,12 +47,13 @@ def _require_int(value, what: str, lo: int, hi: int | None = None) -> int:
     return v
 
 
-def _require_alpha(alpha) -> None:
-    # a level is a real number in (0, 1): a string such as "0.05" is refused, not coerced
+def _require_alpha(alpha) -> float:
+    # a real number in (0, 1), returned as a float: a string such as "0.05" is refused, not coerced
     if not isinstance(alpha, numbers.Real):
         raise DomainError(f"alpha must be a number, got {alpha!r}")
     if not (0.0 < alpha < 1.0):
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
+    return float(alpha)
 
 
 @dataclass(frozen=True)

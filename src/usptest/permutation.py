@@ -79,6 +79,7 @@ __all__ = [
 ]
 
 MODES = ("permutation", "classic")
+_TIE_POLICIES = ("randomized", "conservative")
 
 _BLOCK_CELLS = 1 << 18  # cells, or shuffled labels, per block of permuted tables (2 MiB of int64)
 
@@ -106,10 +107,10 @@ class PermutationConfig:
     tie_policy: str = "randomized"
 
     def __post_init__(self) -> None:
-        _require_int(self.B, "B", 1)
-        _require_int(self.seed, "seed", 0, _MAX_UINT64)
-        _require_alpha(self.alpha)
-        if self.tie_policy not in ("randomized", "conservative"):
+        object.__setattr__(self, "B", _require_int(self.B, "B", 1))
+        object.__setattr__(self, "seed", _require_int(self.seed, "seed", 0, _MAX_UINT64))
+        object.__setattr__(self, "alpha", _require_alpha(self.alpha))
+        if self.tie_policy not in _TIE_POLICIES:
             raise DomainError(f"unknown tie policy {self.tie_policy!r}")
         if self.alpha * (self.B + 1) < 1.0:
             warnings.warn(

@@ -358,10 +358,9 @@ def _map_replicates(worker, tasks: list, workers: int) -> list:
 
 def _study(sources: list, reps: int, tests, config, threads: int) -> list[tuple[TestRate, ...]]:
     # Rejection rates of every test over reps tables from each source, a
-    # (weights, n, replace) triple for table._sample_tables.  Source i runs
-    # its blocks on streams (i, block), and every block of every source goes
-    # through one pool: output is identical for any threads.
-    _require_int(reps, "reps", 1)
+    # (weights, n, replace) triple for table._sample_tables; the caller checks
+    # reps.  Source i runs its blocks on streams (i, block), and every block
+    # of every source goes through one pool: output is identical for any threads.
     _require_int(threads, "threads", 1)
     tests = _check_tests(tests)
     for _, n, _ in sources:
@@ -409,6 +408,7 @@ def power_curve(
     grid = [float(eps) for eps in eps_grid]
     # materializing each law checks feasibility before any block runs
     sources = [(family.at(eps).distribution().probs, n, True) for eps in grid]
+    reps = _require_int(reps, "reps", 1)
     rates = _study(sources, reps, tests, config, threads)
     return [PowerCurvePoint(epsilon=eps, n=n, reps=reps, rates=r) for eps, r in zip(grid, rates)]
 
@@ -461,6 +461,7 @@ def subsample_study(
     original counts (and m = n returns the table itself every time).
     """
     source = _subsample_source(table, m, replace)
+    reps = _require_int(reps, "reps", 1)
     (rates,) = _study([source], reps, tests, config, threads)
     return SubsampleStudy(m=source[1], reps=reps, rates=rates)
 

@@ -26,7 +26,7 @@ from .errors import (
     UndefinedStatistic,
 )
 from .numerics import _INT64_LIMIT
-from .table import ContingencyTable, JointDistribution
+from .table import ContingencyTable, JointDistribution, _expected
 
 METHODS = ("usp", "pearson", "g")
 _CLASSIC_METHODS = ("pearson", "g")  # the methods with a chi-squared reference law
@@ -82,11 +82,6 @@ def dependence_measure(p: JointDistribution) -> float:
 # ---------------------------------------------------------------------------
 # sample statistics
 # ---------------------------------------------------------------------------
-
-
-def _expected(counts: np.ndarray, n: int) -> np.ndarray:
-    rows, cols = counts.sum(axis=-1), counts.sum(axis=-2)
-    return rows[..., :, None] * cols[..., None, :] / float(n)
 
 
 def _classic_defined(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:

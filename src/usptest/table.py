@@ -7,9 +7,11 @@ routines draw tables from a distribution (multinomial) or shrink a table
 without replacement (multivariate hypergeometric), each driven by an
 explicit random stream so parallel callers stay reproducible.
 
-This module validates the size of every sampled table, a single draw's or
-a Monte Carlo study's: a sample size, or a subsample size and its source
-table, is checked here and nowhere else.
+This module owns the matrix: the immutable body of a table and of a law,
+the one input check of a raw matrix, and the expected counts r_i c_j / n of
+the classic statistics.  It also checks the size of every sampled table, a
+single draw's or a study's: a sample size, or a subsample size and its
+source table, is checked here and nowhere else.
 """
 
 from __future__ import annotations
@@ -40,12 +42,45 @@ _HYPERGEOMETRIC_LIMIT = 10**9  # numpy's hypergeometric samplers take counts bel
 _PROB_SUM_TOL = 1e-12  # family constructors are analytically normalized
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
+class _Matrix:
+    """The frozen body of a table and of a law: its matrix, in the slot named
+    by ``_FIELD``, and margins.  Each subclass passes a validated C-ordered
+    copy of its own, so freezing never touches a caller-owned buffer."""
+
+    __slots__ = ("row_margins", "col_margins")
+    _FIELD: str
+
+    def __init__(self, arr: np.ndarray) -> None:
+        margins = arr.sum(axis=1), arr.sum(axis=0)
+        for name, value in zip((self._FIELD, "row_margins", "col_margins"), (arr, *margins)):
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through the validating constructor, since
+        # the default slot restore would go through the __setattr__ guard
+        return (type(self), (getattr(self, self._FIELD),))
+
+    @property
+    def I(self) -> int:
+        return self.shape[0]
+
+    @property
+    def J(self) -> int:
+        return self.shape[1]
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return getattr(self, self._FIELD).shape
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({getattr(self, self._FIELD).tolist()!r})"
 
 
-class ContingencyTable:
+class ContingencyTable(_Matrix):
     """Immutable matrix of cell counts with derived margins.
 
     Attributes
@@ -58,52 +93,26 @@ class ContingencyTable:
         Total count over all cells.
     """
 
-    __slots__ = ("counts", "row_margins", "col_margins", "n")
+    __slots__ = ("counts", "n")
+    _FIELD = "counts"
 
     def __init__(self, counts) -> None:
         arr = _coerce_counts(counts)
-        object.__setattr__(self, "counts", _freeze(arr))
-        object.__setattr__(self, "row_margins", _freeze(arr.sum(axis=1)))
-        object.__setattr__(self, "col_margins", _freeze(arr.sum(axis=0)))
+        super().__init__(arr)
         object.__setattr__(self, "n", int(arr.sum()))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ContingencyTable is immutable")
-
-    def __reduce__(self):
-        # pickle and copy rebuild through the validating constructor, since
-        # the default slot restore would go through the __setattr__ guard
-        return (type(self), (self.counts,))
-
-    @property
-    def I(self) -> int:
-        return self.counts.shape[0]
-
-    @property
-    def J(self) -> int:
-        return self.counts.shape[1]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.counts.shape
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ContingencyTable):
             return NotImplemented
-        return self.counts.shape == other.counts.shape and bool(
-            np.array_equal(self.counts, other.counts)
-        )
+        return bool(np.array_equal(self.counts, other.counts))
 
     def __hash__(self):
         return hash((self.counts.shape, self.counts.tobytes()))
 
-    def __repr__(self) -> str:
-        return f"ContingencyTable({self.counts.tolist()!r})"
-
 
 def _matrix(raw, what: str) -> np.ndarray:
-    # raw as a nonempty 2-d array, entries as given: the shape rules that a
-    # table and a distribution share
+    # raw as a nonempty, unmasked 2-d array, entries as given: the rules that
+    # a table and a distribution share
     try:
         arr = np.asarray(raw)
     except ValueError as exc:  # ragged nested sequences
@@ -112,17 +121,18 @@ def _matrix(raw, what: str) -> np.ndarray:
         raise EmptyTable(f"{what} must have at least one row and one column, got shape {arr.shape}")
     if arr.ndim != 2:
         raise DomainError(f"{what} must be a 2-d matrix, got {arr.ndim} dimension(s)")
+    # np.asarray drops a numpy.ma mask, which would keep the masked cells
+    if isinstance(raw, np.ndarray) and np.any(getattr(raw, "mask", False)):
+        whole = "a count table" if what == "table" else f"a {what}"
+        raise DomainError(
+            f"{what} has {int(np.sum(raw.mask))} masked cell(s): {whole} has no "
+            f"missing cells, so fill the mask first"
+        )
     return arr
 
 
 def _coerce_counts(raw) -> np.ndarray:
     arr = _matrix(raw, "table")
-    # np.asarray drops a numpy.ma mask, which would count the masked cells
-    if isinstance(raw, np.ndarray) and np.any(getattr(raw, "mask", False)):
-        raise DomainError(
-            f"table has {int(np.sum(raw.mask))} masked cell(s): a count table has no "
-            f"missing cells, so fill the mask first"
-        )
     # a signed-integer array holds integers within the int64 range already
     if arr.dtype.kind != "i":
         _require_int64_values(arr, raw)
@@ -194,7 +204,7 @@ def validate_table(raw) -> ContingencyTable:
     return ContingencyTable(raw)
 
 
-class JointDistribution:
+class JointDistribution(_Matrix):
     """Immutable cell-probability matrix with derived margins.
 
     Entries must lie in [0, 1] and sum to 1 within 1e-12 absolute.
@@ -202,7 +212,8 @@ class JointDistribution:
     column variables.
     """
 
-    __slots__ = ("probs", "row_margins", "col_margins")
+    __slots__ = ("probs",)
+    _FIELD = "probs"
 
     def __init__(self, probs) -> None:
         arr = _matrix(probs, "distribution")
@@ -211,44 +222,24 @@ class JointDistribution:
         if kind not in "iufO" or bad:
             got = repr(bad[0]) if bad else f"dtype {arr.dtype}"
             raise DomainError(f"distribution entries must be real numbers, got {got}")
-        # always a C-ordered copy, so freezing never touches a caller-owned buffer
-        arr = arr.astype(np.float64, order="C")
+        try:
+            arr = arr.astype(np.float64, order="C")  # always a C-ordered copy
+        except OverflowError:  # a Python int past the float range
+            raise DomainError(
+                "distribution entries must lie in [0, 1], got an integer past the float range"
+            ) from None
         if np.any(arr < 0.0) or np.any(arr > 1.0) or not np.all(np.isfinite(arr)):
             i, j = _first_offender((arr < 0.0) | (arr > 1.0) | ~np.isfinite(arr))
             raise DomainError(f"cell ({i},{j}) probability {float(arr[i, j])!r} is outside [0, 1]")
         total = float(arr.sum())
         if abs(total - 1.0) > _PROB_SUM_TOL:
             raise DomainError(f"probabilities must sum to 1 within {_PROB_SUM_TOL}, got {total!r}")
-        object.__setattr__(self, "probs", _freeze(arr))
-        object.__setattr__(self, "row_margins", _freeze(arr.sum(axis=1)))
-        object.__setattr__(self, "col_margins", _freeze(arr.sum(axis=0)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("JointDistribution is immutable")
-
-    def __reduce__(self):
-        # see ContingencyTable.__reduce__
-        return (type(self), (self.probs,))
-
-    @property
-    def I(self) -> int:
-        return self.probs.shape[0]
-
-    @property
-    def J(self) -> int:
-        return self.probs.shape[1]
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.probs.shape
+        super().__init__(arr)
 
     def is_product(self, tol: float = 0.0) -> bool:
         """True if every cell equals the product of its margins within tol."""
         outer = np.outer(self.row_margins, self.col_margins)
         return bool(np.all(np.abs(self.probs - outer) <= tol))
-
-    def __repr__(self) -> str:
-        return f"JointDistribution({self.probs.tolist()!r})"
 
 
 def expected_counts(table: ContingencyTable) -> np.ndarray:
@@ -261,7 +252,16 @@ def expected_counts(table: ContingencyTable) -> np.ndarray:
     """
     if table.n == 0:
         raise EmptySample("expected counts need at least one observation")
-    return np.outer(table.row_margins, table.col_margins) / float(table.n)
+    return _expected(table.counts, table.n)
+
+
+def _expected(counts: np.ndarray, n: int) -> np.ndarray:
+    # r_i c_j / n over the trailing (I, J) axes of one table or of a batch of
+    # tables of total n.  The exact int64 margins go to float64 before their
+    # product, which int64 would wrap past 2^63: the same float below 2^53
+    rows = counts.sum(axis=-1).astype(np.float64)
+    cols = counts.sum(axis=-2).astype(np.float64)
+    return rows[..., :, None] * cols[..., None, :] / float(n)
 
 
 def sample_table(

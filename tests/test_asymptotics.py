@@ -15,6 +15,7 @@ from usptest.asymptotics import (
     g_asymptotic_size,
     pearson_asymptotic_size,
     size_curve,
+    size_curve_csv,
 )
 from usptest.errors import DomainError
 from usptest.numerics import chi2_quantile
@@ -249,6 +250,12 @@ class TestSizeCurve:
     def test_unknown_test(self):
         with pytest.raises(DomainError):
             size_curve("usp", 0.05, [1.0])
+
+    def test_a_numpy_alpha_is_reported_as_the_float_it_holds(self):
+        # the CSV printed np.float32(0.05) in the alpha column
+        pts = size_curve("g", np.float32(0.05), [1.0])
+        assert type(pts[0].alpha) is float
+        assert size_curve_csv(pts).splitlines()[1].startswith("1.0,0.05000000074505806,g,")
 
     def test_size_outside_unit_interval_raises(self, monkeypatch):
         def sizes(test, c, lam):

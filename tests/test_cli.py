@@ -13,7 +13,7 @@ import sys
 import numpy as np
 import pytest
 
-from usptest import cli
+from usptest import cli, permutation
 from usptest.asymptotics import DEFAULT_LAMBDA_GRID, size_curve, size_curve_csv
 from usptest.cli import main
 from usptest.datasets import get_dataset
@@ -75,6 +75,12 @@ class TestTestCommand:
         assert code == 0
         scaled = json.loads(out)["p_value"] * 50
         assert abs(scaled - round(scaled)) < 1e-9
+
+    def test_tie_policy_choices_are_the_library_s(self, capsys):
+        assert main(["test", "--dataset", "marital", "--tie-policy", "sometimes"]) == 2
+        err = capsys.readouterr().err.splitlines()[-1]
+        assert "--tie-policy: invalid choice: 'sometimes'" in err
+        assert all(policy in err for policy in permutation._TIE_POLICIES)
 
     def test_repeat_invocations_byte_identical(self, capsys):
         argv = ["test", "--dataset", "eyecolour", "--method", "usp", "--B", "199"]

@@ -1,9 +1,11 @@
 """Seeded edge-value probe of the library's input rules.
 
 Every size, test list, distribution and asymptotic level below is built from
-one fixed list of atoms.  Each call either returns or raises a ``UspError``
-with a message, and no warning leaks.  Family dimensions and replicate counts
-are left out: a large value there allocates, or runs, without bound.
+one fixed list of atoms, and every raw matrix given to ``validate_table`` and
+``JointDistribution`` from those atoms and a few more, in each dtype and
+shape.  Each call either returns or raises a ``UspError`` with a message, and
+no warning leaks.  Family dimensions and replicate counts are left out: a
+large value there allocates, or runs, without bound.
 """
 
 import time
@@ -89,6 +91,65 @@ def _random_law(gen: np.random.Generator) -> list:
     return [cells[:2], cells[2:3]] if gen.random() < 0.25 else [cells[:2], cells[2:]]
 
 
+# matrix atoms: the list above, the int64 and float limits, and numpy
+# scalars and bools as entries; a matrix is filled with 1 or 0.25, so a
+# table or a 2x2 law of valid cells is taken
+MATRIX_ATOMS = ATOMS + (
+    -(2**63), -(2**63) - 1, 2.0**63, 2**1024, -float("inf"), True,
+    np.int64(3), np.float32(0.25), np.uint64(2**64 - 1), 0.25,
+)
+MATRIX_DTYPES = (None, np.int64, np.uint64, np.float16, np.float64, bool, object)
+MATRIX_SHAPES = ((2, 2), (1, 3), (1, 1), (0, 2), (4,), (), (2, 2, 2), "ragged")
+
+
+def _matrix_input(shape, dtype, atoms, fill=0.25, mask=None):
+    # a raw matrix whose first cells hold atoms and the rest fill: a nested
+    # list when dtype is None (0-d: the atom itself), else an array of that
+    # dtype, masked where mask is true.  None when numpy cannot build it
+    if shape == "ragged":
+        nested = [[*atoms[:1], fill], [fill]]
+    else:
+        cells = np.full(int(np.prod(shape)), fill, dtype=object)
+        cells[: len(atoms)] = atoms[: cells.size]
+        nested = cells.reshape(shape).tolist()
+    if dtype is None:
+        return nested
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # numpy's own casts, not the library's
+        try:
+            raw = np.array(nested, dtype=dtype)
+        except (TypeError, ValueError, OverflowError):
+            return None
+    return raw if mask is None else np.ma.array(raw, mask=np.resize(mask, raw.shape))
+
+
+def _random_matrix(gen: np.random.Generator):
+    # a matrix of 1 to 3 rows and columns (one time in eight another shape),
+    # each cell an atom with probability 0.3, masked one time in four
+    if gen.random() < 0.125:
+        shape = MATRIX_SHAPES[gen.integers(len(MATRIX_SHAPES))]
+    else:
+        shape = tuple(gen.integers(1, 4, size=2))
+    size = 3 if shape == "ragged" else int(np.prod(shape))
+    fill = (1, 0.25)[gen.integers(2)]
+    atoms = [
+        MATRIX_ATOMS[gen.integers(len(MATRIX_ATOMS))] if gen.random() < 0.3 else fill
+        for _ in range(size)
+    ]
+    dtype = MATRIX_DTYPES[gen.integers(len(MATRIX_DTYPES))]
+    mask = gen.random(max(size, 1)) < 0.3 if gen.random() < 0.25 else None
+    return _matrix_input(shape, dtype, atoms, fill, mask)
+
+
+def _matrix_outcome(call, raw) -> str:
+    # as _outcome, but anything other than a UspError is returned as a leak
+    # to report with its input, rather than raised
+    try:
+        return _outcome(call, raw)
+    except Exception as exc:  # a warning raised as an error included
+        return f"leak {type(exc).__name__}: {exc}"
+
+
 class TestEdgeValueProbe:
     @pytest.mark.parametrize("slot", sorted(SLOTS))
     def test_every_atom_returns_or_raises_a_usp_error(self, slot):
@@ -124,6 +185,27 @@ class TestEdgeValueProbe:
             seen.add(_outcome(lambda law: JointDistribution(law), _random_law(gen)))
         # the draws reach both answers and more than one refusal
         assert "ok" in seen and len(seen - {"ok"}) >= 2, seen
+
+    def test_matrix_inputs_return_or_raise_a_usp_error(self):
+        start = time.perf_counter()
+        gen = np.random.default_rng(2024)
+        grid = [
+            _matrix_input(shape, dtype, [atom])
+            for shape in MATRIX_SHAPES
+            for dtype in MATRIX_DTYPES
+            for atom in MATRIX_ATOMS
+        ]
+        drawn = [_random_matrix(gen) for _ in range(600)]
+        outcomes = {}
+        for raw in grid + drawn:
+            for call in (validate_table, JointDistribution):
+                outcome = _matrix_outcome(call, raw)
+                outcomes.setdefault(outcome, (call.__name__, raw))
+        leaks = {k: v for k, v in outcomes.items() if k.startswith("leak")}
+        assert leaks == {}
+        # every rule is reached: values taken, and refused for each reason
+        assert {"ok", "DomainError", "NegativeCount", "EmptyTable"} <= set(outcomes), outcomes
+        assert time.perf_counter() - start < 2.0
 
     def test_probe_runs_in_under_two_seconds(self):
         start = time.perf_counter()

@@ -1,6 +1,7 @@
 """Tests for permuted-table generation and the permutation test protocol."""
 
 import hashlib
+import json
 import re
 import tracemalloc
 from collections import Counter
@@ -217,6 +218,24 @@ class TestPermutationConfig:
         for seed in (1.5, "x", None, -1, 2**64):
             with pytest.raises(DomainError, match=re.escape(f"got {seed!r}")):
                 PermutationConfig(seed=seed)
+
+    def test_numpy_scalars_are_stored_as_python_numbers(self):
+        c = PermutationConfig(B=np.int64(99), alpha=np.float32(0.5), seed=np.uint64(3))
+        assert (type(c.B), type(c.alpha), type(c.seed)) == (int, float, int)
+        assert c.alpha == float(np.float32(0.5))
+        # a result holds Python values, so it serializes as the CLI's test does
+        for method, mode in (("usp", "permutation"), ("pearson", "classic")):
+            r = run_test(MARITAL, method, mode, c)
+            assert type(r.reject) is bool and type(r.alpha) is float
+            assert json.loads(json.dumps(vars(r)))["B"] == (99 if mode == "permutation" else None)
+
+    def test_tie_policies_are_spelled_once(self):
+        # the config's check and the CLI's choices read one tuple
+        assert permutation._TIE_POLICIES == ("randomized", "conservative")
+        for policy in permutation._TIE_POLICIES:
+            assert PermutationConfig(tie_policy=policy).tie_policy == policy
+        with pytest.raises(DomainError, match="unknown tie policy 'sometimes'"):
+            PermutationConfig(tie_policy="sometimes")
 
     def test_warns_when_rejection_impossible(self):
         with pytest.warns(UserWarning, match="never reject") as record:

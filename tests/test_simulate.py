@@ -342,6 +342,14 @@ class TestPowerCurve:
         )
         assert pts[1].rates[0].rejection_rate > pts[0].rates[0].rejection_rate + 0.3
 
+    def test_numpy_reps_are_reported_as_python_ints(self):
+        cfg = PermutationConfig(B=9, alpha=0.2, seed=0)
+        tests = [("usp", "permutation")]
+        pts = power_curve(AlternativeFamily("sparse"), [0.0], 20, np.int64(3), tests, cfg)
+        study = subsample_study(validate_table([[3, 1], [2, 4]]), 8, np.int64(3), tests, cfg)
+        for reps, rate in ((pts[0].reps, pts[0].rates[0]), (study.reps, study.rates[0])):
+            assert (type(reps), type(rate.rejection_rate), type(rate.std_err)) == (int, float, float)
+
     def test_classic_undefined_counted_not_rejected(self):
         # The sparse family's last column is tiny: at n = 40 most draws leave
         # it empty, so the classic statistic is undefined on many replicates.

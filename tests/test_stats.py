@@ -2,6 +2,7 @@
 
 import itertools
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,7 +14,8 @@ from usptest.errors import (
     UndefinedStatistic,
 )
 from oracles import SampleTooLargeForOracle, dhat_bruteforce, usp_exact
-from usptest.table import JointDistribution, validate_table
+from usptest.permutation import run_test
+from usptest.table import JointDistribution, expected_counts, validate_table
 from usptest.stats import (
     chi2_divergence,
     dependence_measure,
@@ -171,6 +173,44 @@ class TestGStatistic:
                 t.counts, correction=False, lambda_="log-likelihood"
             )[0]
             assert float(g_statistic(t)) == pytest.approx(want, rel=1e-10)
+
+
+class TestMarginProductsPast2To63:
+    # r_i c_j is about 2^124 here: an int64 margin product wraps (the expected
+    # counts were [[0, -0.5], [-0.5, -1]] and X^2 divided by zero)
+    COUNTS = [[2**61, 2**61], [2**61, 2**61 - 1]]
+    TABLE = validate_table(COUNTS)
+
+    def _exact(self):
+        # expected counts and X^2 as exact fractions, and G from the series
+        # log(1 + d) = d - d^2/2 + d^3/3, whose next term is below 2^-240 here
+        rows = [sum(r) for r in self.COUNTS]
+        cols = [sum(c) for c in zip(*self.COUNTS)]
+        n = sum(rows)
+        e = [[Fraction(r * c, n) for c in cols] for r in rows]
+        cells = [(o, e[i][j]) for i, row in enumerate(self.COUNTS) for j, o in enumerate(row)]
+        x2 = sum((o - ej) ** 2 / ej for o, ej in cells)
+        g = 2 * sum(o * (d - d**2 / 2 + d**3 / 3) for o, ej in cells for d in [o / ej - 1])
+        return e, float(x2), float(g)
+
+    def test_expected_counts_are_the_exact_ones(self):
+        e, _, _ = self._exact()
+        got = expected_counts(self.TABLE)
+        assert (got > 0).all()
+        want = [float(x) for row in e for x in row]
+        assert got.ravel().tolist() == pytest.approx(want, rel=1e-15)
+
+    def test_statistics_match_the_exact_ones(self):
+        # X^2 is 1.08e-19 exactly; each cell is a float to within 2^9, so the
+        # float statistics resolve about 1e-13
+        _, x2, g = self._exact()
+        assert x2 == pytest.approx(1.08e-19, rel=0.01)
+        assert pearson_statistic(self.TABLE) == pytest.approx(x2, abs=1e-12)
+        assert g_statistic(self.TABLE) == pytest.approx(g, abs=1e-12)
+        for method, want in (("pearson", x2), ("g", g)):
+            r = run_test(self.TABLE, method, "classic")
+            assert r.statistic == pytest.approx(want, abs=1e-12)
+            assert r.p_value == pytest.approx(1.0, abs=1e-6) and not r.reject
 
 
 class TestUspStatistic:

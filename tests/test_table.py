@@ -20,6 +20,7 @@ from usptest.numerics import RandomStream
 from usptest.table import (
     ContingencyTable,
     JointDistribution,
+    _expected,
     expected_counts,
     sample_table,
     subsample,
@@ -251,6 +252,18 @@ class TestJointDistribution:
         exact = JointDistribution([[Fraction(1, 4), Fraction(3, 4)]])
         assert exact.probs.tolist() == [[0.25, 0.75]]
 
+    def test_masked_cells_rejected(self):
+        # np.asarray would drop the mask and keep the masked cell's value
+        masked = np.ma.array([[0.5, 0.5]], mask=[[True, False]])
+        with pytest.raises(DomainError, match=r"distribution has 1 masked cell\(s\)"):
+            JointDistribution(masked)
+        assert JointDistribution(np.ma.array([[0.5, 0.5]])).probs.tolist() == [[0.5, 0.5]]
+
+    def test_integer_past_the_float_range(self):
+        # the cast to float64 raised numpy's OverflowError
+        with pytest.raises(DomainError, match="got an integer past the float range$"):
+            JointDistribution([[2**1024, 0]])
+
     @pytest.mark.parametrize("round_trip", ROUND_TRIPS, ids=["pickle", "copy", "deepcopy"])
     def test_pickle_and_copy_round_trip(self, round_trip):
         d = JointDistribution(np.outer([0.3, 0.7], [0.25, 0.25, 0.5]))
@@ -263,7 +276,39 @@ class TestJointDistribution:
             back.probs = None
 
 
+class TestSharedBody:
+    LAW = JointDistribution([[0.125, 0.375], [0.25, 0.25]])
+    TABLE = validate_table([[1, 3], [2, 2]])
+
+    def test_neither_class_restates_the_body(self):
+        # the frozen body is written once, for tables and laws alike
+        shared = {"__setattr__", "__reduce__", "I", "J", "shape", "__repr__"}
+        for cls in (ContingencyTable, JointDistribution):
+            assert shared.isdisjoint(vars(cls)), cls.__name__
+
+    @pytest.mark.parametrize("which", ["TABLE", "LAW"])
+    def test_the_body_serves_both(self, which):
+        obj = getattr(self, which)
+        name = type(obj).__name__
+        assert (obj.I, obj.J, obj.shape) == (2, 2, (2, 2))
+        assert repr(obj).startswith(f"{name}([[")
+        assert eval(repr(obj), {name: type(obj)}).row_margins.tolist() == obj.row_margins.tolist()
+        for arr in (obj.row_margins, obj.col_margins):
+            assert not arr.flags.writeable
+        with pytest.raises(AttributeError, match=f"^{name} is immutable$"):
+            obj.row_margins = None
+
+
 class TestExpectedCounts:
+    def test_one_kernel_for_a_table_and_a_batch(self):
+        # the batch path of the classic statistics and expected_counts give
+        # the same floats, cell for cell
+        rng = np.random.default_rng(11)
+        tables = rng.multinomial(1000, np.full(12, 1 / 12), size=5).reshape(5, 3, 4)
+        batch = _expected(tables, 1000)
+        for t, e in zip(tables, batch):
+            assert expected_counts(validate_table(t)).tobytes() == e.tobytes()
+
     def test_marital_reference_cells(self):
         # Classic row-margin * col-margin / n expectations.
         t = validate_table(MARITAL_COUNTS)
