@@ -274,7 +274,9 @@ def _add_common_sim(sub: argparse.ArgumentParser, default_reps: int, default_b: 
     sub.add_argument("--alpha", type=float, default=0.05, help="nominal level")
     sub.add_argument("--seed", type=int, default=0, help="master seed")
     sub.add_argument(
-        "--threads", type=int, default=1, help="worker processes (default 1); never changes output"
+        "--threads", type=int, default=1,
+        help="upper bound on workers (default 1): a mid-size study runs on threads, a large "
+        "one on processes, a small one on none; never changes output",
     )
     sub.add_argument("--out", metavar="PATH", default=None, help="write output here instead of stdout")
 
@@ -336,7 +338,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_dhat.add_argument("--eps", type=float, default=0.0)
     p_dhat.add_argument("--reps", type=int, default=1000)
     p_dhat.add_argument("--seed", type=int, default=0)
-    p_dhat.add_argument("--threads", type=int, default=1)
+    p_dhat.add_argument(
+        "--threads", type=int, default=1,
+        help="upper bound on worker processes (default 1), one per 2000 replicates; "
+        "never changes output",
+    )
     p_dhat.add_argument("--out", metavar="PATH", default=None)
     p_dhat.set_defaults(handler=_cmd_dhat)
 

@@ -188,15 +188,17 @@ def _shuffle(rows: np.ndarray, cols: np.ndarray, b: int, gen: np.random.Generato
     # b tables for each of the k sources with margins rows (k, I) and cols
     # (k, J), all of total n, by the definition of the permutation law: each
     # table shuffles its source's n column labels against its row labels, and
-    # one bincount over the cell indices, offset by table, tabulates them all
+    # one bincount over the cell indices, offset by table, tabulates them all.
+    # The table offset goes in with the one add that lays out the column
+    # labels, before the shuffle: permuted moves positions whatever the
+    # values, and np.repeat would hold the interpreter lock for a pass
     k, I = rows.shape
     J = cols.shape[1]
     x = np.repeat(np.tile(np.arange(J), k), cols.ravel()).reshape(k, 1, -1)
-    x = np.repeat(x, b, axis=1).reshape(k * b, -1)
+    x = (x + (I * J * np.arange(k * b)).reshape(k, b, 1)).reshape(k * b, -1)
     gen.permuted(x, axis=1, out=x)
     x = x.reshape(k, b, -1)
     x += J * np.repeat(np.tile(np.arange(I), k), rows.ravel()).reshape(k, 1, -1)
-    x += (I * J * np.arange(k * b)).reshape(k, b, 1)
     return np.bincount(x.ravel(), minlength=k * b * I * J).reshape(k, b, I * J)
 
 

@@ -30,12 +30,16 @@ alone, so results are bit-identical for any worker count, and workers never
 share streams.  ``dhat_samples`` runs in the same blocks, but replicate r
 draws its one table on its own substream (0, r, 0), whatever its block.
 
-``threads``, an integer >= 1, is an upper bound on the worker processes.  A
-study starts one worker per ``_POOL_MIN_CELLS`` cells of the tables that its
-permutation tests would draw without stopping, ``dhat_samples`` one per
-``_POOL_MIN_REPS`` replicates, and neither more than it has blocks or the
-machine has cores: a small study runs in the calling process, where a pool
-would cost more to start than it saves.
+``threads``, an integer >= 1, is an upper bound on the workers, and a study
+picks one of three modes from the cells of the tables that its permutation
+tests would draw without stopping.  From ``_POOL_MIN_CELLS`` cells per
+worker it starts worker processes; from ``_THREAD_MIN_CELLS`` cells per
+worker, worker threads, which start in well under a millisecond and overlap
+where numpy releases the interpreter lock; below that it runs in the calling
+thread, where a pool would cost more to start than it saves.
+``dhat_samples``, whose loop holds the lock, starts one worker process per
+``_POOL_MIN_REPS`` replicates and never threads.  None starts more workers
+than it has blocks or the machine has cores.
 """
 
 from __future__ import annotations
@@ -306,48 +310,68 @@ def _dhat_block(task) -> list[float]:
 
 
 def _worker_count(threads: int, tasks: int) -> int:
-    # a requested thread count never starts more processes than there are
+    # a requested thread count never starts more workers than there are
     # cores or tasks, whatever the caller asked for
     return max(1, min(threads, os.cpu_count() or 1, tasks))
 
 
-_POOL_MIN_CELLS = 500_000  # permuted cells of a study per pool worker
+_POOL_MIN_CELLS = 500_000  # permuted cells of a study per worker process
+# Permuted cells of a study per worker thread.  Threads overlap only where
+# numpy releases the interpreter lock (two threads of Generator.permuted
+# did 1.7x the work of one in the same time), and cost about 0.2 ms to
+# start where a process pool costs 10-40 ms.  On 2 cores, sparse 5x8,
+# n = 100, B = 99, two epsilons, medians of 41 interleaved calls: two
+# threads took 0.99-1.03x the serial time at 95 040 cells (12 replicates),
+# 0.86-0.89x at 126 720 (16) and 0.86-0.89x at 158 400 (20).
+_THREAD_MIN_CELLS = 60_000
 # D-hat replicates per pool worker.  On 2 cores, dense n = 100, medians of
 # 5 calls: a 2-process pool tied with the calling process at 2 000 replicates
 # (114 against 117 ms) and won at 4 000 (185 against 202 ms) and 10 000
 # (274 against 406 ms); sparse at 2 replicates took 39.5 ms in a pool against
-# 0.3 ms serial, and at 100 replicates 51.7 against 5.6 ms.
+# 0.3 ms serial, and at 100 replicates 51.7 against 5.6 ms.  Its loop holds
+# the interpreter lock, so threads gain nothing: sparse, 10 000 replicates
+# at threads=2 took 0.46 s on two threads, 0.40 s serial and 0.25 s on two
+# processes.
 _POOL_MIN_REPS = 2_000
 
 
-def _study_workers(tasks: list, threads: int) -> int:
-    # One worker per _POOL_MIN_CELLS cells of the tables that the blocks'
-    # permutation tests would draw without stopping (size x B x I*J per
-    # block): below that, a pool costs more to start than the blocks it
-    # would share out.  Cells, not hypergeometric draws, because a 2x2 table
-    # costs more than its one draw.  Stopping makes the count an upper bound:
-    # a null dense 6x8 study at n = 100, B = 99 on 2 cores took 25 ms serial
-    # against 49 ms in a pool at 3 blocks (912 384 cells), and 33 against
-    # 35 ms at 4 blocks (1 216 512 cells); at epsilon = 0.01, where few
-    # replicates stop, the pool tied at 3 blocks (54 against 53 ms) and won
-    # at 4 (68 against 57 ms).  So two workers start from 4 such blocks.
+def _study_workers(tasks: list, threads: int) -> tuple[int, bool]:
+    # (workers, processes): one worker process per _POOL_MIN_CELLS cells of
+    # the tables that the blocks' permutation tests would draw without
+    # stopping (size x B x I*J per block), else one worker thread per
+    # _THREAD_MIN_CELLS cells: below that, a pool costs more to start than
+    # the blocks it would share out.  Cells, not hypergeometric draws,
+    # because a 2x2 table costs more than its one draw.  Stopping makes the
+    # count an upper bound: a null dense 6x8 study at n = 100, B = 99 on 2
+    # cores took 25 ms serial against 49 ms in a process pool at 3 blocks
+    # (912 384 cells), and 33 against 35 ms at 4 blocks (1 216 512 cells); at
+    # epsilon = 0.01, where few replicates stop, the pool tied at 3 blocks
+    # (54 against 53 ms) and won at 4 (68 against 57 ms).  So two processes
+    # start from 4 such blocks.  Between the two rules threads win, and above
+    # the process rule processes do: on the documented sparse and dense power
+    # calls two threads took 1.15x and 1.11x the time of two processes.
     cells = sum(
         size * config.B * weights.size
         for (weights, _, _), size, tests, config, _ in tasks
         if any(mode == "permutation" for _, mode in tests)
     )
-    return _worker_count(threads, min(len(tasks), cells // _POOL_MIN_CELLS))
+    processes = _worker_count(threads, min(len(tasks), cells // _POOL_MIN_CELLS))
+    if processes > 1:
+        return processes, True
+    return _worker_count(threads, min(len(tasks), cells // _THREAD_MIN_CELLS)), False
 
 
-def _map_replicates(worker, tasks: list, workers: int) -> list:
+def _map_replicates(worker, tasks: list, workers: int, processes: bool = True) -> list:
     if workers == 1:
         return [worker(t) for t in tasks]
     # imported here, the one place a pool starts, so commands that never
-    # start one do not pay for the import
-    from concurrent.futures import ProcessPoolExecutor
+    # start one do not pay for the import; each executor's module loads on
+    # first use
+    import concurrent.futures as cf
 
-    chunksize = max(1, len(tasks) // (workers * 8))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    executor = cf.ProcessPoolExecutor if processes else cf.ThreadPoolExecutor
+    chunksize = max(1, len(tasks) // (workers * 8))  # threads ignore it
+    with executor(max_workers=workers) as pool:
         return list(pool.map(worker, tasks, chunksize=chunksize))
 
 
@@ -379,7 +403,7 @@ def _study(sources: list, reps: int, tests, config, threads: int) -> list[tuple[
         for i, source in enumerate(sources)
         for k, size in enumerate(sizes)
     ]
-    blocks = _map_replicates(_study_block, tasks, _study_workers(tasks, threads))
+    blocks = _map_replicates(_study_block, tasks, *_study_workers(tasks, threads))
     per = len(sizes)
     return [
         _aggregate_rates(tests, reps, blocks[i * per : (i + 1) * per])
@@ -426,9 +450,9 @@ def dhat_samples(
     Raw material for distribution plots (violins etc.); this package only
     emits the samples.  The law is built once per call, and replicate r
     draws its table on substream (0, r, 0) of ``seed``: output is identical
-    for any ``threads``.  One worker starts per ``_POOL_MIN_REPS``
+    for any ``threads``.  One worker process starts per ``_POOL_MIN_REPS``
     replicates, up to ``threads`` and the number of blocks; fewer replicates
-    run in the calling process.
+    run in the calling thread.
     """
     n = _require_sample_size(n)
     _require_sample("dhat", n)

@@ -230,8 +230,7 @@ def _rank_key(method: str, rows: np.ndarray, cols: np.ndarray, n: int):
     if method == "pearson":
         # X^2 = n sum(o^2 / (r_i c_j)) - n; cells of an empty row or column
         # are zero in every table and get weight 0
-        with np.errstate(divide="ignore"):
-            w = np.where(rc > 0, 1.0 / rc, 0.0)[:, 0]
+        w = np.divide(1.0, rc, out=np.zeros(rc.shape), where=rc > 0)[:, 0]
         return lambda o, sl: np.einsum("rbk,rk->rb", o * o, w[sl])
     # G = 2 sum(o log o) + margin-only terms, with 0 log 0 = 0
     return lambda o, sl: np.einsum("rbk,rbk->rb", o, np.log(np.maximum(o, 1)))

@@ -131,6 +131,16 @@ def _matrix(raw, what: str) -> np.ndarray:
     return arr
 
 
+def _entry_dtype(arr: np.ndarray) -> np.dtype:
+    # the dtype the entry checks go by: bool for an object array holding a
+    # bool or np.bool_, which Python would take as the int 1 or 0, so that it
+    # is refused as a bool array is.  numpy reads a list mixing bools and
+    # numbers, such as [[True, 2]], as a number array before any check here
+    if arr.dtype.kind == "O" and any(isinstance(v, (bool, np.bool_)) for v in arr.flat):
+        return np.dtype(bool)
+    return arr.dtype
+
+
 def _coerce_counts(raw) -> np.ndarray:
     arr = _matrix(raw, "table")
     # a signed-integer array holds integers within the int64 range already
@@ -155,7 +165,8 @@ def _coerce_counts(raw) -> np.ndarray:
 def _require_int64_values(arr: np.ndarray, raw) -> None:
     # every entry must be an integer within the int64 range, checked before
     # the cast to int64, which would wrap silently
-    kind = arr.dtype.kind
+    dtype = _entry_dtype(arr)
+    kind = dtype.kind
     if kind == "O":
         # numpy keeps an integer past the uint64 range as a Python int, and
         # every entry as given: numbers go on to the integer and range checks
@@ -172,7 +183,7 @@ def _require_int64_values(arr: np.ndarray, raw) -> None:
     elif kind == "u":
         fractional = np.zeros(arr.shape, dtype=bool)
     else:
-        raise DomainError(f"table entries must be integers, got dtype {arr.dtype}")
+        raise DomainError(f"table entries must be integers, got dtype {dtype}")
     if np.any(fractional):
         i, j = _first_offender(fractional)
         raise DomainError(f"cell ({i},{j}) is not an integer: {float(arr[i, j])!r}")
@@ -199,7 +210,11 @@ def validate_table(raw) -> ContingencyTable:
     EmptyTable
         If the matrix has zero rows or zero columns.
     DomainError
-        If the input is ragged, not 2-d, or not integral.
+        If the input is ragged, not 2-d, or not integral, or holds a bool:
+        bool entries are refused in a bool array and in an object array
+        alike.  numpy reads a list mixing bools and numbers, such as
+        ``[[True, 2]]``, as int64 before this function sees it, so that one
+        is taken as ``[[1, 2]]``.
     """
     return ContingencyTable(raw)
 
@@ -209,7 +224,10 @@ class JointDistribution(_Matrix):
 
     Entries must lie in [0, 1] and sum to 1 within 1e-12 absolute.
     ``row_margins`` and ``col_margins`` are the marginal laws of the row and
-    column variables.
+    column variables.  Bool entries are refused, in a bool array and in an
+    object array alike; numpy reads a list mixing bools and numbers, such
+    as ``[[True, 0.0]]``, as a number array before this class sees it, so
+    that one is taken as ``[[1.0, 0.0]]``.
     """
 
     __slots__ = ("probs",)
@@ -217,10 +235,11 @@ class JointDistribution(_Matrix):
 
     def __init__(self, probs) -> None:
         arr = _matrix(probs, "distribution")
-        kind = arr.dtype.kind
+        dtype = _entry_dtype(arr)
+        kind = dtype.kind
         bad = [v for v in arr.flat if not isinstance(v, Real)] if kind == "O" else []
         if kind not in "iufO" or bad:
-            got = repr(bad[0]) if bad else f"dtype {arr.dtype}"
+            got = repr(bad[0]) if bad else f"dtype {dtype}"
             raise DomainError(f"distribution entries must be real numbers, got {got}")
         try:
             arr = arr.astype(np.float64, order="C")  # always a C-ordered copy

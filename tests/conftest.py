@@ -2,13 +2,14 @@
 
 Prints a one-line verdict per acceptance criterion after the run, so the
 acceptance status is readable without scrolling the full test log.  Fails
-any test that leaves a child process alive, and provides ``pool_spy`` for
-tests that must run a study through its process pool.
+any test that leaves a child process or a pool's worker thread alive, and
+provides ``pool_spy`` for tests that check which pools a study starts.
 """
 
 import concurrent.futures
 import multiprocessing
 import re
+import threading
 
 import pytest
 
@@ -61,26 +62,35 @@ def _no_child_process_left():
     assert not left, f"the test left child processes alive: {left}"
 
 
+@pytest.fixture(autouse=True)
+def _no_pool_thread_left():
+    yield
+    # a ThreadPoolExecutor names its workers after itself unless given a prefix
+    left = [t for t in threading.enumerate() if t.name.startswith("ThreadPoolExecutor-")]
+    assert not left, f"the test left pool worker threads alive: {left}"
+
+
 @pytest.fixture
 def pool_spy(monkeypatch):
-    """Make every multi-block study start its pool; list the pools started.
+    """List every pool a study or ``dhat_samples`` starts, as (kind, workers).
 
-    Studies start workers only for enough permutation work, and ``dhat`` only
-    for enough replicates, which small test calls never reach.  This lowers
-    both thresholds to one cell or replicate and reports two cores, so
-    ``threads=2`` starts a 2-process pool; the returned list gets each pool's
-    worker count.
+    kind is "thread" or "process".  The pools are real and the thresholds
+    are left as they are: a test that needs a small study to start a pool
+    lowers the threshold itself.  Two cores are reported, so ``threads=2``
+    can start two workers on any machine.
     """
     started = []
 
-    class Spy(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers=None, **kwargs):
-            started.append(max_workers)
-            super().__init__(max_workers=max_workers, **kwargs)
+    def spy(kind, executor):
+        class Spy(executor):
+            def __init__(self, max_workers=None, **kwargs):
+                started.append((kind, max_workers))
+                super().__init__(max_workers=max_workers, **kwargs)
 
-    monkeypatch.setattr(simulate, "_POOL_MIN_CELLS", 1)
-    monkeypatch.setattr(simulate, "_POOL_MIN_REPS", 1)
+        return Spy
+
     monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
-    # simulate imports the executor when it starts a pool, so patch its source
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Spy)
+    # simulate looks the executors up when it starts a pool, so patch their source
+    for kind, name in (("thread", "ThreadPoolExecutor"), ("process", "ProcessPoolExecutor")):
+        monkeypatch.setattr(concurrent.futures, name, spy(kind, getattr(concurrent.futures, name)))
     return started

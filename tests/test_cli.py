@@ -587,35 +587,30 @@ class TestDhatCommand:
 
 
 class TestThreads:
-    def test_shuffled_study_keeps_output_across_a_real_pool(self, capsys, monkeypatch):
+    def test_shuffled_study_keeps_output_across_a_real_pool(self, capsys, monkeypatch, pool_spy):
         # dense 6x8 at n = 100 shuffles its labels (100 observations over 35
         # free cells); 2 x 128 replicates x 99 tables x 48 cells = 1 216 512
-        # cells, so --threads 2 starts two workers at the real threshold.  The
-        # null replicates stop drawing early, at points fixed by their block,
-        # so the two workers print the same bytes.
-        from usptest import permutation, simulate
+        # cells, so --threads 2 starts two processes at the real threshold.
+        # The null replicates stop drawing early, at points fixed by their
+        # block, so the two workers print the same bytes.
+        from usptest import permutation
 
-        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
-        chosen, drawn = [], []
-        study_workers, permuted = simulate._study_workers, permutation._permuted
-
-        def workers_spy(tasks, threads):
-            chosen.append(study_workers(tasks, threads))
-            return chosen[-1]
+        drawn = []
+        permuted = permutation._permuted
 
         def permuted_spy(rows, cols, b, gen):
             drawn.append(len(rows) * b)
             return permuted(rows, cols, b, gen)
 
-        monkeypatch.setattr(simulate, "_study_workers", workers_spy)
         monkeypatch.setattr(permutation, "_permuted", permuted_spy)
         argv = ["power", "--family", "dense", "--n", "100", "--reps", "128", "--B", "99",
                 "--eps-grid", "0:0.01:2", "--tests", "usp,pearson-perm,g-perm,g-classic",
                 "--seed", "5"]
         serial = run_cli(capsys, argv + ["--threads", "1"])
         assert 0 < sum(drawn) < 2 * 128 * 99  # counted in this process only
+        assert pool_spy == []
         pooled = run_cli(capsys, argv + ["--threads", "2"])
-        assert chosen == [1, 2]
+        assert pool_spy == [("process", 2)]
         assert serial == pooled and serial[0] == 0
 
     @pytest.mark.parametrize("threads", ["0", "-5"])

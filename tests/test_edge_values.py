@@ -141,6 +141,18 @@ def _random_matrix(gen: np.random.Generator):
     return _matrix_input(shape, dtype, atoms, fill, mask)
 
 
+def _holds_bool(raw) -> bool:
+    # whether a bool reaches the library as a bool: a bool array, or a bool
+    # entry of an object array (numpy reads [[True, 2]] as int64 first)
+    try:
+        arr = np.asarray(raw)
+    except ValueError:  # ragged
+        return False
+    if arr.dtype.kind == "O":
+        return any(isinstance(v, (bool, np.bool_)) for v in arr.flat)
+    return arr.dtype.kind == "b"
+
+
 def _matrix_outcome(call, raw) -> str:
     # as _outcome, but anything other than a UspError is returned as a leak
     # to report with its input, rather than raised
@@ -196,13 +208,17 @@ class TestEdgeValueProbe:
             for atom in MATRIX_ATOMS
         ]
         drawn = [_random_matrix(gen) for _ in range(600)]
-        outcomes = {}
+        outcomes, bools_taken = {}, []
         for raw in grid + drawn:
             for call in (validate_table, JointDistribution):
                 outcome = _matrix_outcome(call, raw)
                 outcomes.setdefault(outcome, (call.__name__, raw))
+                if outcome == "ok" and _holds_bool(raw):
+                    bools_taken.append((call.__name__, raw))
         leaks = {k: v for k, v in outcomes.items() if k.startswith("leak")}
         assert leaks == {}
+        # a bool is no count and no probability, in any dtype
+        assert bools_taken == []
         # every rule is reached: values taken, and refused for each reason
         assert {"ok", "DomainError", "NegativeCount", "EmptyTable"} <= set(outcomes), outcomes
         assert time.perf_counter() - start < 2.0

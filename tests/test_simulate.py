@@ -1,8 +1,9 @@
 """Tests for alternative families, power curves, estimator samples, and
 subsampling studies."""
 
-import concurrent.futures
+import hashlib
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from usptest.simulate import (
     subsample_study_csv,
     _BLOCK_REPS,
     _POOL_MIN_CELLS,
+    _THREAD_MIN_CELLS,
     _block_sizes,
     _study_workers,
     _worker_count,
@@ -54,6 +56,13 @@ MARITAL = validate_table(
         [3, 9, 9, 6, 3],
     ]
 )
+
+
+def _start_pools(monkeypatch, kind):
+    # lower kind's rule to one cell, so every multi-block study starts that
+    # pool; the process rule is tried first, so it wins when both apply
+    rule = "_THREAD_MIN_CELLS" if kind == "thread" else "_POOL_MIN_CELLS"
+    monkeypatch.setattr(simulate, rule, 1)
 
 
 class TestSparseFamily:
@@ -251,9 +260,10 @@ class TestDhatSamples:
         np.testing.assert_array_equal(a, c)
 
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_replicate_r_is_dhat_of_substream_0_r_0(self, threads, pool_spy):
+    def test_replicate_r_is_dhat_of_substream_0_r_0(self, threads, pool_spy, monkeypatch):
         # the stream contract behind byte-identical dhat output: replicate r
         # is D-hat of one table of the family's law drawn on (seed; 0, r, 0)
+        monkeypatch.setattr(simulate, "_POOL_MIN_REPS", 1)
         fam = AlternativeFamily(kind="sparse")
         law = fam.at(0.05).distribution()
         values = dhat_samples(fam, n=60, epsilon=0.05, reps=130, seed=23, threads=threads)
@@ -264,7 +274,7 @@ class TestDhatSamples:
             for r in range(130)
         ]
         assert values.tolist() == expected
-        assert pool_spy == ([2] if threads == 2 else [])
+        assert pool_spy == ([("process", 2)] if threads == 2 else [])
 
     def test_replicates_go_to_the_pool_in_blocks(self, monkeypatch):
         # one task per block of _BLOCK_REPS replicates, the last one partial,
@@ -281,20 +291,17 @@ class TestDhatSamples:
         assert handed == [[(0, 64), (64, 64), (128, 2)]]
         assert len(values) == 130
 
-    def test_pool_only_where_the_replicates_pay(self, monkeypatch):
-        # one worker per _POOL_MIN_REPS replicates: on two cores, 100
-        # replicates at threads=2 run in the calling process
-        def no_pool(*args, **kwargs):
-            raise AssertionError("dhat_samples started a pool")
-
-        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    def test_pool_only_where_the_replicates_pay(self, pool_spy):
+        # one worker process per _POOL_MIN_REPS replicates, and never a
+        # thread: on two cores, 100 replicates at threads=2 run in the
+        # calling thread
         assert 100 < simulate._POOL_MIN_REPS
         fam = AlternativeFamily(kind="sparse")
         serial = dhat_samples(fam, n=100, epsilon=0.05, reps=100, seed=4)
         assert dhat_samples(fam, n=100, epsilon=0.05, reps=100, seed=4, threads=2).tolist() == (
             serial.tolist()
         )
+        assert pool_spy == []
 
     def test_guards(self):
         fam = AlternativeFamily(kind="sparse", I=5, J=8)
@@ -362,13 +369,15 @@ class TestPowerCurve:
         assert rate.undefined_count > 0
         assert rate.rejection_rate <= 1.0 - rate.undefined_count / 80
 
-    def test_thread_count_never_changes_output(self, pool_spy):
+    @pytest.mark.parametrize("kind", ["thread", "process"])
+    def test_thread_count_never_changes_output(self, kind, pool_spy, monkeypatch):
+        _start_pools(monkeypatch, kind)
         fam = AlternativeFamily(kind="dense", I=6, J=8)
         cfg = PermutationConfig(B=19, alpha=0.1, seed=4)
         kwargs = dict(n=30, reps=24, tests=PERM_TESTS, config=cfg)
         serial = power_curve(fam, [0.0, 0.02], **kwargs, threads=1)
         pooled = power_curve(fam, [0.0, 0.02], **kwargs, threads=2)
-        assert pool_spy == [2]
+        assert pool_spy == [(kind, 2)]
         assert power_curve_csv(serial) == power_curve_csv(pooled)
 
     def test_infeasible_epsilon_rejected_upfront(self):
@@ -507,13 +516,15 @@ class TestSubsampleStudy:
             with pytest.raises(SampleTooSmall, match="got n=0"):
                 subsample_study(empty, m=0, reps=1, tests=[("g", "classic")], replace=replace)
 
-    def test_thread_count_never_changes_output(self, pool_spy):
+    @pytest.mark.parametrize("kind", ["thread", "process"])
+    def test_thread_count_never_changes_output(self, kind, pool_spy, monkeypatch):
         # 80 replicates: two blocks, so threads=2 has two tasks to share out
+        _start_pools(monkeypatch, kind)
         cfg = PermutationConfig(B=19, alpha=0.1, seed=9)
         kwargs = dict(m=60, reps=_BLOCK_REPS + 16, tests=[("usp", "permutation")], config=cfg)
         serial = subsample_study(MARITAL, **kwargs, threads=1)
         pooled = subsample_study(MARITAL, **kwargs, threads=2)
-        assert pool_spy == [2]
+        assert pool_spy == [(kind, 2)]
         assert subsample_study_csv(serial) == subsample_study_csv(pooled)
 
 
@@ -580,8 +591,10 @@ class TestStudyBlocks:
         reps = 2 * _BLOCK_REPS + _BLOCK_REPS // 2
         assert _block_sizes(reps) == [_BLOCK_REPS, _BLOCK_REPS, _BLOCK_REPS // 2]
 
-    def test_thread_count_never_changes_output_across_blocks(self, pool_spy):
+    @pytest.mark.parametrize("kind", ["thread", "process"])
+    def test_thread_count_never_changes_output_across_blocks(self, kind, pool_spy, monkeypatch):
         # 2.5 blocks per study: two full blocks and a partial last one
+        _start_pools(monkeypatch, kind)
         reps = 2 * _BLOCK_REPS + _BLOCK_REPS // 2
         cfg = PermutationConfig(B=19, alpha=0.1, seed=21)
         tests = PERM_TESTS + [("g", "classic")]
@@ -601,7 +614,27 @@ class TestStudyBlocks:
             ]
             assert studies[0] == studies[1]
             assert f"80,{reps},usp,permutation," in studies[0]
-        assert pool_spy == [2, 2, 2]
+        assert pool_spy == [(kind, 2)] * 3
+
+    def test_more_threads_than_cores_keep_the_bytes(self, pool_spy, monkeypatch):
+        # blocks share no mutable state: eight worker threads on the machine's
+        # cores, switching as often as the interpreter allows, print the
+        # bytes of one thread
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 8)
+        _start_pools(monkeypatch, "thread")
+        fam = AlternativeFamily(kind="dense", I=6, J=8)
+        kwargs = dict(n=30, reps=2 * _BLOCK_REPS, tests=PERM_TESTS + [("g", "classic")],
+                      config=PermutationConfig(B=19, alpha=0.1, seed=8))
+        grid = [0.0, 0.005, 0.01, 0.02]
+        serial = power_curve_csv(power_curve(fam, grid, **kwargs, threads=1))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            pooled = power_curve_csv(power_curve(fam, grid, **kwargs, threads=8))
+        finally:
+            sys.setswitchinterval(interval)
+        assert pool_spy == [("thread", 8)]
+        assert pooled == serial
 
 
 class TestStopping:
@@ -686,27 +719,34 @@ class TestStudyWorkers:
         ]
 
     def test_pool_only_where_the_draws_pay(self, monkeypatch):
+        # (workers, processes): processes from _POOL_MIN_CELLS cells per
+        # worker, threads from _THREAD_MIN_CELLS, else the calling thread
         monkeypatch.setattr("usptest.simulate.os.cpu_count", lambda: 4)
-        # 2 x 20 tables x 99 permuted tables x 40 cells: 158 400 cells, no pool
-        assert 2 * 20 * 99 * 40 < _POOL_MIN_CELLS
-        assert _study_workers(self.tasks(20, self.TESTS), 2) == 1
-        # 128 replicates: 1 013 760 cells over 4 blocks, two workers
-        assert _study_workers(self.tasks(128, self.TESTS), 2) == 2
-        assert _study_workers(self.tasks(128, self.TESTS), 1) == 1
-        # more threads: one worker per _POOL_MIN_CELLS cells, at most one per
+        # 2 x 12 tables x 99 permuted tables x 40 cells: 95 040 cells, serial
+        assert 2 * 12 * 99 * 40 < 2 * _THREAD_MIN_CELLS
+        assert _study_workers(self.tasks(12, self.TESTS), 2) == (1, False)
+        # 2 x 20 x 99 x 40: 158 400 cells over 2 blocks, two threads
+        assert 2 * _THREAD_MIN_CELLS <= 2 * 20 * 99 * 40 < _POOL_MIN_CELLS
+        assert _study_workers(self.tasks(20, self.TESTS), 2) == (2, False)
+        assert _study_workers(self.tasks(20, self.TESTS), 8) == (2, False)
+        assert _study_workers(self.tasks(20, self.TESTS), 1) == (1, False)
+        # 128 replicates: 1 013 760 cells over 4 blocks, two processes
+        assert _study_workers(self.tasks(128, self.TESTS), 2) == (2, True)
+        assert _study_workers(self.tasks(128, self.TESTS), 1) == (1, False)
+        # more threads: one process per _POOL_MIN_CELLS cells, at most one per
         # block and per core
-        assert _study_workers(self.tasks(128, self.TESTS), 8) == 2
-        assert _study_workers(self.tasks(256, self.TESTS), 8) == 4
-        assert _study_workers(self.tasks(64, self.TESTS, I=10, J=12), 8) == 2
-        # dense 6x8, where stopping halves a null block: 912 384 cells run in
-        # the calling process, 1 216 512 start two workers
-        assert _study_workers(self.tasks(96, self.TESTS, I=6, J=8), 8) == 1
-        assert _study_workers(self.tasks(128, self.TESTS, I=6, J=8), 8) == 2
+        assert _study_workers(self.tasks(128, self.TESTS), 8) == (2, True)
+        assert _study_workers(self.tasks(256, self.TESTS), 8) == (4, True)
+        assert _study_workers(self.tasks(64, self.TESTS, I=10, J=12), 8) == (2, True)
+        # dense 6x8, where stopping halves a null block: 912 384 cells are
+        # too few for two processes, so they share out over a thread per block
+        assert _study_workers(self.tasks(96, self.TESTS, I=6, J=8), 8) == (4, False)
+        assert _study_workers(self.tasks(128, self.TESTS, I=6, J=8), 8) == (2, True)
         # the cells count, not the hypergeometric draws: a 2x2 table makes one
         # draw but costs about as much per cell as a larger one, so 128
-        # replicates at B = 999 (1 022 976 cells) share out over two workers
-        assert _study_workers(self.tasks(128, self.TESTS, I=2, J=2), 8) == 1
-        assert _study_workers(self.tasks(128, self.TESTS, I=2, J=2, B=999), 8) == 2
+        # replicates at B = 999 (1 022 976 cells) share out over two processes
+        assert _study_workers(self.tasks(128, self.TESTS, I=2, J=2), 8) == (1, False)
+        assert _study_workers(self.tasks(128, self.TESTS, I=2, J=2, B=999), 8) == (2, True)
 
     # the study calls of bench/workloads.py and its --threads gate
     BENCH_CALLS = [
@@ -722,23 +762,24 @@ class TestStudyWorkers:
          "--B", "99", "--tests", "usp,pearson-perm,g-perm"]
     ]
 
-    def test_benchmark_studies_start_no_pool(self, monkeypatch, capsys):
-        monkeypatch.setattr("usptest.simulate.os.cpu_count", lambda: 2)
-        chosen = []
-
-        def spy(tasks, threads):
-            chosen.append(_study_workers(tasks, threads))
-            return chosen[-1]
-
-        monkeypatch.setattr(simulate, "_study_workers", spy)
+    def test_benchmark_studies_pick_their_pool(self, pool_spy, capsys):
+        # At the real thresholds, on two cores: each power call, 2 blocks of
+        # 158 400 or 190 080 cells, shares them over two threads; the one-block
+        # subsample calls and the 12-replicate gate (95 040 cells) run in the
+        # calling thread.  The bytes are those of --threads 1.
+        pools, digests = [], []
         for argv in self.BENCH_CALLS:
-            assert main(argv + ["--seed", "1", "--threads", "2"]) == 0, argv
-        capsys.readouterr()
-        assert chosen == [1] * len(self.BENCH_CALLS)
+            for threads in ("1", "2"):
+                assert main(argv + ["--seed", "1", "--threads", threads]) == 0, argv
+                digests.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+                pools.append(pool_spy[:])
+                pool_spy.clear()
+        assert pools == [[], [("thread", 2)]] * 2 + [[], []] * 3
+        assert digests[::2] == digests[1::2]
 
     def test_classic_tests_draw_nothing(self, monkeypatch):
         monkeypatch.setattr("usptest.simulate.os.cpu_count", lambda: 4)
-        assert _study_workers(self.tasks(1000, [("g", "classic")]), 4) == 1
+        assert _study_workers(self.tasks(1000, [("g", "classic")]), 4) == (1, False)
 
 
 class TestClassicBlock:

@@ -181,6 +181,12 @@ class TestCoercionByDtype:
             (np.array([[1.0, -2.0]]), "cell (0,1) is negative: -2"),
             (np.array([[1.0, 1e19]]), "cell (0,1) is outside the int64 range: 1e+19"),
             (np.array([[True, False]]), "table entries must be integers, got dtype bool"),
+            # Python takes True for the int 1, so an object array's bools are
+            # refused as a bool array is
+            (np.array([[True, False]], dtype=object),
+             "table entries must be integers, got dtype bool"),
+            (np.array([[1, np.bool_(True)]], dtype=object),
+             "table entries must be integers, got dtype bool"),
             # numpy files timedelta64 under the signed integers
             (np.array([[1, 2]], dtype="m8[s]"),
              "table entries must be integers, got dtype timedelta64[s]"),
@@ -241,6 +247,8 @@ class TestJointDistribution:
             ([["a", "b"]], "dtype <U1"),
             ([["0.5", "0.5"]], "dtype <U3"),
             ([[True, False]], "dtype bool"),
+            (np.array([[True, False]], dtype=object), "dtype bool"),
+            (np.array([[0.5, np.bool_(False)]], dtype=object), "dtype bool"),
             ([[0.5 + 0j, 0.5]], "dtype complex128"),
             ([[None, 0.5]], "None"),
         ):
