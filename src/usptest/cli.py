@@ -21,6 +21,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 import warnings
 from typing import Sequence
@@ -49,6 +50,7 @@ __all__ = ["main"]
 _EXIT_OK = 0
 _EXIT_USAGE = 2
 _EXIT_UNDEFINED = 3
+_INTEGER = re.compile(r"[+-]?[0-9]+")  # a CSV cell; int() also reads "1_0" and non-ASCII digits
 
 _TEST_TOKENS = {
     "usp": ("usp", "permutation"),
@@ -65,11 +67,12 @@ class _UsageError(Exception):
 
 def _read_table_csv(path: str) -> ContingencyTable:
     """Parse a table file: comma-separated non-negative integers, one row per
-    line, blank lines and #-comment lines ignored, no header."""
+    line, blank lines and #-comment lines ignored, no header, UTF-8 with or
+    without a byte-order mark."""
     rows: list[list[int]] = []
     width = None
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from None
@@ -80,12 +83,11 @@ def _read_table_csv(path: str) -> ContingencyTable:
         cells = [c.strip() for c in text.split(",")]
         row = []
         for colno, cell in enumerate(cells, start=1):
-            try:
-                row.append(int(cell))
-            except ValueError:
+            if not _INTEGER.fullmatch(cell):
                 raise _UsageError(
                     f"{path}: line {lineno}, column {colno}: not an integer: {cell!r}"
-                ) from None
+                )
+            row.append(int(cell))
         if width is None:
             width = len(row)
         elif len(row) != width:

@@ -1,11 +1,11 @@
 """Special functions and seeded random streams.
 
-Only the numerics the rest of the package needs: the regularized
-incomplete gamma functions, in closed form at one degree of freedom, and
-with them the chi-squared tail and its quantile by bisection; a small
-splittable random-stream wrapper that makes every stochastic routine
-reproducible for any execution order or worker count; and the one check
-each of an integer argument and of a level alpha.
+Only the numerics the rest of the package needs: the chi-squared tail at
+integer degrees of freedom as a finite sum, for a float or an array, and
+its quantile by bisection; a small splittable random-stream wrapper that
+makes every stochastic routine reproducible for any execution order or
+worker count; and the one check each of an integer argument and of a
+level alpha.
 """
 
 from __future__ import annotations
@@ -119,20 +119,14 @@ def as_generator(rng: RandomStream | np.random.Generator) -> np.random.Generator
 # ---------------------------------------------------------------------------
 
 _EPS = 2.22e-16
-_FPMIN = 1e-300
+_TERM_CHUNK = 2**16  # terms of the closed form summed at once, so memory stays bounded in k
 
 
 def _term_budget(a: float) -> int:
-    # Near x = a both expansions need a number of terms that grows like
-    # sqrt(a) (the series' terms fall off as exp(-k^2 / 2a)), so a fixed cap
-    # would return a partial sum for large a
+    # Near x = a the series needs a number of terms that grows like sqrt(a)
+    # (its terms fall off as exp(-k^2 / 2a)), so a fixed cap would return a
+    # partial sum for large a
     return 1000 + int(10.0 * math.sqrt(a))
-
-
-def _unconverged(a: float, x: float, form: str) -> DomainError:
-    return DomainError(
-        f"incomplete gamma {form} did not converge in {_term_budget(a)} terms at a={a}, x={x}"
-    )
 
 
 def _gamma_series(a: float, x: float) -> float:
@@ -145,87 +139,90 @@ def _gamma_series(a: float, x: float) -> float:
         term *= x / ap
         total += term
         if abs(term) < abs(total) * _EPS:
-            break
-    else:
-        raise _unconverged(a, x, "series")
-    return total
+            return total
+    raise DomainError(
+        f"incomplete gamma series did not converge in {_term_budget(a)} terms at a={a}, x={x}"
+    )
 
 
-def _gamma_cf(a: float, x: float) -> float:
-    # upper-tail continued fraction (modified Lentz) of Q(a,x) / (x^a e^-x / Gamma(a))
-    b = x + 1.0 - a
-    c = 1.0 / _FPMIN
-    d = 1.0 / b
-    h = d
-    for i in range(1, _term_budget(a) + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = b + an / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _EPS:
-            break
-    else:
-        raise _unconverged(a, x, "continued fraction")
-    return h
+def _lgamma(z: np.ndarray) -> np.ndarray:
+    # log Gamma(z) for z >= 1: math.lgamma below 64, Stirling's series from
+    # there, where the first term it leaves out is below 1e-19
+    w2 = z**-2.0
+    out = (z - 0.5) * np.log(z) - z + 0.5 * math.log(2.0 * math.pi)
+    out += (1 / 12 - w2 * (1 / 360 - w2 * (1 / 1260 - w2 / 1680))) / z
+    out[z < 64.0] = [math.lgamma(v) for v in z[z < 64.0].tolist()]
+    return out
+
+
+def _upper_gamma(y: np.ndarray, k: int) -> np.ndarray:
+    # Q(k/2, y) for an integer k >= 1 over a 1-d array y >= 0 (Abramowitz &
+    # Stegun 26.4.4-5): erfc(sqrt(y)) at odd k, plus e^-y sum_{j<k//2}
+    # y^(j+h) / Gamma(j+h+1) with h = 1/2 at odd k and 0 at even k.  Each
+    # result depends on its own y alone: its terms are summed relative to
+    # its largest, at j = floor(y - h) within range, so no tail underflows
+    h, m = 0.5 * (k % 2), k // 2
+    q = np.array([math.erfc(math.sqrt(v)) for v in y.tolist()]) if h else (y == 0.0) * 1.0
+    live = (y > 0.0) & (y < math.inf)
+    if m == 0 or not live.any():
+        return q
+    v, log_v = y[live], np.log(y[live])
+    peak = np.minimum(np.floor(np.maximum(v - h, 0.0)), m - 1) + h
+    top = peak * log_v - _lgamma(peak + 1.0)  # log of the largest term, plus y
+    total = np.zeros(v.shape)
+    for lo in range(0, m, _TERM_CHUNK):
+        j = np.arange(lo, min(m, lo + _TERM_CHUNK)) + h
+        total += np.exp(np.outer(log_v, j) - _lgamma(j + 1.0) - top[:, None]).sum(axis=1)
+    q[live] += np.exp(top - v) * total
+    return np.minimum(q, 1.0)
 
 
 def _gamma_tails(a: float, x: float) -> tuple[float, float]:
-    # (P(a,x), Q(a,x)) for a > 0, x >= 0.  At a = 1/2 (one degree of
-    # freedom) both are closed forms, erf and erfc of sqrt(x), and at x = 0
-    # and x = inf they are exact.  Otherwise the lower series below x = a + 1
-    # and the upper continued fraction from there, times one prefactor; the
-    # other tail is 1 minus the one computed.
-    # Relative error is below 1e-12 for a up to 500 and grows to about 1e-8
-    # at a = 5 * 10^6
+    # (P(a,x), Q(a,x)) for a = k/2 with an integer k >= 1, and x >= 0: erf
+    # and erfc of sqrt(x) at a = 1/2, else the lower series below x = a + 1
+    # and the closed-form upper tail from there, the other tail 1 minus it
     if a == 0.5:
         t = math.sqrt(x)
         return math.erf(t), math.erfc(t)
-    if x == 0.0:
-        return 0.0, 1.0
-    if x == math.inf:
-        return 1.0, 0.0
-    prefactor = math.exp(-x + a * math.log(x) - math.lgamma(a))
-    if x < a + 1.0:
-        lower = _gamma_series(a, x) * prefactor
+    if 0.0 < x < a + 1.0:
+        lower = _gamma_series(a, x) * math.exp(-x + a * math.log(x) - math.lgamma(a))
         return min(1.0, lower), max(0.0, 1.0 - lower)
-    upper = _gamma_cf(a, x) * prefactor
-    return min(1.0, max(0.0, 1.0 - upper)), min(1.0, upper)
+    upper = float(_upper_gamma(np.array([x]), int(2 * a))[0])
+    return 1.0 - upper, upper
 
 
-def chi2_sf(x: float, k: float) -> float:
+def chi2_sf(x, k: int):
     """Upper tail P(X > x) of the chi-squared distribution with k degrees of freedom.
 
-    Computed directly (erfc at k = 1, else the continued fraction) where
-    the tail is small, so it keeps its relative accuracy far below the
-    1e-16 that subtracting the CDF from one can resolve.
+    k is an integer >= 1; x is a float >= 0, giving a float, or an array,
+    giving an array of its shape.  The tail is the finite sum of Abramowitz
+    & Stegun 26.4.4-5: e^(-x/2) sum_{j<k/2} (x/2)^j / j! at even k, and
+    erfc(sqrt(x/2)) plus the same sum over half-integer j at odd k.  No sum
+    can fail to converge, and summed in log space the tail keeps its
+    relative accuracy down to the smallest float.
     """
-    if not (k >= 1):
-        raise DomainError(f"chi2_sf requires k >= 1, got k={k}")
-    if not (x >= 0):
-        raise DomainError(f"chi2_sf requires x >= 0, got x={x}")
-    return _gamma_tails(k / 2.0, x / 2.0)[1]
+    k = _require_int(k, "chi2_sf degrees of freedom k", 1)
+    xs = np.asarray(x, dtype=float)
+    bad = ~(xs >= 0.0)
+    if bad.any():
+        raise DomainError(f"chi2_sf requires x >= 0, got x={float(xs[bad].flat[0])}")
+    q = _upper_gamma(xs.ravel() / 2.0, k)
+    return float(q[0]) if xs.ndim == 0 else q.reshape(xs.shape)
 
 
-def chi2_quantile(p: float, k: float) -> float:
-    """Inverse chi-squared CDF: the point that bracketed bisection reaches.
+def chi2_quantile(p: float, k: int) -> float:
+    """Inverse chi-squared CDF at integer k >= 1: the point that bracketed bisection reaches.
 
-    hi starts at max(k, 1) and doubles until it lies above the quantile,
-    then [0, hi] is bisected until the bracket is exhausted.  Above the
-    median a point lies below the quantile where ``chi2_sf(x, k) > 1 - p``,
+    hi starts at k and doubles until it lies above the quantile, then
+    [0, hi] is bisected until the bracket is exhausted.  Above the median a
+    point lies below the quantile where the upper tail exceeds ``1 - p``,
     so upper quantiles keep the relative accuracy of the tail, not of the
-    CDF; at or below it, where the CDF ``P(k/2, x/2) < p``.
+    CDF; at or below it, where the CDF is below ``p``.  The CDF is erf at
+    k = 1, else a series below x = k + 2 and 1 - ``chi2_sf`` above.
     """
     if not (0.0 < p < 1.0):
         raise DomainError(f"chi2_quantile requires 0 < p < 1, got p={p}")
-    if not (k >= 1):
-        raise DomainError(f"chi2_quantile requires k >= 1, got k={k}")
+    k = _require_int(k, "chi2_quantile degrees of freedom k", 1)
     tail = 1.0 - p  # exact for p >= 0.5
 
     def below(x: float) -> bool:
@@ -233,7 +230,7 @@ def chi2_quantile(p: float, k: float) -> float:
         lower, upper = _gamma_tails(k / 2.0, x / 2.0)
         return upper > tail if p > 0.5 else lower < p
 
-    lo, hi = 0.0, max(float(k), 1.0)
+    lo, hi = 0.0, float(k)
     while below(hi):
         hi *= 2.0
     while True:

@@ -303,15 +303,15 @@ def _classic_df(I: int, J: int) -> int:
 def _classic_scores(tables: np.ndarray, n: int, method: str) -> tuple[np.ndarray, np.ndarray]:
     # statistics and chi-squared p-values, each of shape (R,), of a classic
     # test on R tables of common total n, the statistic scored as one
-    # reduction; a table with a zero margin has no classic statistic and gets
-    # NaN for both
+    # reduction and the p-values as one chi2_sf call; a table with a zero
+    # margin has no classic statistic and gets NaN for both
     R, I, J = tables.shape
     df = _classic_df(I, J)
     defined = _classic_defined(tables.sum(axis=2), tables.sum(axis=1))
     stats = np.full(R, np.nan)
     p = np.full(R, np.nan)
     stats[defined] = _value(method, tables[defined], n)
-    p[defined] = [chi2_sf(stat, df) for stat in stats[defined].tolist()]
+    p[defined] = chi2_sf(stats[defined], df)
     return stats, p
 
 
@@ -474,8 +474,8 @@ def run_test(
     if mode == "classic":
         df = _classic_df(table.I, table.J)
         _require_positive_margins(table, method)
-        stat = float(_value(method, table.counts, table.n))
-        p_value, B = chi2_sf(stat, df), None
+        stats, p = _classic_scores(table.counts[None], table.n, method)
+        stat, p_value, B = float(stats[0]), float(p[0]), None
     else:
         stat, p_value = permutation_pvalue(table, method, config, RandomStream(config.seed))
         B, df = config.B, None

@@ -1,16 +1,21 @@
 """Shared pytest configuration.
 
-Prints a one-line verdict per acceptance criterion after the run, so the
-acceptance status is readable without scrolling the full test log.  Fails
+Prints the numpy and Python versions in the header, since the sha256 pins of
+stdout hold for the numpy release they were recorded on (numpy does not fix
+``Generator`` streams across releases), and a one-line verdict per
+acceptance criterion after the run, so the acceptance status is readable
+without scrolling the full test log.  Fails
 any test that leaves a child process or a pool's worker thread alive, and
 provides ``pool_spy`` for tests that check which pools a study starts.
 """
 
 import concurrent.futures
 import multiprocessing
+import platform
 import re
 import threading
 
+import numpy as np
 import pytest
 
 from usptest import simulate
@@ -34,6 +39,10 @@ _CRITERION_TITLES = {
 _NODE_RE = re.compile(r"test_acceptance\.py::test_criterion_(\d+)")
 
 _results: dict[int, tuple[str, float]] = {}
+
+
+def pytest_report_header(config):
+    return f"numpy {np.__version__}, Python {platform.python_version()}"
 
 
 def pytest_runtest_logreport(report):

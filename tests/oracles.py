@@ -96,6 +96,66 @@ def two_row_tail(counts, statistic) -> Fraction:
     return sum((w for table, w in two_row_law(counts) if statistic(table) >= t0), Fraction(0))
 
 
+def dhat_exact(counts) -> Fraction:
+    """D-hat in exact rational arithmetic: :func:`usp_exact` plus the three
+    margin terms of :func:`usptest.stats.dhat_statistic`."""
+    rows = [[int(c) for c in row] for row in np.asarray(counts)]
+    n = sum(map(sum, rows))
+    r2 = sum(sum(row) ** 2 for row in rows)
+    c2 = sum(sum(col) ** 2 for col in zip(*rows))
+    return (
+        usp_exact(counts)
+        + Fraction(r2 + c2, n * (n - 1) * (n - 3))
+        + Fraction((3 * n - 2) * r2 * c2, n**3 * (n - 1) * (n - 2) * (n - 3))
+        - Fraction(n, (n - 1) * (n - 3))
+    )
+
+
+def dependence_exact(probs) -> Fraction:
+    """D = sum (p_ij - p_i+ p_+j)^2 of a law with rational cells, exactly."""
+    cells = [[Fraction(p) for p in row] for row in probs]
+    r = [sum(row) for row in cells]
+    c = [sum(col) for col in zip(*cells)]
+    return sum((p - r[i] * c[j]) ** 2 for i, row in enumerate(cells) for j, p in enumerate(row))
+
+
+def _compositions(n: int, k: int):
+    # every k-tuple of non-negative integers that sums to n
+    if k == 1:
+        yield (n,)
+        return
+    for head in range(n + 1):
+        for tail in _compositions(n - head, k - 1):
+            yield (head, *tail)
+
+
+def multinomial_expectation(probs, n: int, statistic) -> Fraction:
+    """Exact E[statistic(T)] over every table T of n draws from a law.
+
+    ``probs`` is a nested list of rational cells summing to 1.  With the
+    cells written a_ij / d over one denominator, a table o has probability
+    n! / prod(o_ij!) * prod(a_ij^o_ij) / d^n; cells of probability zero stay
+    zero.  ``statistic`` maps an int64 array of the law's shape to a number
+    (a float is taken at its exact value), and the sum is a Fraction.
+    """
+    cells = [Fraction(p) for row in probs for p in row]
+    if sum(cells) != 1 or min(cells) < 0:
+        raise DomainError(f"the cells must be non-negative and sum to 1, got {probs}")
+    shape = (len(probs), len(probs[0]))
+    d = math.lcm(*(p.denominator for p in cells))
+    a = [int(p * d) for p in cells]
+    live = [k for k, ak in enumerate(a) if ak]
+    total = Fraction(0)
+    for parts in _compositions(n, len(live)):
+        counts = [0] * len(cells)
+        weight = math.factorial(n)
+        for k, o in zip(live, parts):
+            counts[k] = o
+            weight = weight * a[k] ** o // math.factorial(o)
+        total += weight * Fraction(statistic(np.array(counts, dtype=np.int64).reshape(shape)))
+    return total / d**n
+
+
 class SampleTooLargeForOracle(ValueError):
     """The brute-force oracle refuses combinatorially explosive inputs."""
 

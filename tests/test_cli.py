@@ -186,6 +186,43 @@ class TestInputParsing:
             assert (code, out) == (2, "")
             assert err == f"error: cell (1,1) is outside the int64 range: {big}\n"
 
+    def test_byte_order_mark_is_read_as_utf8(self, capsys, tmp_path):
+        # a table saved as "CSV UTF-8" starts with the bytes EF BB BF
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text("\n".join(MARITAL_ROWS) + "\n", encoding="utf-8")
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        argv_tail = ["--method", "pearson", "--mode", "classic"]
+        want = run_cli(capsys, ["test", "--input", str(plain)] + argv_tail)
+        assert want[0] == 0
+        assert run_cli(capsys, ["test", "--input", str(marked)] + argv_tail) == want
+        want_counts = get_dataset("marital").table.counts.tolist()
+        assert cli._read_table_csv(str(marked)).counts.tolist() == want_counts
+
+    def test_byte_order_mark_inside_a_later_cell_rejected(self, capsys, tmp_path):
+        path = tmp_path / "inner.csv"
+        path.write_text("1,2\n\ufeff3,4\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, ["test", "--input", str(path)])
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: line 2, column 1: not an integer: '\\ufeff3'\n"
+
+    @pytest.mark.parametrize(
+        "cell", ["1_0", "\uff11\uff12", "\u0663", "1.0", "1e3", "0x10", "", "+", "- 1"]
+    )
+    def test_cell_must_be_ascii_decimal_integer(self, capsys, tmp_path, cell):
+        # int() would read 1_0 as 10, fullwidth digits as 12 and an Arabic-Indic
+        # three as 3
+        path = tmp_path / "cell.csv"
+        path.write_text(f"1,2\n3,{cell}\n", encoding="utf-8")
+        code, out, err = run_cli(capsys, ["test", "--input", str(path)])
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: line 2, column 2: not an integer: {cell!r}\n"
+        assert "Traceback" not in err
+
+    def test_signed_ascii_cells_read(self, capsys, tmp_path):
+        path = tmp_path / "signed.csv"
+        path.write_text("+1, 2\n3 ,+04\n", encoding="utf-8")
+        assert cli._read_table_csv(str(path)).counts.tolist() == [[1, 2], [3, 4]]
+
     def test_negative_count_rejected(self, capsys, tmp_path):
         path = tmp_path / "neg.csv"
         path.write_text("1,-2\n3,4\n")
@@ -443,7 +480,10 @@ _ALL_TESTS = "usp,pearson-perm,g-perm,pearson-classic,g-classic"
 
 class TestStdoutPins:
     # sha256 of stdout, recorded while the statistics still returned a
-    # StatisticValue and each integer argument had its own check
+    # StatisticValue and each integer argument had its own check; the
+    # classic marital pearson and g and eyecolour g p-values were re-recorded
+    # when chi2_sf became the closed-form sum, each within 2e-15 of the
+    # exact tail
 
     @pytest.mark.parametrize(
         "argv, digest",
@@ -455,9 +495,9 @@ class TestStdoutPins:
             (["marital", "--method", "g"],
              "9c58f9d6553ea0eec84d4ee146292b273e3526849fd216dd8139ae7076b40ee6"),
             (["marital", "--method", "pearson", "--mode", "classic"],
-             "8dc49ecb5cbf7d1e23ef78d52562c91eab004385debe84e130867e41a8e5dfac"),
+             "5b672bfe684852254b811cf4923ea0d69d177d065bebedd2e9bedf5b60016e18"),
             (["marital", "--method", "g", "--mode", "classic"],
-             "1323ab7675925422bf237a253af98eb930e8f283f3804b822c763595dad01bbf"),
+             "3853feff255f2a92e829a53eeb2531953b8fe9fe39121bf9432439967b4c3d96"),
             (["marital", "--method", "usp", "--tie-policy", "conservative"],
              "a83813c11539bfa4cd05a9486af105e23936f9dc0ad13aa9c41a032eb3efd9fa"),
             (["marital", "--method", "pearson", "--tie-policy", "conservative"],
@@ -473,7 +513,7 @@ class TestStdoutPins:
             (["eyecolour", "--method", "pearson", "--mode", "classic"],
              "f87d4f5270a2fb099d77cb06eea612c6f41ef0958ccc283f0e6c46429c503815"),
             (["eyecolour", "--method", "g", "--mode", "classic"],
-             "238b0bdbbd85f3c6c6c571a7ee6d3e4cb6f1c54bbc409727c12e2331f4e975bb"),
+             "6e3c88d7062e2cf36369466512372f52e5fae35c6d8612947b20af6e0f910b66"),
             (["eyecolour", "--method", "usp", "--tie-policy", "conservative"],
              "3b3378a7eb24bbadbbbfe124b4685210183233c5ed66b7b754f960a4552a812f"),
             (["eyecolour", "--method", "pearson", "--tie-policy", "conservative"],

@@ -27,8 +27,10 @@ def chi2_cdf(x, k):
 
 class TestRegLowerGamma:
     def test_against_scipy_grid(self):
+        # a = k/2 for an integer k, the only a the library asks for: above
+        # x = a + 1 the lower tail is 1 minus the closed-form upper tail
         rng = np.random.default_rng(11)
-        a_vals = np.concatenate([rng.uniform(0.05, 2.0, 60), rng.uniform(2.0, 60.0, 60)])
+        a_vals = np.concatenate([rng.integers(1, 5, 60), rng.integers(5, 121, 60)]) / 2.0
         for a in a_vals:
             for x in [0.0, a / 7, a / 2, a, 2 * a, 5 * a + 1.0]:
                 got = lower_gamma(a, x)
@@ -99,7 +101,7 @@ class TestChi2:
     @pytest.mark.parametrize("p", [0.95, 0.99, 0.3])
     def test_quantile_at_one_degree_of_freedom_sums_no_series(self, monkeypatch, p):
         # at k = 1 both tails are erf and erfc, so no step of the bisection
-        # runs the series or the continued fraction
+        # runs the series
         from usptest import numerics
 
         def no_call(*args):
@@ -107,7 +109,6 @@ class TestChi2:
 
         want = chi2_quantile(p, 1)
         monkeypatch.setattr(numerics, "_gamma_series", no_call)
-        monkeypatch.setattr(numerics, "_gamma_cf", no_call)
         assert chi2_quantile(p, 1) == want
 
     def test_reference_value(self):
@@ -158,11 +159,55 @@ class TestChi2:
     def test_unconverged_sum_raises(self, monkeypatch):
         from usptest import numerics
 
+        # the lower series, which chi2_quantile bisects on below the median;
+        # its first point, x = k, lies below a + 1 = k/2 + 1 in gamma terms
         monkeypatch.setattr(numerics, "_term_budget", lambda a: 10)
         with pytest.raises(DomainError, match="series did not converge in 10 terms"):
-            chi2_sf(1000.0, 1000)
-        with pytest.raises(DomainError, match="continued fraction did not converge in 10 terms"):
-            chi2_sf(1010.0, 1000)
+            chi2_quantile(0.3, 1000)
+
+    def test_array_equals_scalar_calls_bit_for_bit(self):
+        rng = np.random.default_rng(14)
+        # 131 075 degrees of freedom take two chunks of terms, the second of one term
+        for k in [1, 2, 3, 12, 28, 99, 1000, 131_075]:
+            x = np.concatenate([[0.0, math.inf, k, k + 1e-9], rng.uniform(0.0, 3.0 * k, 60)])
+            got = chi2_sf(x, k)
+            assert got.tolist() == [chi2_sf(v, k) for v in x.tolist()], k
+            grid = chi2_sf(x.reshape(8, 8), k)
+            assert grid.shape == (8, 8) and grid.ravel().tolist() == got.tolist(), k
+        assert chi2_sf(np.array([]), 5).shape == (0,)
+
+    @pytest.mark.parametrize("k", range(1, 101))
+    def test_closed_form_against_scipy(self, k):
+        x = np.geomspace(1e-3, 10.0 * k + 100.0, 400)
+        want = scipy_stats.chi2.sf(x, k)
+        np.testing.assert_allclose(chi2_sf(x, k), want, rtol=2e-13, atol=0)
+        assert chi2_sf(0.0, k) == 1.0 and chi2_sf(math.inf, k) == 0.0
+
+    def test_one_degree_of_freedom_is_erfc(self):
+        # the sum is empty at k = 1, so the tail is the value every release
+        # has given, on which the asymsize critical value rests
+        x = np.concatenate([[0.0, 3.841458820694124], np.geomspace(1e-12, 1400.0, 300)])
+        want = [math.erfc(math.sqrt(v / 2)) for v in x.tolist()]
+        assert chi2_sf(x, 1).tolist() == want
+        assert [chi2_sf(v, 1) for v in x.tolist()] == want
+
+    @pytest.mark.parametrize(
+        "x, k, bad",
+        [
+            (1.0, 2.5, "2.5"),
+            (1.0, 0, "0"),
+            (1.0, 4.0, "4.0"),
+            (-1.0, 3, "x=-1.0"),
+            (math.nan, 3, "x=nan"),
+            (np.array([1.0, -2.5, 3.0]), 3, "x=-2.5"),
+            (np.array([[1.0, 2.0], [math.nan, 3.0]]), 2, "x=nan"),
+            (np.array([1.0, 2.0]), 2.5, "2.5"),
+            (np.array([1.0, 2.0]), -1, "-1"),
+        ],
+    )
+    def test_sf_names_the_bad_value(self, x, k, bad):
+        with pytest.raises(DomainError, match=re.escape(f"got {bad}")):
+            chi2_sf(x, k)
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -173,6 +218,11 @@ class TestChi2:
             chi2_quantile(0.0, 3)
         with pytest.raises(DomainError):
             chi2_quantile(1.0, 3)
+
+    @pytest.mark.parametrize("k, bad", [(2.5, "2.5"), (4.0, "4.0"), (0, "0")])
+    def test_quantile_names_a_bad_k(self, k, bad):
+        with pytest.raises(DomainError, match=re.escape(f"got {bad}")):
+            chi2_quantile(0.5, k)
 
 
 class TestPoisson:

@@ -487,6 +487,38 @@ class TestRunTestClassic:
         with pytest.raises(UndefinedStatistic):
             run_test(validate_table([[5, 5], [0, 0]]), "pearson", "classic")
 
+    def test_run_test_scores_through_the_block_scorer(self, monkeypatch):
+        seen = []
+        block_scores = permutation._classic_scores
+
+        def spy(tables, n, method):
+            seen.append((tables.shape, n, method))
+            return block_scores(tables, n, method)
+
+        monkeypatch.setattr(permutation, "_classic_scores", spy)
+        r = run_test(MARITAL, "g", "classic")
+        assert seen == [((1, 4, 5), MARITAL.n, "g")]
+        assert r.p_value == block_scores(MARITAL.counts[None], MARITAL.n, "g")[1][0]
+
+    def test_one_chi2_sf_call_per_classic_test_of_a_block(self, monkeypatch):
+        # a block of 64 tables asks chi2_sf once per classic test, for the
+        # p-values of all its tables, and not at all for a permutation test
+        calls = []
+
+        def spy(x, k):
+            calls.append((np.shape(x), k))
+            return chi2_sf(x, k)
+
+        monkeypatch.setattr(permutation, "chi2_sf", spy)
+        gen = np.random.default_rng(43)
+        tables = gen.multinomial(120, np.full(12, 1 / 12), size=64).reshape(64, 3, 4)
+        tests = [("usp", "permutation"), ("pearson", "classic"), ("g", "classic")]
+        p = permutation._block_pvalues(tables, 120, tests, PermutationConfig(B=19), gen)
+        assert calls == [((64,), 6), ((64,), 6)]
+        for t, method in ((1, "pearson"), (2, "g")):
+            want = [run_test(validate_table(c), method, "classic").p_value for c in tables]
+            assert p[t].tolist() == want
+
 
 class TestRunTestPermutation:
     def test_result_invariants(self):

@@ -13,7 +13,16 @@ from usptest.errors import (
     SampleTooSmall,
     UndefinedStatistic,
 )
-from oracles import SampleTooLargeForOracle, dhat_bruteforce, usp_exact
+from oracles import (
+    SampleTooLargeForOracle,
+    dependence_exact,
+    dhat_bruteforce,
+    dhat_exact,
+    multinomial_expectation,
+    usp_exact,
+)
+from usptest import stats
+from usptest.simulate import sparse_family
 from usptest.permutation import run_test
 from usptest.table import JointDistribution, expected_counts, validate_table
 from usptest.stats import (
@@ -290,6 +299,63 @@ class TestDhatStatistic:
         assert float(dhat_statistic(t)) - float(usp_statistic(t)) == pytest.approx(
             margin_terms, rel=1e-12
         )
+
+
+def sparse_law(I, J, epsilon):
+    # sparse_family in exact arithmetic: the geometric base law, with epsilon
+    # added to cells (1,1), (2,2) and taken from (1,2), (2,1)
+    q = [Fraction(2**-i) / (1 - Fraction(2**-I)) for i in range(1, I + 1)]
+    r = [Fraction(2**-j) / (1 - Fraction(2**-J)) for j in range(1, J + 1)]
+    law = [[qi * rj for rj in r] for qi in q]
+    for i, j, sign in ((0, 0, 1), (1, 1, 1), (0, 1, -1), (1, 0, -1)):
+        law[i][j] += sign * epsilon
+    return law
+
+
+class TestDhatUnbiasedExactly:
+    # E[D-hat] over the whole multinomial support of n draws from a law with
+    # rational cells: exactly D for the paper's formula, and within 1e-15 of
+    # D for the float estimator, whose rounding is all that is left
+    F = Fraction
+    LAWS = {
+        "product": ([[F(1, 32), F(3, 32), F(1, 8)], [F(3, 32), F(9, 32), F(3, 8)]], 6),
+        "zero cells": ([[F(5, 16), 0, F(1, 8)], [F(1, 16), F(1, 2), 0]], 7),
+        "sparse 2x3": (sparse_law(2, 3, F(1, 21)), 8),
+        "sparse 3x3": (sparse_law(3, 3, F(1, 49)), 6),
+    }
+
+    @pytest.mark.parametrize("name", sorted(LAWS))
+    def test_expectation_is_d(self, name):
+        law, n = self.LAWS[name]
+        d = dependence_exact(law)
+        assert multinomial_expectation(law, n, dhat_exact) == d
+        floats = multinomial_expectation(law, n, lambda t: stats._dhat_value(t, n))
+        assert abs(floats - d) <= 1e-15
+        if name == "product":
+            assert d == 0
+        if name.startswith("sparse"):
+            I, J = len(law), len(law[0])
+            eps = law[0][0] - sparse_law(I, J, 0)[0][0]
+            assert d == 4 * eps**2
+            np.testing.assert_allclose(
+                sparse_family(I, J, float(eps)).probs, np.array(law, dtype=float), rtol=1e-15
+            )
+
+    def test_exact_formula_matches_the_library_and_the_kernel_average(self):
+        rng = np.random.default_rng(54)
+        for shape, n in (((2, 3), 9), ((3, 3), 12), ((4, 2), 5)):
+            for _ in range(10):
+                t = random_table(rng, shape, n)
+                assert float(dhat_exact(t.counts)) == pytest.approx(dhat_statistic(t), abs=1e-14)
+        t = validate_table([[3, 1], [0, 4]])
+        want = dhat_bruteforce(table_to_pairs(t))
+        assert float(dhat_exact(t.counts)) == pytest.approx(want, abs=1e-15)
+
+    def test_expectation_weights_sum_to_one(self):
+        law = sparse_law(3, 3, Fraction(1, 49))
+        assert multinomial_expectation(law, 5, lambda t: 1) == 1
+        with pytest.raises(DomainError):
+            multinomial_expectation([[Fraction(1, 2), Fraction(1, 3)]], 4, lambda t: 1)
 
 
 class TestDhatBruteforce:
