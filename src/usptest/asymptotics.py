@@ -19,18 +19,15 @@ discontinuities where the z = 0 atom enters or leaves the rejection region
 
 The size at one lambda is summed over a window of Z around its mean mu =
 lambda^2, 12 (lambda + 1) wide on each side; Poisson mass outside it is
-below 1e-26.  The window's weights come from the ratio
-w(z+1) / w(z) = mu / (z+1) in log space, anchored at the mode, and are
-normalized by their sum.  The window grows with lambda, so lambda is capped
-at 1000, where it spans about 24 000 points.
-
-A whole grid is evaluated in 2-D array passes, one row per lambda's window,
-in chunks of rows taken in increasing lambda.  A chunk holds at most
-_CHUNK_CELLS = 2^13 cells of padded windows, or one window where that is
-wider (lambda above about 340), so memory stays bounded for any grid.
-Both masses of a row are summed sequentially in order of z, which keeps a
-size independent of the grid it is evaluated in; single points
-(pearson_asymptotic_size, g_asymptotic_size) are one-point grids.
+below 1e-26.  The window's terms mu^z / z! relative to the mode's are
+numerics' windowed Poisson-term sum with h = 0, normalized by their sum.
+The window grows with lambda, so lambda is capped at 1000, where it spans
+about 24 000 points.  A whole grid is evaluated in that sum's 2-D array
+passes, one row per lambda, in chunks of at most 2^13 cells taken in
+increasing lambda, so memory stays bounded for any grid.  Both masses of a
+row are summed sequentially in order of z, which keeps a size independent
+of the grid it is evaluated in; single points (pearson_asymptotic_size,
+g_asymptotic_size) are one-point grids.
 """
 
 from __future__ import annotations
@@ -42,7 +39,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .numerics import _require_alpha, chi2_quantile
+from .numerics import _WINDOW_HALF_WIDTH, _chunks, _require_alpha, _window_terms, chi2_quantile
 from .stats import _CLASSIC_METHODS, _poisson_limit
 
 __all__ = [
@@ -59,11 +56,6 @@ __all__ = [
 DEFAULT_LAMBDA_GRID = np.linspace(0.05, 5.0, 500)
 
 _LAMBDA_MAX = 1000.0  # largest lambda whose Poisson window is summed
-_WINDOW_HALF_WIDTH = 12.0  # window half-width, in units of lambda + 1
-# padded window cells per array pass.  It bounds the temporaries, and at
-# 64 KiB a float64 temporary stays below glibc's default 128 KiB mmap
-# threshold, so a pass reuses heap memory instead of faulting in fresh pages
-_CHUNK_CELLS = 2**13
 # the smallest level whose 1 - alpha is below 1 in double precision
 _ALPHA_MIN = math.nextafter(2.0**-54, 1.0)
 
@@ -116,47 +108,17 @@ def _check_lambdas(lam: np.ndarray) -> None:
         raise DomainError(f"lambda must be positive, got {x}")
 
 
-def _chunks(below: np.ndarray, above: np.ndarray):
-    # [start, stop) runs of rows whose windows, padded to the run's widest
-    # reach below and above the mode, hold at most _CHUNK_CELLS cells (one
-    # row at least); a run has no more rows than its first row's width allows
-    start = 0
-    while start < len(below):
-        end = start + _CHUNK_CELLS // (below[start] + 1 + above[start])
-        width = np.maximum.accumulate(below[start:end]) + np.maximum.accumulate(above[start:end])
-        cells = np.arange(1, len(width) + 1) * (width + 1)
-        stop = start + max(1, int(np.searchsorted(cells, _CHUNK_CELLS, side="right")))
-        yield start, stop
-        start = stop
-
-
 def _window_sizes(
     test: str, c: float, mu: np.ndarray, lo: np.ndarray, hi: np.ndarray
 ) -> np.ndarray:
     # Poisson(mu) mass of {z : limit statistic > c} over each row's window
-    # [lo, hi].  Rows are laid out around their modes: column k holds
-    # z = mode - left + k, so every mode sits in column `left`, and padding
-    # outside a row's window weighs 0
-    mode = np.floor(mu)
-    left, right = int((mode - lo).max()), int((hi - mode).max())
-    mu = mu[:, None]
-    z = mode[:, None] + np.arange(-left, right + 1.0)
-    inside = (z >= lo[:, None]) & (z <= hi[:, None])
-    # log w from the ratio recurrence w(z+1)/w(z) = mu/(z+1), anchored at the
-    # mode, where w is largest: log w <= 0, and both cumulative sums run
-    # outward from the bulk of the mass
-    ratio = np.ones(z.shape)
-    ratio[:, left + 1 :] = mu / z[:, left + 1 :]
-    ratio[:, :left] = (z[:, :left] + 1.0) / mu
-    log_w = np.log(np.where(inside, ratio, 1.0))
-    log_w[:, left + 1 :] = np.cumsum(log_w[:, left + 1 :], axis=1)
-    log_w[:, :left] = np.cumsum(log_w[:, :left][:, ::-1], axis=1)[:, ::-1]
-    w = np.where(inside, np.exp(log_w), 0.0)
+    # [lo, hi], from the windowed terms mu^z / z! around the mode
+    z, w = _window_terms(mu, 0.0, np.floor(mu), lo, hi)
     # both masses are summed in order of z, the rejected one with zeros in
     # place: rounding is monotone, so it never exceeds the total, and a
     # sequential sum ignores the padding, so a size does not depend on the
     # other lambdas of its chunk
-    rejected = np.where(_poisson_limit(test, z, mu) > c, w, 0.0)
+    rejected = np.where(_poisson_limit(test, z, mu[:, None]) > c, w, 0.0)
     return np.cumsum(rejected, axis=1)[:, -1] / np.cumsum(w, axis=1)[:, -1]
 
 
@@ -171,11 +133,11 @@ def _sizes(test: str, c: float, lam: np.ndarray) -> np.ndarray:
     mu, lo, hi = mu[order], lo[order], hi[order]
     mode = np.floor(mu)
     sizes = np.empty(len(lam))
-    # below lambda of about 1e-154, mu is subnormal or 0: mu / z underflows,
-    # so log w is -inf and w is 0, and the limit statistics divide by mu,
-    # giving inf above z = 0 (rejected) and 0 / 0 = nan at z = mu = 0 (not
-    # rejected).  Those are the right limits, so numpy's warnings about them
-    # are silenced; silencing changes no value
+    # below lambda of about 1e-154, mu is subnormal or 0: the terms above
+    # z = 0 are 0, and the limit statistics divide by mu, giving inf above
+    # z = 0 (rejected) and 0 / 0 = nan at z = mu = 0 (not rejected).  Those
+    # are the right limits, so numpy's warnings about them are silenced;
+    # silencing changes no value
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for start, stop in _chunks((mode - lo).astype(np.int64), (hi - mode).astype(np.int64)):
             rows = slice(start, stop)

@@ -120,7 +120,10 @@ def _parse_grid(spec: str, name: str) -> np.ndarray:
         raise _UsageError(f"--{name} needs count >= 1, got {count}")
     if hi < lo:
         raise _UsageError(f"--{name} needs hi >= lo, got {spec!r}")
-    return np.linspace(lo, hi, count)
+    try:
+        return np.linspace(lo, hi, count)
+    except (ValueError, MemoryError):  # numpy refuses a grid it cannot allocate
+        raise _UsageError(f"--{name} count {count} is too large for a grid") from None
 
 
 def _parse_tests(spec: str) -> list[tuple[str, str]]:

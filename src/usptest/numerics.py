@@ -1,11 +1,17 @@
 """Special functions and seeded random streams.
 
 Only the numerics the rest of the package needs: the chi-squared tail at
-integer degrees of freedom as a finite sum, for a float or an array, and
-its quantile by bisection; a small splittable random-stream wrapper that
-makes every stochastic routine reproducible for any execution order or
-worker count; and the one check each of an integer argument and of a
-level alpha.
+integer degrees of freedom, for a float or an array, and its quantile by
+bisection; a small splittable random-stream wrapper that makes every
+stochastic routine reproducible for any execution order or worker count;
+and the one check each of an integer argument and of a level alpha.
+
+Both chi-squared tails and the asymptotic sizes of ``asymptotics`` are
+Poisson-type masses, sums of the terms y^(j+h) / Gamma(j+h+1) with h = 0
+or 1/2, and one windowed sum computes them all: each row of a 2-D array
+pass holds one sum's terms within 12 (sqrt(y) + 1) of its largest, built
+from the ratio of neighbouring terms in log space and summed sequentially,
+in chunks of at most 2^13 cells.
 """
 
 from __future__ import annotations
@@ -115,79 +121,97 @@ def as_generator(rng: RandomStream | np.random.Generator) -> np.random.Generator
 
 
 # ---------------------------------------------------------------------------
-# regularized incomplete gamma and the chi-squared distribution
+# windowed Poisson-term sums: the chi-squared tails and asymptotic sizes
 # ---------------------------------------------------------------------------
 
-_EPS = 2.22e-16
-_TERM_CHUNK = 2**16  # terms of the closed form summed at once, so memory stays bounded in k
+_WINDOW_HALF_WIDTH = 12.0  # window half-width, in units of sqrt(y) + 1
+# padded window cells per array pass.  It bounds the temporaries, and at
+# 64 KiB a float64 temporary stays below glibc's default 128 KiB mmap
+# threshold, so a pass reuses heap memory instead of faulting in fresh pages
+_CHUNK_CELLS = 2**13
 
 
-def _term_budget(a: float) -> int:
-    # Near x = a the series needs a number of terms that grows like sqrt(a)
-    # (its terms fall off as exp(-k^2 / 2a)), so a fixed cap would return a
-    # partial sum for large a
-    return 1000 + int(10.0 * math.sqrt(a))
+def _chunks(below: np.ndarray, above: np.ndarray):
+    # [start, stop) runs of rows whose windows, padded to the run's widest
+    # reach below and above the anchor, hold at most _CHUNK_CELLS cells (one
+    # row at least); a run has no more rows than its first row's width allows
+    start = 0
+    while start < len(below):
+        end = start + _CHUNK_CELLS // (below[start] + 1 + above[start])
+        width = np.maximum.accumulate(below[start:end]) + np.maximum.accumulate(above[start:end])
+        cells = np.arange(1, len(width) + 1) * (width + 1)
+        stop = start + max(1, int(np.searchsorted(cells, _CHUNK_CELLS, side="right")))
+        yield start, stop
+        start = stop
 
 
-def _gamma_series(a: float, x: float) -> float:
-    # lower series P(a,x) = x^a e^-x / Gamma(a) * sum_k x^k / (a(a+1)...(a+k)); returns the sum
-    ap = a
-    total = 1.0 / a
-    term = total
-    for _ in range(_term_budget(a)):
-        ap += 1.0
-        term *= x / ap
-        total += term
-        if abs(term) < abs(total) * _EPS:
-            return total
-    raise DomainError(
-        f"incomplete gamma series did not converge in {_term_budget(a)} terms at a={a}, x={x}"
-    )
+def _window_terms(
+    y: np.ndarray, h: float, anchor: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    # rows of z = anchor - left + c in column c, so every anchor sits in
+    # column `left`, and the terms w = t(z) / t(anchor) with t(z) =
+    # y^(z+h) / Gamma(z+h+1) on each row's window [lo, hi], 0 outside it
+    left, right = int((anchor - lo).max()), int((hi - anchor).max())
+    z = anchor[:, None] + np.arange(-left, right + 1.0)
+    inside = (z >= lo[:, None]) & (z <= hi[:, None])
+    # log w from the ratio t(z+1)/t(z) = y/(z+h+1), anchored where t is
+    # largest: log w <= 0, and both cumulative sums run outward from the
+    # bulk of the mass.  Padding may divide to inf or nan, and a tiny y's
+    # ratio round to 0 (weight 0): silencing numpy's warnings changes no value
+    y, zh = y[:, None], z + h
+    ratio = np.ones(z.shape)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratio[:, left + 1 :] = y / zh[:, left + 1 :]
+        ratio[:, :left] = (zh[:, :left] + 1.0) / y
+        log_w = np.log(np.where(inside, ratio, 1.0))
+    log_w[:, left + 1 :] = np.cumsum(log_w[:, left + 1 :], axis=1)
+    log_w[:, :left] = np.cumsum(log_w[:, :left][:, ::-1], axis=1)[:, ::-1]
+    return z, np.where(inside, np.exp(log_w), 0.0)
 
 
-def _lgamma(z: np.ndarray) -> np.ndarray:
-    # log Gamma(z) for z >= 1: math.lgamma below 64, Stirling's series from
-    # there, where the first term it leaves out is below 1e-19
-    w2 = z**-2.0
-    out = (z - 0.5) * np.log(z) - z + 0.5 * math.log(2.0 * math.pi)
-    out += (1 / 12 - w2 * (1 / 360 - w2 * (1 / 1260 - w2 / 1680))) / z
-    out[z < 64.0] = [math.lgamma(v) for v in z[z < 64.0].tolist()]
-    return out
+def _term_sum(y: np.ndarray, h: float, first: float, last: float) -> np.ndarray:
+    # e^-y sum_{first <= j <= last} y^(j+h) / Gamma(j+h+1) for finite y > 0,
+    # summed in order of j relative to the largest term, at j = floor(y - h)
+    # held in [first, last], so no tail underflows and a sum depends on its
+    # own y alone.  A window reaches 12 (sqrt(y) + 1) terms either side, or
+    # 12 (sqrt(j + h + 1) + 1) where j is held below y - h and the terms
+    # fall off faster, so it never holds more than O(sqrt(last)) terms
+    anchor = np.clip(np.floor(y - h), first, last)
+    reach = np.ceil(_WINDOW_HALF_WIDTH * (np.sqrt(np.minimum(y, anchor + h + 1.0)) + 1.0))
+    lo, hi = np.maximum(anchor - reach, first), np.minimum(anchor + reach, last)
+    total = np.empty(len(y))
+    for start, stop in _chunks((anchor - lo).astype(np.int64), (hi - anchor).astype(np.int64)):
+        rows = slice(start, stop)
+        w = _window_terms(y[rows], h, anchor[rows], lo[rows], hi[rows])[1]
+        total[rows] = np.cumsum(w, axis=1)[:, -1]
+    peak = anchor + h
+    top = peak * np.log(y) - np.array([math.lgamma(v) for v in (peak + 1.0).tolist()])
+    return np.exp(top - y) * total
 
 
 def _upper_gamma(y: np.ndarray, k: int) -> np.ndarray:
     # Q(k/2, y) for an integer k >= 1 over a 1-d array y >= 0 (Abramowitz &
     # Stegun 26.4.4-5): erfc(sqrt(y)) at odd k, plus e^-y sum_{j<k//2}
-    # y^(j+h) / Gamma(j+h+1) with h = 1/2 at odd k and 0 at even k.  Each
-    # result depends on its own y alone: its terms are summed relative to
-    # its largest, at j = floor(y - h) within range, so no tail underflows
+    # y^(j+h) / Gamma(j+h+1) with h = 1/2 at odd k and 0 at even k
     h, m = 0.5 * (k % 2), k // 2
     q = np.array([math.erfc(math.sqrt(v)) for v in y.tolist()]) if h else (y == 0.0) * 1.0
     live = (y > 0.0) & (y < math.inf)
-    if m == 0 or not live.any():
-        return q
-    v, log_v = y[live], np.log(y[live])
-    peak = np.minimum(np.floor(np.maximum(v - h, 0.0)), m - 1) + h
-    top = peak * log_v - _lgamma(peak + 1.0)  # log of the largest term, plus y
-    total = np.zeros(v.shape)
-    for lo in range(0, m, _TERM_CHUNK):
-        j = np.arange(lo, min(m, lo + _TERM_CHUNK)) + h
-        total += np.exp(np.outer(log_v, j) - _lgamma(j + 1.0) - top[:, None]).sum(axis=1)
-    q[live] += np.exp(top - v) * total
+    if m and live.any():
+        q[live] += _term_sum(y[live], h, 0.0, m - 1.0)
     return np.minimum(q, 1.0)
 
 
-def _gamma_tails(a: float, x: float) -> tuple[float, float]:
-    # (P(a,x), Q(a,x)) for a = k/2 with an integer k >= 1, and x >= 0: erf
-    # and erfc of sqrt(x) at a = 1/2, else the lower series below x = a + 1
-    # and the closed-form upper tail from there, the other tail 1 minus it
-    if a == 0.5:
-        t = math.sqrt(x)
+def _gamma_tails(y: float, k: int) -> tuple[float, float]:
+    # (P(k/2, y), Q(k/2, y)) for y >= 0: erf and erfc of sqrt(y) at k = 1,
+    # else the term sum over j >= k//2 below y = k/2 + 1 and the upper tail
+    # from there, the other tail 1 minus it
+    if k == 1:
+        t = math.sqrt(y)
         return math.erf(t), math.erfc(t)
-    if 0.0 < x < a + 1.0:
-        lower = _gamma_series(a, x) * math.exp(-x + a * math.log(x) - math.lgamma(a))
-        return min(1.0, lower), max(0.0, 1.0 - lower)
-    upper = float(_upper_gamma(np.array([x]), int(2 * a))[0])
+    if 0.0 < y < k / 2.0 + 1.0:
+        lower = min(1.0, float(_term_sum(np.array([y]), 0.5 * (k % 2), k // 2, math.inf)[0]))
+        return lower, 1.0 - lower
+    upper = float(_upper_gamma(np.array([y]), k)[0])
     return 1.0 - upper, upper
 
 
@@ -197,9 +221,10 @@ def chi2_sf(x, k: int):
     k is an integer >= 1; x is a float >= 0, giving a float, or an array,
     giving an array of its shape.  The tail is the finite sum of Abramowitz
     & Stegun 26.4.4-5: e^(-x/2) sum_{j<k/2} (x/2)^j / j! at even k, and
-    erfc(sqrt(x/2)) plus the same sum over half-integer j at odd k.  No sum
-    can fail to converge, and summed in log space the tail keeps its
-    relative accuracy down to the smallest float.
+    erfc(sqrt(x/2)) plus the same sum over half-integer j at odd k.  Its
+    terms are summed relative to the largest, within 12 (sqrt(x/2) + 1) of
+    it, so the tail keeps its relative accuracy down to the smallest float,
+    a value costs O(sqrt(k)) terms, and no sum can fail.
     """
     k = _require_int(k, "chi2_sf degrees of freedom k", 1)
     xs = np.asarray(x, dtype=float)
@@ -218,7 +243,8 @@ def chi2_quantile(p: float, k: int) -> float:
     point lies below the quantile where the upper tail exceeds ``1 - p``,
     so upper quantiles keep the relative accuracy of the tail, not of the
     CDF; at or below it, where the CDF is below ``p``.  The CDF is erf at
-    k = 1, else a series below x = k + 2 and 1 - ``chi2_sf`` above.
+    k = 1, else the windowed sum of the terms j >= k/2 below x = k + 2 and
+    1 - ``chi2_sf`` above.
     """
     if not (0.0 < p < 1.0):
         raise DomainError(f"chi2_quantile requires 0 < p < 1, got p={p}")
@@ -227,7 +253,7 @@ def chi2_quantile(p: float, k: int) -> float:
 
     def below(x: float) -> bool:
         # whether x lies below the quantile
-        lower, upper = _gamma_tails(k / 2.0, x / 2.0)
+        lower, upper = _gamma_tails(x / 2.0, k)
         return upper > tail if p > 0.5 else lower < p
 
     lo, hi = 0.0, float(k)

@@ -1,8 +1,9 @@
 """Shared pytest configuration.
 
-Prints the numpy and Python versions in the header, since the sha256 pins of
-stdout hold for the numpy release they were recorded on (numpy does not fix
-``Generator`` streams across releases), and a one-line verdict per
+Prints the numpy, scipy and Python versions in the header, since the sha256
+pins of stdout hold for the numpy release they were recorded on (numpy does
+not fix ``Generator`` streams across releases) and scipy is the accuracy
+tests' oracle, and a one-line verdict per
 acceptance criterion after the run, so the acceptance status is readable
 without scrolling the full test log.  Fails
 any test that leaves a child process or a pool's worker thread alive, and
@@ -17,6 +18,7 @@ import threading
 
 import numpy as np
 import pytest
+import scipy
 
 from usptest import simulate
 
@@ -42,7 +44,7 @@ _results: dict[int, tuple[str, float]] = {}
 
 
 def pytest_report_header(config):
-    return f"numpy {np.__version__}, Python {platform.python_version()}"
+    return f"numpy {np.__version__}, scipy {scipy.__version__}, Python {platform.python_version()}"
 
 
 def pytest_runtest_logreport(report):

@@ -7,6 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.stats as scipy_stats
 
 from usptest import asymptotics
 from usptest.asymptotics import (
@@ -32,7 +33,6 @@ def poisson_rejection_oracle(mu, alpha, statistic, terms=400):
 def scipy_two_tail_size(lam, alpha, statistic):
     """Size from scipy's Poisson tails.  Both limit statistics are convex in z
     with minimum 0 at z = mu, so they reject z <= z_lo and z >= z_hi."""
-    scipy_stats = pytest.importorskip("scipy.stats")
     c = scipy_stats.chi2.ppf(1.0 - alpha, 1)
     mu = lam * lam
     z_lo = math.floor(mu)

@@ -371,6 +371,29 @@ class TestExitCodes:
         for spec in ("0.05:0.0:3", "a:b:c", "0:1", "0:0.05:0"):
             assert run_cli(capsys, base + [spec])[0] == 2, spec
 
+    @pytest.mark.parametrize(
+        "argv, count",
+        [
+            (["power", "--family", "sparse", "--eps-grid"], "0:0.01:10000000000000000000"),
+            (["asymsize", "--test", "pearson", "--lambda"], "0.1:1:2305843009213693952"),
+        ],
+    )
+    def test_a_grid_numpy_refuses_is_two(self, capsys, argv, count):
+        # numpy refuses both counts before it allocates anything
+        code, out, err = run_cli(capsys, argv + [count])
+        flag, n = argv[-1], count.rsplit(":", 1)[1]
+        assert (code, out, err) == (2, "", f"error: {flag} count {n} is too large for a grid\n")
+
+    def test_a_grid_numpy_cannot_allocate_is_two(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr(np, "linspace", refuse)
+        argv = ["asymsize", "--test", "g", "--lambda", "1:2:1000000000000"]
+        code, out, err = run_cli(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err == "error: --lambda count 1000000000000 is too large for a grid\n"
+
     def test_asymsize_domain_checks(self, capsys):
         # the library's checks, reported as usage errors
         for spec in ("--lambda=-1:2:3", "--lambda=0:2:3"):
@@ -483,7 +506,8 @@ class TestStdoutPins:
     # StatisticValue and each integer argument had its own check; the
     # classic marital pearson and g and eyecolour g p-values were re-recorded
     # when chi2_sf became the closed-form sum, each within 2e-15 of the
-    # exact tail
+    # exact tail, and the marital pair again when that sum became windowed,
+    # each within 5e-16 of scipy's tail
 
     @pytest.mark.parametrize(
         "argv, digest",
@@ -495,9 +519,9 @@ class TestStdoutPins:
             (["marital", "--method", "g"],
              "9c58f9d6553ea0eec84d4ee146292b273e3526849fd216dd8139ae7076b40ee6"),
             (["marital", "--method", "pearson", "--mode", "classic"],
-             "5b672bfe684852254b811cf4923ea0d69d177d065bebedd2e9bedf5b60016e18"),
+             "8ceaa140d8bb2ef343a5b72cbfc3343982250119ac596b40a1ac13ee6a25be3d"),
             (["marital", "--method", "g", "--mode", "classic"],
-             "3853feff255f2a92e829a53eeb2531953b8fe9fe39121bf9432439967b4c3d96"),
+             "54461a1f7095dd92b8caffd5a4eeb174e146f02f54a1504e9401aa39e8441902"),
             (["marital", "--method", "usp", "--tie-policy", "conservative"],
              "a83813c11539bfa4cd05a9486af105e23936f9dc0ad13aa9c41a032eb3efd9fa"),
             (["marital", "--method", "pearson", "--tie-policy", "conservative"],

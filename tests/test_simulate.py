@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.stats as scipy_stats
 
 from usptest.errors import (
     DomainError,
@@ -821,7 +822,6 @@ class TestClassicBlock:
 
     @pytest.mark.parametrize("method", ["pearson", "g"])
     def test_block_statistics_agree_with_scipy(self, method):
-        scipy_stats = pytest.importorskip("scipy.stats")
         lambda_ = "log-likelihood" if method == "g" else None
         value = {"pearson": stats._pearson_value, "g": stats._g_value}[method]
         gen = np.random.default_rng(32)

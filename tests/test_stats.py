@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.stats as scipy_stats
 
 from usptest.errors import (
     DivergenceUndefined,
@@ -139,7 +140,6 @@ class TestPearsonStatistic:
             pearson_statistic(validate_table([[5, 0], [5, 0]]))
 
     def test_agrees_with_scipy(self):
-        scipy_stats = pytest.importorskip("scipy.stats")
         rng = np.random.default_rng(4)
         for _ in range(20):
             t = random_table(rng, (3, 4), 60)
@@ -172,7 +172,6 @@ class TestGStatistic:
             g_statistic(validate_table([[5, 5], [0, 0]]))
 
     def test_agrees_with_scipy(self):
-        scipy_stats = pytest.importorskip("scipy.stats")
         rng = np.random.default_rng(5)
         for _ in range(20):
             t = random_table(rng, (2, 5), 80)
