@@ -26,6 +26,13 @@ with the source's margins (the usp key is an exact integer), and scores
 each classic test as one reduction too.  One generator per run draws the
 tables and the tie-break, so a run is reproducible from its stream alone.
 
+A single test remembers its draw.  The last one-source draw of at most
+2^18 cells is kept, keyed by the margins, B and the generator's state
+before it, so the next test of the same table at the same B and seed takes
+its tables from memory and moves its generator to where the draw left it:
+the usp, pearson and g tests of one table draw once.  Study blocks never
+read or write this memo.
+
 The stopping rule.  A single test draws its B tables in one pass.  A study
 block, which needs only accept/reject decisions, stops early instead: it
 draws B/8 tables per source, then B/4, then the rest, and after each chunk
@@ -236,6 +243,45 @@ def _permuted(rows: np.ndarray, cols: np.ndarray, B: int, gen: np.random.Generat
             yield lo, hi, sampler(rows[lo:hi], cols[lo:hi], min(b, B - s), gen)
 
 
+# The last one-source draw of at most _BLOCK_CELLS cells, as (key, chunks,
+# end state): key is the margins, B and the generator's state before the
+# draw; chunks are the read-only chunks of _permuted; end state is the
+# generator's state after it.  One entry, replaced by one assignment, so
+# threads that test different tables at once each see a whole entry.
+_last_draw = None
+
+
+def _frozen(state):
+    # a bit generator's state dict as a value that compares with ==; some
+    # generators (MT19937, Philox) hold arrays in it
+    if isinstance(state, dict):
+        return tuple((k, _frozen(v)) for k, v in sorted(state.items()))
+    if isinstance(state, np.ndarray):
+        return state.dtype.str, state.shape, state.tobytes()
+    return state
+
+
+def _remembered(rows: np.ndarray, cols: np.ndarray, B: int, gen: np.random.Generator):
+    # _permuted for one source (rows (1, I), cols (1, J)), served from
+    # _last_draw when the same margins and B meet the same generator state,
+    # which then moves to where the stored draw left it; so a usp, a pearson
+    # and a g test of one table at one seed draw their tables once.  A draw
+    # of more than _BLOCK_CELLS cells is drawn lazily and not kept.
+    global _last_draw
+    if B * rows.shape[1] * cols.shape[1] > _BLOCK_CELLS:
+        return _permuted(rows, cols, B, gen)
+    key = rows.tobytes(), cols.tobytes(), B, _frozen(gen.bit_generator.state)
+    last = _last_draw
+    if last is not None and last[0] == key:
+        gen.bit_generator.state = last[2]
+        return iter(last[1])
+    chunks = tuple(_permuted(rows, cols, B, gen))
+    for _, _, tables in chunks:
+        tables.flags.writeable = False
+    _last_draw = key, chunks, gen.bit_generator.state
+    return iter(chunks)
+
+
 def permuted_tables(
     table: ContingencyTable, B: int, rng: RandomStream | np.random.Generator
 ) -> np.ndarray:
@@ -250,13 +296,16 @@ def permuted_tables(
     row labels; all others make (I-1)(J-1) vectorized hypergeometric calls
     per block (Patefield's method), at a cost that does not depend on n.
     The rule depends on (n, I, J) alone, so a seed gives the same tables on
-    every call.
+    every call.  A call that repeats the last single-table draw of at most
+    2^18 cells (B I J), with the same margins, B and generator state, copies
+    its tables from memory and sets the generator to where that draw left
+    it; the returned array is always the caller's own.
     ``permutation_pvalue(table, method, config, stream)`` scores exactly the
     tables of ``permuted_tables(table, config.B, stream)``.
     """
     B = _require_int(B, "B", 1)
     rows, cols = table.row_margins[None, :], table.col_margins[None, :]
-    chunks = _permuted(rows, cols, B, as_generator(rng))
+    chunks = _remembered(rows, cols, B, as_generator(rng))
     return np.concatenate([t[0] for _, _, t in chunks]).reshape(B, table.I, table.J)
 
 
@@ -349,6 +398,7 @@ def _block_pvalues(
     config: PermutationConfig,
     gen: np.random.Generator,
     stop: bool = False,
+    remember: bool = False,
 ) -> np.ndarray:
     """P-values of every (method, mode) test on each of R tables.
 
@@ -365,6 +415,9 @@ def _block_pvalues(
     not drawn, and each of its permutation p-values is the lower bound
     (1 + G) / (B + 1) > alpha, so ``p <= alpha`` decides every test as a run
     of all B tables would.
+
+    ``remember``, set by a single test (R = 1, no ``stop``) alone, draws
+    through the memo of the last draw (:func:`_remembered`).
     """
     R, I, J = tables.shape
     B = config.B
@@ -378,9 +431,10 @@ def _block_pvalues(
     live = np.arange(R)
     points = iter(_stop_points(B, R, _shuffles(n, I, J)) if stop else [B])
     drawn = 0
+    draws = _remembered if remember else _permuted
     while perm and drawn < B and live.size:
         point = next(points)
-        for lo, hi, block in _permuted(rows[live], cols[live], point - drawn, gen):
+        for lo, hi, block in draws(rows[live], cols[live], point - drawn, gen):
             sl = live[lo:hi]
             for t, key in enumerate(keys):
                 k, ref = key(block, sl), k0[t][sl]
@@ -433,7 +487,11 @@ def permutation_pvalue(
 
     One generator, ``stream.generator()``, draws all B tables (see
     :func:`permuted_tables`) and then the tie-break, so the result depends on
-    the stream alone and not on execution order or worker count.
+    the stream alone and not on execution order or worker count.  A call
+    whose table margins, B and stream repeat the last single-table draw
+    takes those tables from memory, with the generator set to where the draw
+    left it, so its result is that of a fresh draw; a usp, a pearson and a g
+    test of one table at one config draw once.
 
     Returns
     -------
@@ -445,7 +503,9 @@ def permutation_pvalue(
         raise TypeError("permutation_pvalue needs a RandomStream to derive its generator")
     t0 = _observed_statistic(table, method)
     gen = stream.generator()
-    p = _block_pvalues(table.counts[None], table.n, [(method, "permutation")], config, gen)
+    p = _block_pvalues(
+        table.counts[None], table.n, [(method, "permutation")], config, gen, remember=True
+    )
     return t0, float(p[0, 0])
 
 

@@ -6,8 +6,10 @@ not fix ``Generator`` streams across releases) and scipy is the accuracy
 tests' oracle, and a one-line verdict per
 acceptance criterion after the run, so the acceptance status is readable
 without scrolling the full test log.  Fails
-any test that leaves a child process or a pool's worker thread alive, and
-provides ``pool_spy`` for tests that check which pools a study starts.
+any test that leaves a child process or a pool's worker thread alive,
+clears the permutation engine's memo of its last draw before each test, so
+that no test is served tables an earlier test drew, and provides
+``pool_spy`` for tests that check which pools a study starts.
 """
 
 import concurrent.futures
@@ -20,7 +22,7 @@ import numpy as np
 import pytest
 import scipy
 
-from usptest import simulate
+from usptest import permutation, simulate
 
 _CRITERION_TITLES = {
     1: "classic Pearson statistic and p-value on the marital table",
@@ -64,6 +66,13 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_line(
             f"criterion {num:02d} {status}  ({duration:7.1f}s)  {title}"
         )
+
+
+@pytest.fixture(autouse=True)
+def _no_remembered_draw():
+    # a test that spies on or replaces a sampler must see it run, whatever
+    # ran before it
+    permutation._last_draw = None
 
 
 @pytest.fixture(autouse=True)

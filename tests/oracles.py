@@ -64,28 +64,36 @@ def g_exact_key(counts) -> int:
     return prod(int(o) ** int(o) for o in np.asarray(counts).ravel())
 
 
-def two_row_law(counts) -> list[tuple[list[list[int]], Fraction]]:
-    """Every 2 x J table with the margins of ``counts``, with its exact
+def table_law(counts) -> list[tuple[list[list[int]], Fraction]]:
+    """Every I x J table with the margins of ``counts``, with its exact
     probability under the permutation law.
 
-    Given the margins, a table is fixed by its first row x, and
-    P(x) = prod_j C(c_j, x_j) / C(n, r_1) (multivariate hypergeometric).
+    By row recursion: given the column counts c not yet placed, the next row
+    x of sum r is multivariate hypergeometric,
+    P(x) = prod_j C(c_j, x_j) / C(sum c, r), and the last row is what is
+    left.  The support grows fast with n and the shape: a 3 x 4 table of 12
+    observations has a few hundred tables, the 2 x 5 ``eyecolour`` 603 500.
     """
-    top, bottom = [[int(x) for x in row] for row in np.asarray(counts)]
-    c = [a + b for a, b in zip(top, bottom)]
-    r1, n = sum(top), sum(c)
-    law = []
-    for head in product(*(range(cj + 1) for cj in c[:-1])):
-        last = r1 - sum(head)
-        if 0 <= last <= c[-1]:
-            x = [*head, last]
-            weight = prod(comb(cj, xj) for cj, xj in zip(c, x))
-            law.append(([x, [cj - xj for cj, xj in zip(c, x)]], Fraction(weight, comb(n, r1))))
-    return law
+    rows = [[int(x) for x in row] for row in np.asarray(counts)]
+    r = [sum(row) for row in rows]
+
+    def tables(i, left):
+        if i == len(r) - 1:
+            yield [left], Fraction(1)
+            return
+        for head in product(*(range(min(cj, r[i]) + 1) for cj in left[:-1])):
+            last = r[i] - sum(head)
+            if 0 <= last <= left[-1]:
+                x = [*head, last]
+                w = Fraction(prod(comb(cj, xj) for cj, xj in zip(left, x)), comb(sum(left), r[i]))
+                for rest, q in tables(i + 1, [cj - xj for cj, xj in zip(left, x)]):
+                    yield [x, *rest], w * q
+
+    return list(tables(0, [sum(col) for col in zip(*rows)]))
 
 
-def two_row_tail(counts, statistic) -> Fraction:
-    """Exact P(T >= t0) for a two-row table t0 under the permutation law.
+def exact_tail(counts, statistic) -> Fraction:
+    """Exact P(T >= t0) for a table t0 under the permutation law.
 
     ``statistic`` maps a table to an exactly comparable value; the tail sums
     the probability of every table with the observed margins whose value is
@@ -93,7 +101,7 @@ def two_row_tail(counts, statistic) -> Fraction:
     conservative permutation p-value.
     """
     t0 = statistic(np.asarray(counts).tolist())
-    return sum((w for table, w in two_row_law(counts) if statistic(table) >= t0), Fraction(0))
+    return sum((w for table, w in table_law(counts) if statistic(table) >= t0), Fraction(0))
 
 
 def dhat_exact(counts) -> Fraction:

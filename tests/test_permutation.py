@@ -3,6 +3,8 @@
 import hashlib
 import json
 import re
+import sys
+import threading
 import tracemalloc
 from collections import Counter
 
@@ -10,11 +12,11 @@ import numpy as np
 import pytest
 
 from oracles import (
+    exact_tail,
     g_exact_key,
     pearson_exact,
     permuted_table_by_shuffle,
-    two_row_law,
-    two_row_tail,
+    table_law,
     usp_exact,
 )
 from usptest import get_dataset, permutation, stats
@@ -357,7 +359,7 @@ class TestExactTail:
     def test_conservative_p_matches_exact_tail(self):
         B = 20_000
         for seed, (method, statistic) in enumerate(self.EXACT.items()):
-            tail = float(two_row_tail(self.DATA.counts, statistic))
+            tail = float(exact_tail(self.DATA.counts, statistic))
             cfg = PermutationConfig(B=B, seed=seed, tie_policy="conservative")
             _, p = permutation_pvalue(self.DATA, method, cfg, RandomStream(seed))
             # (B + 1) p - 1 tables of B reach t0: binomial(B, tail)
@@ -365,7 +367,7 @@ class TestExactTail:
             assert abs(hits - B * tail) <= 4.5 * np.sqrt(B * tail * (1 - tail)), method
 
     def test_statistics_disagree_on_this_table(self):
-        tails = {m: two_row_tail(self.DATA.counts, f) for m, f in self.EXACT.items()}
+        tails = {m: exact_tail(self.DATA.counts, f) for m, f in self.EXACT.items()}
         assert tails["usp"] == tails["g"] != tails["pearson"]
 
     # one table on each side of the sampler rule: 12 observations over 7
@@ -375,25 +377,22 @@ class TestExactTail:
         "patefield": validate_table([[40, 30, 35], [25, 40, 30]]),
     }
 
-    @pytest.mark.parametrize("side", ["shuffle", "patefield"])
-    def test_each_sampler_matches_the_exact_law(self, monkeypatch, side):
+    @staticmethod
+    def only(monkeypatch, side):
+        # every draw goes to the sampler of that side, and the other one fails
         def unused(*args):
             raise AssertionError("the other sampler ran")
 
         monkeypatch.setattr(permutation, "_draw" if side == "shuffle" else "_shuffle", unused)
-        data, B = self.SIDES[side], 20_000
-        for seed, (method, statistic) in enumerate(self.EXACT.items()):
-            tail = float(two_row_tail(data.counts, statistic))
-            cfg = PermutationConfig(B=B, seed=seed, tie_policy="conservative")
-            _, p = permutation_pvalue(data, method, cfg, RandomStream(seed))
-            hits = round(p * (B + 1)) - 1
-            assert abs(hits - B * tail) <= 4 * np.sqrt(B * tail * (1 - tail)), (method, tail)
-        # and the whole law: a chi-squared goodness of fit over the tables,
-        # with those of expected count below 5 pooled into one class
-        law = two_row_law(data.counts)
-        seen = Counter(tuple(t[0]) for t in permuted_tables(data, B, RandomStream(9)).tolist())
+
+    @staticmethod
+    def assert_fits_the_law(data, B):
+        # a chi-squared goodness of fit of B permuted tables to the exact law,
+        # with the tables of expected count below 5 pooled into one class
+        law = table_law(data.counts)
+        seen = Counter(tuple(t.ravel()) for t in permuted_tables(data, B, RandomStream(9)))
         want = np.array([float(w) * B for _, w in law])
-        got = np.array([seen.pop(tuple(t[0]), 0) for t, _ in law], dtype=float)
+        got = np.array([seen.pop(tuple(np.ravel(t)), 0) for t, _ in law], dtype=float)
         assert not seen  # every drawn table has the margins
         small = want < 5
         if small.any():
@@ -401,6 +400,34 @@ class TestExactTail:
             got = np.append(got[~small], got[small].sum())
         stat = float(((got - want) ** 2 / want).sum())
         assert chi2_sf(stat, len(want) - 1) > 1e-4, (stat, len(want))
+
+    @pytest.mark.parametrize("side", ["shuffle", "patefield"])
+    def test_each_sampler_matches_the_exact_law(self, monkeypatch, side):
+        self.only(monkeypatch, side)
+        data, B = self.SIDES[side], 20_000
+        for seed, (method, statistic) in enumerate(self.EXACT.items()):
+            tail = float(exact_tail(data.counts, statistic))
+            cfg = PermutationConfig(B=B, seed=seed, tie_policy="conservative")
+            _, p = permutation_pvalue(data, method, cfg, RandomStream(seed))
+            hits = round(p * (B + 1)) - 1
+            assert abs(hits - B * tail) <= 4 * np.sqrt(B * tail * (1 - tail)), (method, tail)
+        # and the whole law
+        self.assert_fits_the_law(data, B)
+
+    # two tables of 12 observations with three rows, whose supports hold 120
+    # and 415 tables; both would be shuffled, so the rule is moved to send
+    # them to each sampler in turn
+    WIDE = {
+        "3x3": validate_table([[2, 1, 1], [1, 2, 1], [1, 1, 2]]),
+        "3x4": validate_table([[2, 1, 0, 1], [1, 1, 2, 0], [0, 1, 1, 2]]),
+    }
+
+    @pytest.mark.parametrize("shape", list(WIDE))
+    @pytest.mark.parametrize("side", ["shuffle", "patefield"])
+    def test_each_sampler_matches_the_exact_law_of_three_rows(self, monkeypatch, side, shape):
+        self.only(monkeypatch, side)
+        monkeypatch.setattr(permutation, "_SHUFFLE_PER_FREE_CELL", 10**9 if side == "shuffle" else 0)
+        self.assert_fits_the_law(self.WIDE[shape], 20_000)
 
 
 class TestHypergeometricLimit:
@@ -659,3 +686,130 @@ class TestStopping:
         assert (p[:, stopped] > cfg.alpha).all()
         # a stopping run reports the lower bound (1 + G) / (B + 1) > alpha
         assert (stopping[:, stopped] > cfg.alpha).all()
+
+
+class TestRememberedDraw:
+    # One-source draws of at most _BLOCK_CELLS cells are remembered, one
+    # entry, keyed by the margins, B and the generator's state before the
+    # draw; a hit serves the stored tables and leaves the generator where the
+    # draw left it.
+    EYECOLOUR = get_dataset("eyecolour").table
+
+    @staticmethod
+    def draws(monkeypatch):
+        # counts the calls of Patefield's sampler, which draws these tables
+        calls = []
+        draw = permutation._draw
+
+        def spy(rows, cols, b, gen):
+            calls.append(b)
+            return draw(rows, cols, b, gen)
+
+        monkeypatch.setattr(permutation, "_draw", spy)
+        return calls
+
+    @staticmethod
+    def lone(table, method, cfg):
+        permutation._last_draw = None
+        return run_test(table, method, "permutation", cfg)
+
+    def test_three_tests_of_one_table_draw_once(self, monkeypatch):
+        calls = self.draws(monkeypatch)
+        cfg = PermutationConfig(B=999, seed=3)
+        for method in ("usp", "pearson", "g"):
+            run_test(MARITAL, method, "permutation", cfg)
+        assert len(calls) == 1
+        # permuted_tables shares the entry, and a classic test leaves it
+        run_test(self.EYECOLOUR, "pearson", "classic", cfg)
+        permuted_tables(MARITAL, 999, RandomStream(3))
+        assert len(calls) == 1
+        # one entry: a change of seed, of B or of table in between draws again
+        for table, B, seed in ((MARITAL, 999, 4), (MARITAL, 999, 3), (MARITAL, 998, 3),
+                               (self.EYECOLOUR, 999, 3), (MARITAL, 999, 3)):
+            run_test(table, "usp", "permutation", PermutationConfig(B=B, seed=seed))
+        assert len(calls) == 6
+
+    @pytest.mark.parametrize("policy", ["randomized", "conservative"])
+    def test_each_result_equals_its_lone_run(self, policy):
+        # TestExactTies.DATA has exact usp ties among its 999 tables at seed 0,
+        # so the randomized policy draws a tie-break after the tables
+        data = TestExactTies.DATA
+        cfg = PermutationConfig(B=999, seed=0, tie_policy=policy)
+        lone = [self.lone(data, method, cfg) for method in ("usp", "pearson", "g")]
+        permutation._last_draw = None
+        together = [run_test(data, method, "permutation", cfg) for method in ("usp", "pearson", "g")]
+        assert together == lone
+        again = [run_test(data, method, "permutation", cfg) for method in ("g", "usp", "pearson")]
+        assert again == [lone[2], lone[0], lone[1]]
+
+    def test_a_hit_leaves_the_generator_where_the_draw_left_it(self, monkeypatch):
+        calls = self.draws(monkeypatch)
+        for bit_generator in (np.random.PCG64, np.random.MT19937):
+            fresh, served = np.random.Generator(bit_generator(5)), np.random.Generator(bit_generator(5))
+            want = permuted_tables(MARITAL, 50, fresh)
+            np.testing.assert_array_equal(permuted_tables(MARITAL, 50, served), want)
+            assert served.integers(2**62, size=4).tolist() == fresh.integers(2**62, size=4).tolist()
+        assert len(calls) == 2
+
+    def test_a_draw_past_the_block_bound_is_not_kept(self, monkeypatch):
+        calls = self.draws(monkeypatch)
+        fits = permutation._BLOCK_CELLS // (MARITAL.I * MARITAL.J)
+        cfg = PermutationConfig(B=fits + 1, seed=1)
+        for method in ("usp", "g"):
+            run_test(MARITAL, method, "permutation", cfg)
+            assert permutation._last_draw is None
+        assert len(calls) == 4  # two chunks a draw
+        cfg = PermutationConfig(B=fits, seed=1)
+        for method in ("usp", "g"):
+            run_test(MARITAL, method, "permutation", cfg)
+        assert permutation._last_draw is not None and len(calls) == 5
+
+    def test_stored_tables_are_read_only_and_copies_are_not(self, monkeypatch):
+        calls = self.draws(monkeypatch)
+        tables = permuted_tables(MARITAL, 50, RandomStream(0))
+        want = tables.copy()
+        chunks = permutation._last_draw[1]
+        assert all(not t.flags.writeable for _, _, t in chunks)
+        with pytest.raises(ValueError, match="read-only"):
+            chunks[0][2][0, 0, 0] = 1
+        tables[:] = 0
+        again = permuted_tables(MARITAL, 50, RandomStream(0))
+        np.testing.assert_array_equal(again, want)
+        assert again.flags.writeable and len(calls) == 1
+
+    def test_study_blocks_do_not_use_it(self):
+        tests = [("usp", "permutation"), ("g", "permutation")]
+        cfg = PermutationConfig(B=99)
+        for stop in (False, True):
+            gen = np.random.default_rng(0)
+            permutation._block_pvalues(MARITAL.counts[None], MARITAL.n, tests, cfg, gen, stop)
+            assert permutation._last_draw is None
+
+    def test_threads_testing_different_tables_get_lone_results(self):
+        # more threads than two cores, switching every microsecond, so that
+        # one thread's entry replaces another's between its lookup and its use
+        cfg = PermutationConfig(B=199, seed=7, tie_policy="randomized")
+        methods = ("usp", "pearson", "g")
+        tables = (MARITAL, self.EYECOLOUR, TestExactTies.DATA)
+        want = [[self.lone(t, m, cfg) for m in methods] for t in tables]
+        start = threading.Barrier(len(tables), timeout=10)
+        got = [[] for _ in tables]
+
+        def work(k):
+            start.wait()
+            for _ in range(20):
+                got[k].append([run_test(tables[k], m, "permutation", cfg) for m in methods])
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(tables))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for k in range(len(tables)):
+            assert got[k] == [want[k]] * 20
