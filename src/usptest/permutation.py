@@ -251,26 +251,18 @@ def _permuted(rows: np.ndarray, cols: np.ndarray, B: int, gen: np.random.Generat
 _last_draw = None
 
 
-def _frozen(state):
-    # a bit generator's state dict as a value that compares with ==; some
-    # generators (MT19937, Philox) hold arrays in it
-    if isinstance(state, dict):
-        return tuple((k, _frozen(v)) for k, v in sorted(state.items()))
-    if isinstance(state, np.ndarray):
-        return state.dtype.str, state.shape, state.tobytes()
-    return state
-
-
 def _remembered(rows: np.ndarray, cols: np.ndarray, B: int, gen: np.random.Generator):
-    # _permuted for one source (rows (1, I), cols (1, J)), served from
-    # _last_draw when the same margins and B meet the same generator state,
-    # which then moves to where the stored draw left it; so a usp, a pearson
-    # and a g test of one table at one seed draw their tables once.  A draw
-    # of more than _BLOCK_CELLS cells is drawn lazily and not kept.
+    # _permuted, served from _last_draw when the same margins and B meet the
+    # same generator state, which then moves to where the stored draw left
+    # it; so a usp, a pearson and a g test of one table at one seed draw
+    # their tables once.  A draw of several sources, or of more than
+    # _BLOCK_CELLS cells, is drawn lazily and not kept.  The key holds the
+    # state dict as it is: the PCG64 of RandomStream.generator() keeps only
+    # integers there, so == compares it.
     global _last_draw
-    if B * rows.shape[1] * cols.shape[1] > _BLOCK_CELLS:
+    if len(rows) > 1 or B * rows.shape[1] * cols.shape[1] > _BLOCK_CELLS:
         return _permuted(rows, cols, B, gen)
-    key = rows.tobytes(), cols.tobytes(), B, _frozen(gen.bit_generator.state)
+    key = rows.tobytes(), cols.tobytes(), B, gen.bit_generator.state
     last = _last_draw
     if last is not None and last[0] == key:
         gen.bit_generator.state = last[2]
@@ -296,16 +288,13 @@ def permuted_tables(
     row labels; all others make (I-1)(J-1) vectorized hypergeometric calls
     per block (Patefield's method), at a cost that does not depend on n.
     The rule depends on (n, I, J) alone, so a seed gives the same tables on
-    every call.  A call that repeats the last single-table draw of at most
-    2^18 cells (B I J), with the same margins, B and generator state, copies
-    its tables from memory and sets the generator to where that draw left
-    it; the returned array is always the caller's own.
+    every call.
     ``permutation_pvalue(table, method, config, stream)`` scores exactly the
     tables of ``permuted_tables(table, config.B, stream)``.
     """
     B = _require_int(B, "B", 1)
     rows, cols = table.row_margins[None, :], table.col_margins[None, :]
-    chunks = _remembered(rows, cols, B, as_generator(rng))
+    chunks = _permuted(rows, cols, B, as_generator(rng))
     return np.concatenate([t[0] for _, _, t in chunks]).reshape(B, table.I, table.J)
 
 
@@ -398,7 +387,6 @@ def _block_pvalues(
     config: PermutationConfig,
     gen: np.random.Generator,
     stop: bool = False,
-    remember: bool = False,
 ) -> np.ndarray:
     """P-values of every (method, mode) test on each of R tables.
 
@@ -416,8 +404,9 @@ def _block_pvalues(
     (1 + G) / (B + 1) > alpha, so ``p <= alpha`` decides every test as a run
     of all B tables would.
 
-    ``remember``, set by a single test (R = 1, no ``stop``) alone, draws
-    through the memo of the last draw (:func:`_remembered`).
+    Without ``stop`` a lone source (R = 1), the single test's case, draws
+    through the memo of the last draw (:func:`_remembered`); a stopping
+    block never reads or writes it.
     """
     R, I, J = tables.shape
     B = config.B
@@ -431,7 +420,7 @@ def _block_pvalues(
     live = np.arange(R)
     points = iter(_stop_points(B, R, _shuffles(n, I, J)) if stop else [B])
     drawn = 0
-    draws = _remembered if remember else _permuted
+    draws = _permuted if stop else _remembered
     while perm and drawn < B and live.size:
         point = next(points)
         for lo, hi, block in draws(rows[live], cols[live], point - drawn, gen):
@@ -503,9 +492,7 @@ def permutation_pvalue(
         raise TypeError("permutation_pvalue needs a RandomStream to derive its generator")
     t0 = _observed_statistic(table, method)
     gen = stream.generator()
-    p = _block_pvalues(
-        table.counts[None], table.n, [(method, "permutation")], config, gen, remember=True
-    )
+    p = _block_pvalues(table.counts[None], table.n, [(method, "permutation")], config, gen)
     return t0, float(p[0, 0])
 
 

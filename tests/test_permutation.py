@@ -719,9 +719,9 @@ class TestRememberedDraw:
         for method in ("usp", "pearson", "g"):
             run_test(MARITAL, method, "permutation", cfg)
         assert len(calls) == 1
-        # permuted_tables shares the entry, and a classic test leaves it
+        # a classic test in between leaves the entry
         run_test(self.EYECOLOUR, "pearson", "classic", cfg)
-        permuted_tables(MARITAL, 999, RandomStream(3))
+        run_test(MARITAL, "usp", "permutation", cfg)
         assert len(calls) == 1
         # one entry: a change of seed, of B or of table in between draws again
         for table, B, seed in ((MARITAL, 999, 4), (MARITAL, 999, 3), (MARITAL, 998, 3),
@@ -744,12 +744,13 @@ class TestRememberedDraw:
 
     def test_a_hit_leaves_the_generator_where_the_draw_left_it(self, monkeypatch):
         calls = self.draws(monkeypatch)
-        for bit_generator in (np.random.PCG64, np.random.MT19937):
-            fresh, served = np.random.Generator(bit_generator(5)), np.random.Generator(bit_generator(5))
-            want = permuted_tables(MARITAL, 50, fresh)
-            np.testing.assert_array_equal(permuted_tables(MARITAL, 50, served), want)
-            assert served.integers(2**62, size=4).tolist() == fresh.integers(2**62, size=4).tolist()
-        assert len(calls) == 2
+        tests, cfg = [("usp", "permutation")], PermutationConfig(B=50)
+        fresh, served = RandomStream(5).generator(), RandomStream(5).generator()
+        want = permutation._block_pvalues(MARITAL.counts[None], MARITAL.n, tests, cfg, fresh)
+        got = permutation._block_pvalues(MARITAL.counts[None], MARITAL.n, tests, cfg, served)
+        np.testing.assert_array_equal(got, want)
+        assert served.integers(2**62, size=4).tolist() == fresh.integers(2**62, size=4).tolist()
+        assert len(calls) == 1
 
     def test_a_draw_past_the_block_bound_is_not_kept(self, monkeypatch):
         calls = self.draws(monkeypatch)
@@ -763,27 +764,25 @@ class TestRememberedDraw:
         for method in ("usp", "g"):
             run_test(MARITAL, method, "permutation", cfg)
         assert permutation._last_draw is not None and len(calls) == 5
+        # nor is a draw for several sources, however small
+        permutation._last_draw = None
+        two, gen = np.stack([MARITAL.counts, MARITAL.counts]), RandomStream(1).generator()
+        cfg = PermutationConfig(B=50)
+        permutation._block_pvalues(two, MARITAL.n, [("usp", "permutation")], cfg, gen)
+        assert permutation._last_draw is None
 
-    def test_stored_tables_are_read_only_and_copies_are_not(self, monkeypatch):
-        calls = self.draws(monkeypatch)
-        tables = permuted_tables(MARITAL, 50, RandomStream(0))
-        want = tables.copy()
+    def test_stored_tables_are_read_only(self):
+        run_test(MARITAL, "usp", "permutation", PermutationConfig(B=50))
         chunks = permutation._last_draw[1]
         assert all(not t.flags.writeable for _, _, t in chunks)
         with pytest.raises(ValueError, match="read-only"):
             chunks[0][2][0, 0, 0] = 1
-        tables[:] = 0
-        again = permuted_tables(MARITAL, 50, RandomStream(0))
-        np.testing.assert_array_equal(again, want)
-        assert again.flags.writeable and len(calls) == 1
 
     def test_study_blocks_do_not_use_it(self):
         tests = [("usp", "permutation"), ("g", "permutation")]
-        cfg = PermutationConfig(B=99)
-        for stop in (False, True):
-            gen = np.random.default_rng(0)
-            permutation._block_pvalues(MARITAL.counts[None], MARITAL.n, tests, cfg, gen, stop)
-            assert permutation._last_draw is None
+        cfg, gen = PermutationConfig(B=99), RandomStream(0).generator()
+        permutation._block_pvalues(MARITAL.counts[None], MARITAL.n, tests, cfg, gen, stop=True)
+        assert permutation._last_draw is None
 
     def test_threads_testing_different_tables_get_lone_results(self):
         # more threads than two cores, switching every microsecond, so that
