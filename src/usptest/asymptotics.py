@@ -17,16 +17,12 @@ curves oscillate in lambda instead of settling at alpha, with jump
 discontinuities where the z = 0 atom enters or leaves the rejection region
 (lambda = sqrt(c_alpha / 2) for G, lambda = sqrt(c_alpha) for Pearson).
 
-The size at one lambda is summed over a window of Z around its mean mu =
-lambda^2, 12 (lambda + 1) wide on each side; Poisson mass outside it is
-below 1e-26.  The window's terms mu^z / z! relative to the mode's are
-numerics' windowed Poisson-term sum with h = 0, normalized by their sum.
-The window grows with lambda, so lambda is capped at 1000, where it spans
-about 24 000 points.  A whole grid is evaluated in that sum's 2-D array
-passes, one row per lambda, in chunks of at most 2^13 cells taken in
-increasing lambda, so memory stays bounded for any grid.  Both masses of a
-row are summed sequentially in order of z, which keeps a size independent
-of the grid it is evaluated in; single points (pearson_asymptotic_size,
+The size at one lambda is numerics' windowed Poisson-term sum at y = mu =
+lambda^2 (h = 0) with a mask: the window's terms mu^z / z! at the z the
+test rejects, over all of its terms.  The window grows with lambda, so
+lambda is capped at 1000, where it spans about 24 000 points.  A whole grid
+is one such sum, one row per lambda taken in increasing lambda, and a size
+depends on its lambda alone; single points (pearson_asymptotic_size,
 g_asymptotic_size) are one-point grids.
 """
 
@@ -39,7 +35,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import DomainError
-from .numerics import _WINDOW_HALF_WIDTH, _chunks, _require_alpha, _window_terms, chi2_quantile
+from .numerics import _require_alpha, _window_sums, chi2_quantile
 from .stats import _CLASSIC_METHODS, _poisson_limit
 
 __all__ = [
@@ -108,41 +104,22 @@ def _check_lambdas(lam: np.ndarray) -> None:
         raise DomainError(f"lambda must be positive, got {x}")
 
 
-def _window_sizes(
-    test: str, c: float, mu: np.ndarray, lo: np.ndarray, hi: np.ndarray
-) -> np.ndarray:
-    # Poisson(mu) mass of {z : limit statistic > c} over each row's window
-    # [lo, hi], from the windowed terms mu^z / z! around the mode
-    z, w = _window_terms(mu, 0.0, np.floor(mu), lo, hi)
-    # both masses are summed in order of z, the rejected one with zeros in
-    # place: rounding is monotone, so it never exceeds the total, and a
-    # sequential sum ignores the padding, so a size does not depend on the
-    # other lambdas of its chunk
-    rejected = np.where(_poisson_limit(test, z, mu[:, None]) > c, w, 0.0)
-    return np.cumsum(rejected, axis=1)[:, -1] / np.cumsum(w, axis=1)[:, -1]
-
-
 def _sizes(test: str, c: float, lam: np.ndarray) -> np.ndarray:
-    # every lambda's size, in chunks of rows taken in increasing lambda, so
-    # that rows of one chunk have windows of about the same width
+    # each lambda's Poisson(mu) mass of {z : limit statistic > c}: the share of
+    # its window total that the mask keeps, rows taken in increasing lambda so
+    # that the windows of one pass are about as wide
     _check_lambdas(lam)
-    mu = lam * lam
-    half = _WINDOW_HALF_WIDTH * (lam + 1.0)
-    lo, hi = np.maximum(0.0, np.floor(mu - half)), np.ceil(mu + half)
     order = np.argsort(lam, kind="stable")
-    mu, lo, hi = mu[order], lo[order], hi[order]
-    mode = np.floor(mu)
-    sizes = np.empty(len(lam))
     # below lambda of about 1e-154, mu is subnormal or 0: the terms above
     # z = 0 are 0, and the limit statistics divide by mu, giving inf above
     # z = 0 (rejected) and 0 / 0 = nan at z = mu = 0 (not rejected).  Those
     # are the right limits, so numpy's warnings about them are silenced;
     # silencing changes no value
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for start, stop in _chunks((mode - lo).astype(np.int64), (hi - mode).astype(np.int64)):
-            rows = slice(start, stop)
-            sizes[order[rows]] = _window_sizes(test, c, mu[rows], lo[rows], hi[rows])
-    return sizes
+        _, total, kept = _window_sums(
+            (lam * lam)[order], 0.0, 0.0, math.inf, lambda z, mu: _poisson_limit(test, z, mu) > c
+        )
+    return (kept / total)[np.argsort(order)]
 
 
 def pearson_asymptotic_size(lam: float, alpha: float) -> float:

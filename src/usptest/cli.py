@@ -141,9 +141,12 @@ def _parse_tests(spec: str) -> list[tuple[str, str]]:
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write --out {out_path!r}: {exc.strerror or exc}") from None
 
 
 def _warn_undefined(rates) -> None:

@@ -11,7 +11,8 @@ Poisson-type masses, sums of the terms y^(j+h) / Gamma(j+h+1) with h = 0
 or 1/2, and one windowed sum computes them all: each row of a 2-D array
 pass holds one sum's terms within 12 (sqrt(y) + 1) of its largest, built
 from the ratio of neighbouring terms in log space and summed sequentially,
-in chunks of at most 2^13 cells.
+in chunks of at most 2^13 cells.  A size is the share of a row's total
+that a mask over its terms keeps.
 """
 
 from __future__ import annotations
@@ -169,21 +170,34 @@ def _window_terms(
     return z, np.where(inside, np.exp(log_w), 0.0)
 
 
-def _term_sum(y: np.ndarray, h: float, first: float, last: float) -> np.ndarray:
-    # e^-y sum_{first <= j <= last} y^(j+h) / Gamma(j+h+1) for finite y > 0,
-    # summed in order of j relative to the largest term, at j = floor(y - h)
-    # held in [first, last], so no tail underflows and a sum depends on its
-    # own y alone.  A window reaches 12 (sqrt(y) + 1) terms either side, or
-    # 12 (sqrt(j + h + 1) + 1) where j is held below y - h and the terms
-    # fall off faster, so it never holds more than O(sqrt(last)) terms
+def _window_sums(y: np.ndarray, h: float, first: float, last: float, keep=None):
+    # the one pass over the windows of t(z) = y^(z+h) / Gamma(z+h+1), finite
+    # y >= 0.  A row's anchor j = floor(y - h), held in [first, last], is where
+    # t is largest; its window reaches 12 (sqrt(y) + 1) terms either side, or
+    # 12 (sqrt(j + h + 1) + 1) where j is held below y - h, so O(sqrt(last)).
+    # Returns the anchors, each row's total of t(z) / t(anchor) and, given a
+    # predicate keep(z, y) over a pass's rows, the total of the terms it marks
+    # (else None), both summed in order of z: rounding is monotone, so the kept
+    # total never exceeds the whole, and padding adds zeros, so a row's totals
+    # depend on its own y alone.  Rows go to passes in the caller's order
     anchor = np.clip(np.floor(y - h), first, last)
     reach = np.ceil(_WINDOW_HALF_WIDTH * (np.sqrt(np.minimum(y, anchor + h + 1.0)) + 1.0))
     lo, hi = np.maximum(anchor - reach, first), np.minimum(anchor + reach, last)
     total = np.empty(len(y))
+    kept = None if keep is None else np.empty(len(y))
     for start, stop in _chunks((anchor - lo).astype(np.int64), (hi - anchor).astype(np.int64)):
         rows = slice(start, stop)
-        w = _window_terms(y[rows], h, anchor[rows], lo[rows], hi[rows])[1]
+        z, w = _window_terms(y[rows], h, anchor[rows], lo[rows], hi[rows])
         total[rows] = np.cumsum(w, axis=1)[:, -1]
+        if keep is not None:
+            kept[rows] = np.cumsum(np.where(keep(z, y[rows, None]), w, 0.0), axis=1)[:, -1]
+    return anchor, total, kept
+
+
+def _term_sum(y: np.ndarray, h: float, first: float, last: float) -> np.ndarray:
+    # e^-y sum_{first <= j <= last} y^(j+h) / Gamma(j+h+1) for finite y > 0:
+    # the window total scaled by the anchor's term, so no tail underflows
+    anchor, total, _ = _window_sums(y, h, first, last)
     peak = anchor + h
     top = peak * np.log(y) - np.array([math.lgamma(v) for v in (peak + 1.0).tolist()])
     return np.exp(top - y) * total

@@ -318,11 +318,12 @@ def _worker_count(threads: int, tasks: int) -> int:
 _POOL_MIN_CELLS = 500_000  # permuted cells of a study per worker process
 # Permuted cells of a study per worker thread.  Threads overlap only where
 # numpy releases the interpreter lock (two threads of Generator.permuted
-# did 1.7x the work of one in the same time), and cost about 0.2 ms to
-# start where a process pool costs 10-40 ms.  On 2 cores, sparse 5x8,
-# n = 100, B = 99, two epsilons, medians of 41 interleaved calls: two
-# threads took 0.99-1.03x the serial time at 95 040 cells (12 replicates),
-# 0.86-0.89x at 126 720 (16) and 0.86-0.89x at 158 400 (20).
+# did 1.02-1.7x the work of one in the same time, over repeated runs on 2
+# cores), and cost about 0.2 ms to start where a process pool costs 10-40
+# ms.  On 2 cores, sparse 5x8, n = 100, B = 99, two epsilons, medians of 41
+# interleaved calls: two threads took 0.99-1.03x the serial time at 95 040
+# cells (12 replicates), 0.86-0.89x at 126 720 (16) and 0.86-0.89x at
+# 158 400 (20).
 _THREAD_MIN_CELLS = 60_000
 # D-hat replicates per pool worker.  On 2 cores, dense n = 100, medians of
 # 5 calls: a 2-process pool tied with the calling process at 2 000 replicates
@@ -380,21 +381,24 @@ def _map_replicates(worker, tasks: list, workers: int, processes: bool = True) -
 # ---------------------------------------------------------------------------
 
 
-def _study(sources: list, reps: int, tests, config, threads: int) -> list[tuple[TestRate, ...]]:
+def _study(
+    sources: list, reps: int, tests, config, threads: int, size: str = "n"
+) -> list[tuple[TestRate, ...]]:
     # Rejection rates of every test over reps tables from each source, a
     # (weights, n, replace) triple for table._sample_tables; the caller checks
-    # reps.  Source i runs its blocks on streams (i, block), and every block
-    # of every source goes through one pool: output is identical for any threads.
+    # reps, and names the table size as its user set it (n, or a subsample's
+    # m).  Source i runs its blocks on streams (i, block), and every block of
+    # every source goes through one pool: output is identical for any threads.
     _require_int(threads, "threads", 1)
     tests = _check_tests(tests)
     for _, n, _ in sources:
         if n < 2:
             raise SampleTooSmall(
-                f"a study needs n >= 2 observations per table, got n={n}: "
+                f"a study needs {size} >= 2 observations per table, got {size}={n}: "
                 f"with fewer, the margins fix the table, so there is nothing to test"
             )
         for method, _ in tests:
-            _require_sample(method, n)
+            _require_sample(method, n, size)
     if config is None:
         config = PermutationConfig()
     sizes = _block_sizes(reps)
@@ -486,7 +490,7 @@ def subsample_study(
     """
     source = _subsample_source(table, m, replace)
     reps = _require_int(reps, "reps", 1)
-    (rates,) = _study([source], reps, tests, config, threads)
+    (rates,) = _study([source], reps, tests, config, threads, "m")
     return SubsampleStudy(m=source[1], reps=reps, rates=rates)
 
 

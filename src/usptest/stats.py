@@ -139,11 +139,11 @@ def g_statistic(table: ContingencyTable) -> float:
     return float(_g_value(table.counts, table.n))
 
 
-def _require_sample(method: str, n: int) -> None:
+def _require_sample(method: str, n: int, size: str = "n") -> None:
     # U-hat, and with it D-hat, divides by n(n-2)(n-3); pearson and g take any
-    # total
+    # total.  size names the total as the user set it: n, or a subsample's m
     if method in ("usp", "dhat") and n < 4:
-        raise SampleTooSmall(f"{method} statistic needs n >= 4, got n={n}")
+        raise SampleTooSmall(f"{method} statistic needs {size} >= 4, got {size}={n}")
 
 
 def _usp_key_dtype(n: int):

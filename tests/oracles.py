@@ -104,6 +104,39 @@ def exact_tail(counts, statistic) -> Fraction:
     return sum((w for table, w in table_law(counts) if statistic(table) >= t0), Fraction(0))
 
 
+def exact_level(law, keys, B: int, alpha, tie_policy: str) -> Fraction:
+    """Exact P(p <= alpha) of a B-table permutation p-value under its null law.
+
+    ``law`` is :func:`table_law`'s list of (table, probability) and ``keys``
+    each table's rank key, exactly comparable.  The observed table is drawn
+    from the law; given its key k0, the counts G of permuted keys above k0
+    and T equal to it are Multinomial(B; q_>, q_=, q_<), and
+    p = (1 + G + U) / (B + 1), with U uniform on {0, ..., T} under the
+    randomized tie policy and U = T under the conservative one.  ``alpha``
+    is anything ``Fraction`` takes, so pass "0.05" for the decimal level.
+    """
+    mass = {}
+    for (_, w), k in zip(law, keys):
+        mass[k] = mass.get(k, Fraction(0)) + w
+    # p <= alpha exactly when G + U <= top, both integers
+    top = math.floor(Fraction(alpha) * (B + 1)) - 1
+    level, above = Fraction(0), Fraction(0)
+    for k in sorted(mass, reverse=True):
+        tie = mass[k]
+        below = 1 - above - tie
+        for g in range(top + 1):
+            for t in range(B - g + 1):
+                if tie_policy == "randomized":
+                    share = Fraction(min(top - g, t) + 1, t + 1)
+                else:
+                    share = Fraction(t <= top - g)
+                if share:
+                    law_gt = comb(B, g) * comb(B - g, t) * above**g * tie**t * below ** (B - g - t)
+                    level += tie * law_gt * share
+        above += tie
+    return level
+
+
 def dhat_exact(counts) -> Fraction:
     """D-hat in exact rational arithmetic: :func:`usp_exact` plus the three
     margin terms of :func:`usptest.stats.dhat_statistic`."""

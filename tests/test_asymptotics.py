@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.stats as scipy_stats
 
-from usptest import asymptotics
+from usptest import asymptotics, numerics
 from usptest.asymptotics import (
     DEFAULT_LAMBDA_GRID,
     SizeCurvePoint,
@@ -115,14 +115,15 @@ class TestArrayPass:
 
     @pytest.mark.parametrize("test", ["pearson", "g"])
     def test_mixed_grid_across_chunks_matches_the_summation_oracle(self, test, monkeypatch):
+        # count numerics' window passes: one per chunk of rows
         chunks = []
-        window_sizes = asymptotics._window_sizes
+        window_terms = numerics._window_terms
 
-        def spy(method, c, mu, lo, hi):
-            chunks.append(len(mu))
-            return window_sizes(method, c, mu, lo, hi)
+        def spy(y, *args):
+            chunks.append(len(y))
+            return window_terms(y, *args)
 
-        monkeypatch.setattr(asymptotics, "_window_sizes", spy)
+        monkeypatch.setattr(numerics, "_window_terms", spy)
         statistic = {"pearson": pearson_limit, "g": g_limit}[test]
         c = chi2_quantile(0.95, 1)
         pts = size_curve(test, 0.05, self.MIXED)

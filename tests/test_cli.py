@@ -279,21 +279,35 @@ class TestExitCodes:
         assert code == 2
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, size, got",
         [
-            ["power", "--family", "sparse", "--n", "0", "--eps-grid", "0:0.02:2"],
-            ["power", "--family", "sparse", "--n", "1", "--eps-grid", "0:0.02:2"],
-            ["subsample", "--dataset", "marital", "--m", "0"],
-            ["subsample", "--dataset", "marital", "--m", "1", "--no-replace"],
+            (["power", "--family", "sparse", "--n", "0", "--eps-grid", "0:0.02:2"], "n", 0),
+            (["power", "--family", "sparse", "--n", "1", "--eps-grid", "0:0.02:2"], "n", 1),
+            (["subsample", "--dataset", "marital", "--m", "0"], "m", 0),
+            (["subsample", "--dataset", "marital", "--m", "1", "--no-replace"], "m", 1),
         ],
     )
-    def test_study_of_fewer_than_two_observations_is_two(self, capsys, argv):
+    def test_study_of_fewer_than_two_observations_is_two(self, capsys, argv, size, got):
+        # the message names the flag the user set: subsample has --m, not --n
         code, out, err = run_cli(
             capsys, argv + ["--reps", "10", "--B", "19", "--tests", "pearson-perm,g-perm"]
         )
         assert code == 2
         assert out == ""
-        assert "n >= 2 observations per table" in err
+        assert f"{size} >= 2 observations per table, got {size}={got}:" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["subsample", "--dataset", "marital", "--m", "3"],
+             "error: usp statistic needs m >= 4, got m=3\n"),
+            (["power", "--family", "sparse", "--n", "3"],
+             "error: usp statistic needs n >= 4, got n=3\n"),
+        ],
+    )
+    def test_usp_size_error_names_the_size_flag(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, argv + ["--reps", "2", "--B", "19"])
+        assert (code, out, err) == (2, "", message)
 
     def test_reps_zero_is_two(self, capsys):
         code, _, _ = run_cli(

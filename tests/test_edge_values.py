@@ -6,8 +6,15 @@ one fixed list of atoms, and every raw matrix given to ``validate_table`` and
 shape.  Each call either returns or raises a ``UspError`` with a message, and
 no warning leaks.  Family dimensions and replicate counts are left out: a
 large value there allocates, or runs, without bound.
+
+The CLI's two byte inputs get the same treatment: seeded table files of
+BOMs, line endings, NULs, signs, non-decimal numbers and ragged rows, and
+each flag of each subcommand set to each of a list of string atoms.  A call
+exits 0, or exits 2 with one ``error:`` line on stderr and nothing on stdout.
 """
 
+import contextlib
+import io
 import time
 import warnings
 
@@ -28,6 +35,7 @@ from usptest import (
     subsample_study,
     validate_table,
 )
+from usptest.cli import build_parser, main
 from usptest.errors import UspError
 
 ATOMS = (-1, 0, 1, 3, 2**63 - 1, 2**63, 2**64, 1.5, float("nan"), float("inf"), "3", None)
@@ -229,3 +237,120 @@ class TestEdgeValueProbe:
             for x in ATOMS:
                 _outcome(call, x)
         assert time.perf_counter() - start < 2.0
+
+
+# ---------------------------------------------------------------------------
+# the CLI's byte inputs
+# ---------------------------------------------------------------------------
+
+
+def _cli_outcome(argv) -> tuple[int, str]:
+    # (exit code, stderr) of one in-process call; a traceback, a leaked
+    # warning (raised as an error), stdout on a failure or a second error
+    # line fails the probe with the call named
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    errors = [line for line in err.getvalue().splitlines() if "error:" in line]
+    if code == 0:
+        assert errors == [], (argv, err.getvalue())
+    else:
+        assert (code, out.getvalue(), len(errors)) == (2, "", 1), (argv, err.getvalue())
+    return code, err.getvalue()
+
+
+# table-file cells: valid counts, and the spellings the reader refuses
+CSV_CELLS = (
+    b"1", b"2", b"3", b"0", b"17", b" 4 ", b"\t5", b"+3", b"-3", b"1e3", b"0x10", b"2.0",
+    b"nan", b"1_0", b"", b"\x00", b"3;4", b"9" * 25, "\u0661".encode(), b"\xff",
+)
+CSV_VALID = 6  # the first cells are valid counts
+BOM = b"\xef\xbb\xbf"
+CSV_REFUSALS = ("not an integer", "columns, got", "cannot read", "no table rows")
+
+
+def _random_csv(gen: np.random.Generator) -> bytes:
+    # 0 to 3 rows of 1 to 4 cells, each cell valid two times in three, a row
+    # one cell short or long one time in six, mixed line endings, a BOM
+    # first one time in four (and one mid-file one time in ten), and blank
+    # and comment lines
+    width = int(gen.integers(1, 5))
+    lines = []
+    for _ in range(gen.integers(0, 4)):
+        if gen.random() < 0.15:
+            lines.append([b"", b"# a comment", b"  "][gen.integers(3)])
+        cells = width + (int(gen.choice([-1, 1])) if gen.random() < 1 / 6 else 0)
+        row = [
+            CSV_CELLS[gen.integers(CSV_VALID if gen.random() < 2 / 3 else len(CSV_CELLS))]
+            for _ in range(max(cells, 1))
+        ]
+        sep = [b", ", b";", b"\t"][gen.integers(3)] if gen.random() < 0.15 else b","
+        lines.append(sep.join(row))
+    ends = [[b"\n", b"\r\n", b"\r"][gen.integers(3)] for _ in lines]
+    body = b"".join(line + end for line, end in zip(lines, ends))
+    if gen.random() < 0.1:
+        cut = int(gen.integers(len(body) + 1))
+        body = body[:cut] + BOM + body[cut:]
+    return (BOM if gen.random() < 0.25 else b"") + body
+
+
+# argv atoms: each goes in one flag of a valid, fast call
+ARGV_ATOMS = ("", "-1", "0", "nan", "1e3", str(2**63), "9" * 400)
+BASE_ARGV = {
+    "test": ["--dataset", "marital", "--B", "19"],
+    "power": ["--family", "sparse", "--n", "20", "--eps-grid", "0:0.02:2", "--reps", "2", "--B", "19"],
+    "asymsize": ["--test", "g", "--lambda", "1:2:3"],
+    "subsample": ["--dataset", "marital", "--m", "20", "--reps", "2", "--B", "19"],
+    "dhat": ["--family", "sparse", "--n", "20", "--reps", "3"],
+}
+# a large accepted value of these runs, or allocates, without bound
+UNBOUNDED = {"--reps", "--B", "--I", "--J"}
+
+
+def _flags(command: str) -> list[str]:
+    # every flag of a subcommand that takes a value
+    sub = build_parser()._subparsers._group_actions[0].choices[command]
+    return [a.option_strings[-1] for a in sub._actions if a.option_strings and a.nargs != 0]
+
+
+def _with_flag(command: str, flag: str, value: str) -> list[str]:
+    # the base call with flag set to value; --input replaces --dataset
+    base = list(BASE_ARGV[command])
+    if flag == "--input":
+        del base[base.index("--dataset") : base.index("--dataset") + 2]
+    if flag in base:
+        base[base.index(flag) + 1] = value
+        return [command, *base]
+    return [command, *base, flag, value]
+
+
+class TestByteInputFuzz:
+    def test_table_files_exit_0_or_2_with_one_error_line(self, tmp_path):
+        gen = np.random.default_rng(2025)
+        seen = set()
+        for k in range(300):
+            path = tmp_path / f"t{k}.csv"
+            path.write_bytes(_random_csv(gen))
+            code, err = _cli_outcome(["test", "--input", str(path), "--B", "19"])
+            reader = [r for r in CSV_REFUSALS if r in err]
+            seen.add("ok" if code == 0 else reader[0] if reader else "refused by the library")
+        # valid files are read, and each of the reader's refusals is reached
+        assert seen == {"ok", "refused by the library", *CSV_REFUSALS}, seen
+
+    def test_every_flag_takes_each_atom_or_exits_2(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # --out atoms write files here
+        codes = {}
+        for command in BASE_ARGV:
+            assert _cli_outcome([command, *BASE_ARGV[command]])[0] == 0
+            for flag in _flags(command):
+                for atom in ARGV_ATOMS:
+                    if flag in UNBOUNDED and len(atom) > 3:
+                        continue
+                    codes[command, flag, atom] = _cli_outcome(_with_flag(command, flag, atom))[0]
+        # some atoms are valid values: a seed, an output file, an epsilon
+        assert codes["power", "--seed", str(2**63)] == 0
+        assert codes["test", "--out", "0"] == 0 and (tmp_path / "0").is_file()
+        assert codes["test", "--out", ""] == 2
+        assert codes["dhat", "--eps", "0"] == 0
+        assert set(codes.values()) == {0, 2}

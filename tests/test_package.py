@@ -288,11 +288,14 @@ class TestNoEnvironment:
 
 
 # each input rule and the one module that may state it: a raise of the error
-# class, or a call of the check
+# class, or a call of the check.  The Poisson window's pass is a rule in the
+# same sense: only numerics runs its chunks and terms
 RULE_OWNERS = {
     "SubsampleTooLarge": "table.py",
     "_require_hypergeometric_total": "table.py",
     "InvalidMode": "permutation.py",
+    "_window_terms": "numerics.py",
+    "_chunks": "numerics.py",
 }
 
 
@@ -329,7 +332,9 @@ class TestRuleOwners:
             "raise errors.InvalidMode\n"
             "isinstance(exc, InvalidMode)\n"
             '"""a docstring that raises InvalidMode is prose"""\n'
+            "z, w = numerics._window_terms(y, 0.0, a, lo, hi)\n"
         )
         assert _rule_statements(path) == [
             (2, "SubsampleTooLarge"), (3, "_require_hypergeometric_total"), (4, "InvalidMode"),
+            (7, "_window_terms"),
         ]

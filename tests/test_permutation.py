@@ -7,11 +7,13 @@ import sys
 import threading
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from oracles import (
+    exact_level,
     exact_tail,
     g_exact_key,
     pearson_exact,
@@ -428,6 +430,46 @@ class TestExactTail:
         self.only(monkeypatch, side)
         monkeypatch.setattr(permutation, "_SHUFFLE_PER_FREE_CELL", 10**9 if side == "shuffle" else 0)
         self.assert_fits_the_law(self.WIDE[shape], 20_000)
+
+
+class TestExactLevel:
+    # the paper's size guarantee by computation over the whole support: with
+    # the engine's keys, the randomized test's level is alpha exactly when
+    # alpha (B + 1) is an integer, and the conservative one's at most alpha
+    CASES = [
+        ([[2, 1, 1], [1, 2, 1], [1, 1, 3]], 19, "0.05"),
+        ([[2, 1, 1], [1, 2, 1], [1, 1, 3]], 19, "0.1"),
+        ([[3, 1], [1, 2], [1, 2]], 19, "0.05"),
+        ([[3, 1], [1, 2], [1, 2]], 19, "0.1"),
+        ([[3, 1], [1, 2], [1, 2]], 39, "0.05"),
+    ]
+
+    @staticmethod
+    def engine_keys(method, data, law):
+        key = stats._rank_key(method, data.row_margins[None], data.col_margins[None], data.n)
+        return key(np.array([np.ravel(t) for t, _ in law])[None], slice(0, 1))[0].tolist()
+
+    @pytest.mark.parametrize("method", ["usp", "pearson", "g"])
+    @pytest.mark.parametrize("counts, B, alpha", CASES)
+    def test_level(self, counts, B, alpha, method):
+        data = validate_table(counts)
+        law = table_law(data.counts)
+        keys = self.engine_keys(method, data, law)
+        assert exact_level(law, keys, B, alpha, "randomized") == Fraction(alpha)
+        assert exact_level(law, keys, B, alpha, "conservative") <= Fraction(alpha)
+
+    @pytest.mark.parametrize("counts, B, alpha", CASES)
+    def test_usp_conservative_level_is_the_exact_statistics(self, counts, B, alpha):
+        # the integer usp key ties exactly where U-hat does, so its
+        # conservative level is that of the exact statistic.  pearson and g
+        # wait for exact ties: on the 3x3 table their float keys split 32 and
+        # 23 exact classes into 43 and 28, which moves the conservative level
+        data = validate_table(counts)
+        law = table_law(data.counts)
+        exact = [usp_exact(t) for t, _ in law]
+        assert exact_level(law, self.engine_keys("usp", data, law), B, alpha, "conservative") == (
+            exact_level(law, exact, B, alpha, "conservative")
+        )
 
 
 class TestHypergeometricLimit:

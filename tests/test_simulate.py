@@ -480,14 +480,15 @@ class TestSubsampleStudy:
     def test_guards(self):
         with pytest.raises(SubsampleTooLarge):
             subsample_study(MARITAL, m=301, reps=5, tests=PERM_TESTS)
-        with pytest.raises(SampleTooSmall):
+        # a subsample's size is m, and its messages say so
+        with pytest.raises(SampleTooSmall, match="usp statistic needs m >= 4, got m=3$"):
             subsample_study(MARITAL, m=3, reps=5, tests=PERM_TESTS)
         # pearson and g take any total, as in power_curve
         small = subsample_study(MARITAL, m=3, reps=5, tests=[("pearson", "permutation")])
         assert (small.m, small.reps, len(small.rates)) == (3, 5, 1)
         for m in (0, 1):
             for replace in (True, False):
-                with pytest.raises(SampleTooSmall, match=f"got n={m}"):
+                with pytest.raises(SampleTooSmall, match=f"needs m >= 2 .*, got m={m}:"):
                     subsample_study(MARITAL, m=m, reps=5, tests=[("pearson", "permutation")],
                                     replace=replace)
         with pytest.raises(DomainError):
@@ -514,7 +515,7 @@ class TestSubsampleStudy:
         # RuntimeWarning before the study refused m = 0
         empty = validate_table([[0, 0], [0, 0]])
         for replace in (True, False):
-            with pytest.raises(SampleTooSmall, match="got n=0"):
+            with pytest.raises(SampleTooSmall, match="got m=0"):
                 subsample_study(empty, m=0, reps=1, tests=[("g", "classic")], replace=replace)
 
     @pytest.mark.parametrize("kind", ["thread", "process"])
