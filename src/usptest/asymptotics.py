@@ -117,7 +117,7 @@ def _sizes(test: str, c: float, lam: np.ndarray) -> np.ndarray:
     # silencing changes no value
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         _, total, kept = _window_sums(
-            (lam * lam)[order], 0.0, 0.0, math.inf, lambda z, mu: _poisson_limit(test, z, mu) > c
+            (lam * lam)[order], 0.0, math.inf, lambda z, mu: _poisson_limit(test, z, mu) > c
         )
     return (kept / total)[np.argsort(order)]
 

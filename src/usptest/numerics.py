@@ -1,12 +1,12 @@
 """Special functions and seeded random streams.
 
 Only the numerics the rest of the package needs: the chi-squared tail at
-integer degrees of freedom, for a float or an array, and its quantile by
-bisection; a small splittable random-stream wrapper that makes every
+integer degrees of freedom, for a float or an array, and its quantile at
+k = 1 by bisection; a small splittable random-stream wrapper that makes every
 stochastic routine reproducible for any execution order or worker count;
 and the one check each of an integer argument and of a level alpha.
 
-Both chi-squared tails and the asymptotic sizes of ``asymptotics`` are
+The chi-squared tail and the asymptotic sizes of ``asymptotics`` are
 Poisson-type masses, sums of the terms y^(j+h) / Gamma(j+h+1) with h = 0
 or 1/2, and one windowed sum computes them all: each row of a 2-D array
 pass holds one sum's terms within 12 (sqrt(y) + 1) of its largest, built
@@ -170,9 +170,9 @@ def _window_terms(
     return z, np.where(inside, np.exp(log_w), 0.0)
 
 
-def _window_sums(y: np.ndarray, h: float, first: float, last: float, keep=None):
+def _window_sums(y: np.ndarray, h: float, last: float, keep=None):
     # the one pass over the windows of t(z) = y^(z+h) / Gamma(z+h+1), finite
-    # y >= 0.  A row's anchor j = floor(y - h), held in [first, last], is where
+    # y >= 0.  A row's anchor j = floor(y - h), held in [0, last], is where
     # t is largest; its window reaches 12 (sqrt(y) + 1) terms either side, or
     # 12 (sqrt(j + h + 1) + 1) where j is held below y - h, so O(sqrt(last)).
     # Returns the anchors, each row's total of t(z) / t(anchor) and, given a
@@ -180,9 +180,9 @@ def _window_sums(y: np.ndarray, h: float, first: float, last: float, keep=None):
     # (else None), both summed in order of z: rounding is monotone, so the kept
     # total never exceeds the whole, and padding adds zeros, so a row's totals
     # depend on its own y alone.  Rows go to passes in the caller's order
-    anchor = np.clip(np.floor(y - h), first, last)
+    anchor = np.clip(np.floor(y - h), 0.0, last)
     reach = np.ceil(_WINDOW_HALF_WIDTH * (np.sqrt(np.minimum(y, anchor + h + 1.0)) + 1.0))
-    lo, hi = np.maximum(anchor - reach, first), np.minimum(anchor + reach, last)
+    lo, hi = np.maximum(anchor - reach, 0.0), np.minimum(anchor + reach, last)
     total = np.empty(len(y))
     kept = None if keep is None else np.empty(len(y))
     for start, stop in _chunks((anchor - lo).astype(np.int64), (hi - anchor).astype(np.int64)):
@@ -194,39 +194,21 @@ def _window_sums(y: np.ndarray, h: float, first: float, last: float, keep=None):
     return anchor, total, kept
 
 
-def _term_sum(y: np.ndarray, h: float, first: float, last: float) -> np.ndarray:
-    # e^-y sum_{first <= j <= last} y^(j+h) / Gamma(j+h+1) for finite y > 0:
-    # the window total scaled by the anchor's term, so no tail underflows
-    anchor, total, _ = _window_sums(y, h, first, last)
-    peak = anchor + h
-    top = peak * np.log(y) - np.array([math.lgamma(v) for v in (peak + 1.0).tolist()])
-    return np.exp(top - y) * total
-
-
 def _upper_gamma(y: np.ndarray, k: int) -> np.ndarray:
     # Q(k/2, y) for an integer k >= 1 over a 1-d array y >= 0 (Abramowitz &
     # Stegun 26.4.4-5): erfc(sqrt(y)) at odd k, plus e^-y sum_{j<k//2}
-    # y^(j+h) / Gamma(j+h+1) with h = 1/2 at odd k and 0 at even k
+    # y^(j+h) / Gamma(j+h+1) with h = 1/2 at odd k and 0 at even k, taken as
+    # the window total scaled by the anchor's term, so no tail underflows
     h, m = 0.5 * (k % 2), k // 2
     q = np.array([math.erfc(math.sqrt(v)) for v in y.tolist()]) if h else (y == 0.0) * 1.0
     live = (y > 0.0) & (y < math.inf)
     if m and live.any():
-        q[live] += _term_sum(y[live], h, 0.0, m - 1.0)
+        yl = y[live]
+        anchor, total, _ = _window_sums(yl, h, m - 1.0)
+        peak = anchor + h
+        top = peak * np.log(yl) - np.array([math.lgamma(v) for v in (peak + 1.0).tolist()])
+        q[live] += np.exp(top - yl) * total
     return np.minimum(q, 1.0)
-
-
-def _gamma_tails(y: float, k: int) -> tuple[float, float]:
-    # (P(k/2, y), Q(k/2, y)) for y >= 0: erf and erfc of sqrt(y) at k = 1,
-    # else the term sum over j >= k//2 below y = k/2 + 1 and the upper tail
-    # from there, the other tail 1 minus it
-    if k == 1:
-        t = math.sqrt(y)
-        return math.erf(t), math.erfc(t)
-    if 0.0 < y < k / 2.0 + 1.0:
-        lower = min(1.0, float(_term_sum(np.array([y]), 0.5 * (k % 2), k // 2, math.inf)[0]))
-        return lower, 1.0 - lower
-    upper = float(_upper_gamma(np.array([y]), k)[0])
-    return 1.0 - upper, upper
 
 
 def chi2_sf(x, k: int):
@@ -250,27 +232,29 @@ def chi2_sf(x, k: int):
 
 
 def chi2_quantile(p: float, k: int) -> float:
-    """Inverse chi-squared CDF at integer k >= 1: the point that bracketed bisection reaches.
+    """Inverse chi-squared CDF at k = 1: the point that bracketed bisection reaches.
 
-    hi starts at k and doubles until it lies above the quantile, then
-    [0, hi] is bisected until the bracket is exhausted.  Above the median a
-    point lies below the quantile where the upper tail exceeds ``1 - p``,
-    so upper quantiles keep the relative accuracy of the tail, not of the
-    CDF; at or below it, where the CDF is below ``p``.  The CDF is erf at
-    k = 1, else the windowed sum of the terms j >= k/2 below x = k + 2 and
-    1 - ``chi2_sf`` above.
+    k = 1 is the only degree of freedom taken, that of the 2x2 critical
+    value ``chi2_quantile(1 - alpha, 1)``.  hi starts at 1 and doubles until
+    it lies above the quantile, then [0, hi] is bisected until the bracket
+    is exhausted.  Above the median a point lies below the quantile where
+    the upper tail erfc(sqrt(x/2)) exceeds ``1 - p``, so upper quantiles
+    keep the relative accuracy of the tail, not of the CDF; at or below it,
+    where the CDF erf(sqrt(x/2)) is below ``p``.
     """
     if not (0.0 < p < 1.0):
         raise DomainError(f"chi2_quantile requires 0 < p < 1, got p={p}")
     k = _require_int(k, "chi2_quantile degrees of freedom k", 1)
+    if k != 1:
+        raise DomainError(f"chi2_quantile takes only k = 1 degree of freedom, got {k}")
     tail = 1.0 - p  # exact for p >= 0.5
 
     def below(x: float) -> bool:
         # whether x lies below the quantile
-        lower, upper = _gamma_tails(x / 2.0, k)
-        return upper > tail if p > 0.5 else lower < p
+        t = math.sqrt(x / 2.0)
+        return math.erfc(t) > tail if p > 0.5 else math.erf(t) < p
 
-    lo, hi = 0.0, float(k)
+    lo, hi = 0.0, 1.0
     while below(hi):
         hi *= 2.0
     while True:

@@ -7,6 +7,8 @@ from math import comb, prod
 from typing import Sequence
 
 import numpy as np
+from scipy.special import gammaln
+from scipy.stats import chi2
 
 from usptest.errors import DomainError, SampleTooSmall
 from usptest.numerics import RandomStream, as_generator
@@ -271,3 +273,48 @@ def poisson_tail_mass(predicate, mu: float) -> float:
         if cumulative >= 1.0 - _TAIL_TRUNCATION:
             break
     return mass
+
+
+def classic_2x2_exact_size(method: str, lam: float, n: int, alpha: float) -> tuple[float, float]:
+    """Exact size of the classic 2x2 test at finite n under the sparse family.
+
+    The cells of [[p^2, p(1-p)], [p(1-p), (1-p)^2]], p = lam / sqrt(n), are
+    multinomial; the three small cells are each summed over a window of
+    14 (sqrt(mean) + 1) either side of their mean, and the fourth is n minus
+    them.  A table is rejected where its Pearson (``"pearson"``) or G
+    (``"g"``) statistic exceeds scipy's chi-squared(1) critical value; a
+    table with an empty margin is not rejected.  Returns the rejected mass
+    and the window's whole mass, which is 1 up to the terms left out.
+    """
+    c = chi2.isf(alpha, 1)
+    p = lam / math.sqrt(n)
+    log_p, log_q = math.log(p), math.log1p(-p)
+
+    def window(mean):
+        half = math.ceil(14.0 * (math.sqrt(mean) + 1.0))
+        return np.arange(max(0, math.floor(mean) - half), min(n, math.ceil(mean) + half) + 1.0)
+
+    # the two off-diagonal cells share a mean, so one window spans both axes
+    # of the grid summed at each count a of the top-left cell
+    off = window(n * p * (1.0 - p))
+    b, cc = off[:, None], off[None, :]
+    log_off = (b + cc) * (log_p + log_q) - gammaln(b + 1.0) - gammaln(cc + 1.0)
+    size = mass = 0.0
+    for a in window(n * p * p).tolist():
+        d = n - a - b - cc
+        pmf = np.exp(
+            gammaln(n + 1.0) - gammaln(a + 1.0) + 2.0 * a * log_p + log_off
+            + 2.0 * d * log_q - gammaln(np.maximum(d, 0.0) + 1.0)
+        ) * (d >= 0)
+        r, k = a + b, a + cc
+        defined = (r > 0) & (r < n) & (k > 0) & (k < n)
+        o = np.stack(np.broadcast_arrays(a, b, cc, d))
+        e = np.stack(np.broadcast_arrays(r * k, r * (n - k), (n - r) * k, (n - r) * (n - k))) / n
+        e = np.where(defined, e, 1.0)
+        if method == "pearson":
+            stat = ((o - e) ** 2 / e).sum(0)
+        else:
+            stat = 2.0 * (o * np.log(np.where(o > 0, o / e, 1.0))).sum(0)
+        size += float(pmf[defined & (stat > c)].sum())
+        mass += float(pmf.sum())
+    return size, mass

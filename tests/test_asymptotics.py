@@ -4,6 +4,7 @@ import math
 import re
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,8 +21,10 @@ from usptest.asymptotics import (
 )
 from usptest.errors import DomainError
 from usptest.numerics import chi2_quantile
+from usptest.stats import g_statistic, pearson_statistic
+from usptest.table import ContingencyTable
 
-from oracles import poisson_pmf, poisson_tail_mass
+from oracles import classic_2x2_exact_size, multinomial_expectation, poisson_pmf, poisson_tail_mass
 
 
 def poisson_rejection_oracle(mu, alpha, statistic, terms=400):
@@ -328,3 +331,36 @@ class TestDomain:
                     size_curve(test, alpha, [1.0])
             # the floor itself is taken
             assert 0.0 <= size_curve(test, floor, [1.0])[0].asymptotic_size <= 1.0
+
+
+class TestFiniteSampleSize:
+    # the exact size of the classic test at finite n, summed over the 2x2
+    # multinomial itself, checks the Poisson limit laws that size_curve sums
+
+    def test_window_sum_is_the_multinomial_law(self):
+        # at n = 9 and lambda = 1 the cells are 1/9, 2/9, 2/9 and 4/9, and the
+        # windows hold every table: the sum is the exact probability that the
+        # library's statistic exceeds c
+        c = scipy_stats.chi2.isf(0.05, 1)
+        law = [[Fraction(1, 9), Fraction(2, 9)], [Fraction(2, 9), Fraction(4, 9)]]
+        for test, statistic in (("pearson", pearson_statistic), ("g", g_statistic)):
+
+            def rejected(counts):
+                t = ContingencyTable(counts)
+                return bool(t.row_margins.all() and t.col_margins.all() and statistic(t) > c)
+
+            size, mass = classic_2x2_exact_size(test, 1.0, 9, 0.05)
+            assert mass == pytest.approx(1.0, abs=1e-12)
+            want = float(multinomial_expectation(law, 9, rejected))
+            assert size == pytest.approx(want, abs=1e-12), test
+
+    def test_g_at_lambda_one_is_its_limit_from_n_ten_thousand(self):
+        size, mass = classic_2x2_exact_size("g", 1.0, 10**4, 0.05)
+        assert mass == pytest.approx(1.0, abs=1e-9)
+        assert size == pytest.approx(g_asymptotic_size(1.0, 0.05), abs=1e-4)
+
+    def test_g_at_lambda_one_and_a_half_is_still_short_of_its_limit(self):
+        # the limit is reached slowly here: 0.114 at n = 10^4 against 0.133
+        size, _ = classic_2x2_exact_size("g", 1.5, 10**4, 0.05)
+        assert size == pytest.approx(0.11403, abs=1e-4)
+        assert g_asymptotic_size(1.5, 0.05) == pytest.approx(0.13276, abs=1e-4)
