@@ -337,22 +337,22 @@ class TestFiniteSampleSize:
     # the exact size of the classic test at finite n, summed over the 2x2
     # multinomial itself, checks the Poisson limit laws that size_curve sums
 
-    def test_window_sum_is_the_multinomial_law(self):
+    @pytest.mark.parametrize("test, statistic", [("pearson", pearson_statistic), ("g", g_statistic)])
+    def test_window_sum_is_the_multinomial_law(self, test, statistic):
         # at n = 9 and lambda = 1 the cells are 1/9, 2/9, 2/9 and 4/9, and the
         # windows hold every table: the sum is the exact probability that the
         # library's statistic exceeds c
         c = scipy_stats.chi2.isf(0.05, 1)
         law = [[Fraction(1, 9), Fraction(2, 9)], [Fraction(2, 9), Fraction(4, 9)]]
-        for test, statistic in (("pearson", pearson_statistic), ("g", g_statistic)):
 
-            def rejected(counts):
-                t = ContingencyTable(counts)
-                return bool(t.row_margins.all() and t.col_margins.all() and statistic(t) > c)
+        def rejected(counts):
+            t = ContingencyTable(counts)
+            return bool(t.row_margins.all() and t.col_margins.all() and statistic(t) > c)
 
-            size, mass = classic_2x2_exact_size(test, 1.0, 9, 0.05)
-            assert mass == pytest.approx(1.0, abs=1e-12)
-            want = float(multinomial_expectation(law, 9, rejected))
-            assert size == pytest.approx(want, abs=1e-12), test
+        size, mass = classic_2x2_exact_size(test, 1.0, 9, 0.05)
+        assert mass == pytest.approx(1.0, abs=1e-12)
+        want = float(multinomial_expectation(law, 9, rejected))
+        assert size == pytest.approx(want, abs=1e-12)
 
     def test_g_at_lambda_one_is_its_limit_from_n_ten_thousand(self):
         size, mass = classic_2x2_exact_size("g", 1.0, 10**4, 0.05)

@@ -50,6 +50,15 @@ class TestChi2:
             want = scipy_stats.chi2.ppf(p, 1) if p <= 0.5 else scipy_stats.chi2.isf(1 - p, 1)
             assert chi2_quantile(p, 1) == pytest.approx(want, rel=1e-13, abs=0), p
 
+    def test_quantile_is_nondecreasing_in_p(self):
+        qs = [chi2_quantile(p, 1) for p in self.QUANTILE_PS]
+        assert all(b >= a for a, b in zip(qs, qs[1:]))
+        assert all(0.0 < q < math.inf for q in qs)
+
+    def test_quantile_takes_a_numpy_integer_k(self):
+        for p in (0.05, 0.5, 0.95):
+            assert chi2_quantile(p, np.int64(1)) == chi2_quantile(p, 1)
+
     def test_reference_value(self):
         # The 95% point of chi-squared with 1 df, a textbook constant.
         assert chi2_quantile(0.95, 1) == pytest.approx(3.841458820694124, abs=1e-8)
@@ -74,6 +83,15 @@ class TestChi2:
     @pytest.mark.parametrize("k", [1, 2, 3, 12, 1000])
     def test_sf_at_infinity_against_scipy(self, k):
         assert chi2_sf(math.inf, k) == scipy_stats.chi2.sf(math.inf, k) == 0.0
+
+    def test_sf_is_monotone_in_x(self):
+        # the windowed sum moves its anchor as x grows; the tail must not rise
+        # where it does
+        xs = np.linspace(0.0, 60.0, 400)
+        for k in (2, 9, 30):
+            vals = chi2_sf(xs, k).tolist()
+            assert all(b <= a for a, b in zip(vals, vals[1:])), k
+            assert all(0.0 <= v <= 1.0 for v in vals), k
 
     def test_one_degree_of_freedom_against_scipy(self):
         # the closed form erfc(sqrt(x / 2)), from the far left tail to where
@@ -156,8 +174,12 @@ class TestChi2:
         with pytest.raises(DomainError):
             chi2_quantile(1.0, 1)
 
+    # every integer k other than 1 is refused, the k > 1 that were once taken
+    # among them, as are k < 1 and a k that is not an integer
     @pytest.mark.parametrize(
-        "k, bad", [(2.5, "2.5"), (4.0, "4.0"), (0, "0"), (2, "2"), (3, "3"), (30, "30")]
+        "k, bad",
+        [(2.5, "2.5"), (4.0, "4.0"), (0, "0"), (-1, "-1")]
+        + [(k, str(k)) for k in (2, 3, 4, 7, 12, 20, 30, 100, 1000)],
     )
     def test_quantile_names_a_bad_k(self, k, bad):
         with pytest.raises(DomainError, match=re.escape(f"got {bad}")) as err:
