@@ -22,8 +22,8 @@ lambda^2 (h = 0) with a mask: the window's terms mu^z / z! at the z the
 test rejects, over all of its terms.  The window grows with lambda, so
 lambda is capped at 1000, where it spans about 24 000 points.  A whole grid
 is one such sum, one row per lambda taken in increasing lambda, and a size
-depends on its lambda alone; single points (pearson_asymptotic_size,
-g_asymptotic_size) are one-point grids.
+depends on its lambda alone, so the size at a single lambda is a one-point
+grid.
 """
 
 from __future__ import annotations
@@ -40,8 +40,6 @@ from .stats import _CLASSIC_METHODS, _poisson_limit
 
 __all__ = [
     "SizeCurvePoint",
-    "pearson_asymptotic_size",
-    "g_asymptotic_size",
     "size_curve",
     "size_curve_csv",
     "DEFAULT_LAMBDA_GRID",
@@ -120,28 +118,6 @@ def _sizes(test: str, c: float, lam: np.ndarray) -> np.ndarray:
             (lam * lam)[order], 0.0, math.inf, lambda z, mu: _poisson_limit(test, z, mu) > c
         )
     return (kept / total)[np.argsort(order)]
-
-
-def pearson_asymptotic_size(lam: float, alpha: float) -> float:
-    """Limiting rejection probability of classic Pearson at level alpha.
-
-    Returns P((Z - lambda^2)^2 / lambda^2 > c_alpha) for Z ~ Poisson(lambda^2),
-    where c_alpha is the (1-alpha) chi-squared(1) quantile, summed over the
-    normalized Poisson window; 0 < lambda <= 1000.  Rejection uses
-    strict inequality, matching the classic rule statistic > c.
-    """
-    return size_curve("pearson", alpha, [lam])[0].asymptotic_size
-
-
-def g_asymptotic_size(lam: float, alpha: float) -> float:
-    """Limiting rejection probability of the classic G test at level alpha.
-
-    Returns P(2 Z log(Z / lambda^2) - 2 (Z - lambda^2) > c_alpha) for
-    Z ~ Poisson(lambda^2) with the 0 log 0 = 0 convention (the statistic is
-    2 lambda^2 at z = 0), summed over the normalized Poisson window;
-    0 < lambda <= 1000.
-    """
-    return size_curve("g", alpha, [lam])[0].asymptotic_size
 
 
 def size_curve(

@@ -14,7 +14,6 @@ __all__ = [
     "SampleTooSmall",
     "SubsampleTooLarge",
     "UndefinedStatistic",
-    "DivergenceUndefined",
     "InvalidMode",
     "InfeasibleEpsilon",
 ]
@@ -50,10 +49,6 @@ class SubsampleTooLarge(UspError):
 
 class UndefinedStatistic(UspError):
     """A classic statistic is undefined because a row or column margin is zero."""
-
-
-class DivergenceUndefined(UspError):
-    """The chi-squared divergence has a zero reference cell with nonzero mass."""
 
 
 class InvalidMode(UspError):

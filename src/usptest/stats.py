@@ -1,9 +1,9 @@
 """Population measures and test statistics.
 
-Implements the chi-squared divergence between two distributions, the
-dependence measure D (squared distance of a joint law from the product of
-its margins), Pearson's chi-squared statistic, the G statistic, the USP
-test statistic (U-hat) and the full unbiased estimator of D (D-hat).
+Implements the dependence measure D (squared distance of a joint law from
+the product of its margins), Pearson's chi-squared statistic, the G
+statistic, the USP test statistic (U-hat) and the full unbiased estimator
+of D (D-hat).
 
 U-hat and D-hat differ by terms that depend on the data only through the
 margins, so over tables sharing margins (e.g. permuted tables) they induce
@@ -19,12 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    DivergenceUndefined,
-    DomainError,
-    SampleTooSmall,
-    UndefinedStatistic,
-)
+from .errors import SampleTooSmall, UndefinedStatistic
 from .numerics import _INT64_LIMIT
 from .table import ContingencyTable, JointDistribution, _expected
 
@@ -33,7 +28,6 @@ _CLASSIC_METHODS = ("pearson", "g")  # the methods with a chi-squared reference 
 
 __all__ = [
     "METHODS",
-    "chi2_divergence",
     "dependence_measure",
     "pearson_statistic",
     "g_statistic",
@@ -45,28 +39,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # population measures
 # ---------------------------------------------------------------------------
-
-
-def chi2_divergence(p: JointDistribution, p_ref: JointDistribution) -> float:
-    """Chi-squared divergence sum((p - p')^2 / p') of p from reference p'.
-
-    Asymmetric in its arguments.  Cells where both distributions put zero
-    mass contribute nothing; a cell with reference mass zero but p mass
-    positive makes the divergence undefined.
-    """
-    if p.shape != p_ref.shape:
-        raise DomainError(f"shape mismatch: {p.shape} vs {p_ref.shape}")
-    a = p.probs
-    b = p_ref.probs
-    bad = (b == 0.0) & (a > 0.0)
-    if np.any(bad):
-        i, j = np.argwhere(bad)[0]
-        raise DivergenceUndefined(
-            f"reference cell ({i},{j}) has zero probability but p has {float(a[i, j])!r}"
-        )
-    support = b > 0.0
-    diff = a[support] - b[support]
-    return float(np.sum(diff * diff / b[support]))
 
 
 def dependence_measure(p: JointDistribution) -> float:

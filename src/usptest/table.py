@@ -255,11 +255,6 @@ class JointDistribution(_Matrix):
             raise DomainError(f"probabilities must sum to 1 within {_PROB_SUM_TOL}, got {total!r}")
         super().__init__(arr)
 
-    def is_product(self, tol: float = 0.0) -> bool:
-        """True if every cell equals the product of its margins within tol."""
-        outer = np.outer(self.row_margins, self.col_margins)
-        return bool(np.all(np.abs(self.probs - outer) <= tol))
-
 
 def expected_counts(table: ContingencyTable) -> np.ndarray:
     """Expected cell counts under independence: row margin x column margin / n.

@@ -106,37 +106,99 @@ def exact_tail(counts, statistic) -> Fraction:
     return sum((w for table, w in table_law(counts) if statistic(table) >= t0), Fraction(0))
 
 
-def exact_level(law, keys, B: int, alpha, tie_policy: str) -> Fraction:
-    """Exact P(p <= alpha) of a B-table permutation p-value under its null law.
+def rejection_probability(law, keys, k0, B: int, alpha, tie_policy: str) -> Fraction:
+    """Exact P(p <= alpha) of a B-table permutation p-value given the observed key k0.
 
     ``law`` is :func:`table_law`'s list of (table, probability) and ``keys``
-    each table's rank key, exactly comparable.  The observed table is drawn
-    from the law; given its key k0, the counts G of permuted keys above k0
-    and T equal to it are Multinomial(B; q_>, q_=, q_<), and
-    p = (1 + G + U) / (B + 1), with U uniform on {0, ..., T} under the
-    randomized tie policy and U = T under the conservative one.  ``alpha``
-    is anything ``Fraction`` takes, so pass "0.05" for the decimal level.
+    each table's rank key, exactly comparable with k0.  The counts G of
+    permuted keys above k0 and T equal to it are Multinomial(B; q_>, q_=,
+    q_<), and p = (1 + G + U) / (B + 1), with U uniform on {0, ..., T} under
+    the randomized tie policy and U = T under the conservative one.
+    ``alpha`` is anything ``Fraction`` takes, so pass "0.05" for the decimal
+    level.
     """
+    above = sum((w for (_, w), k in zip(law, keys) if k > k0), Fraction(0))
+    tie = sum((w for (_, w), k in zip(law, keys) if k == k0), Fraction(0))
+    below = 1 - above - tie
+    # p <= alpha exactly when G + U <= top, both integers
+    top = math.floor(Fraction(alpha) * (B + 1)) - 1
+    probability = Fraction(0)
+    for g in range(top + 1):
+        for t in range(B - g + 1):
+            if tie_policy == "randomized":
+                share = Fraction(min(top - g, t) + 1, t + 1)
+            else:
+                share = Fraction(t <= top - g)
+            if share:
+                law_gt = comb(B, g) * comb(B - g, t) * above**g * tie**t * below ** (B - g - t)
+                probability += law_gt * share
+    return probability
+
+
+def exact_level(law, keys, B: int, alpha, tie_policy: str) -> Fraction:
+    """Exact P(p <= alpha) of a B-table permutation p-value under its null law:
+    :func:`rejection_probability` averaged over the observed table drawn from
+    ``law``."""
     mass = {}
     for (_, w), k in zip(law, keys):
         mass[k] = mass.get(k, Fraction(0)) + w
-    # p <= alpha exactly when G + U <= top, both integers
-    top = math.floor(Fraction(alpha) * (B + 1)) - 1
-    level, above = Fraction(0), Fraction(0)
-    for k in sorted(mass, reverse=True):
-        tie = mass[k]
-        below = 1 - above - tie
-        for g in range(top + 1):
-            for t in range(B - g + 1):
-                if tie_policy == "randomized":
-                    share = Fraction(min(top - g, t) + 1, t + 1)
-                else:
-                    share = Fraction(t <= top - g)
-                if share:
-                    law_gt = comb(B, g) * comb(B - g, t) * above**g * tie**t * below ** (B - g - t)
-                    level += tie * law_gt * share
-        above += tie
-    return level
+    return sum(
+        (w * rejection_probability(law, keys, k, B, alpha, tie_policy) for k, w in mass.items()),
+        Fraction(0),
+    )
+
+
+_EXACT_KEYS = {"usp": usp_exact, "pearson": pearson_exact, "g": g_exact_key}
+
+
+def exact_power(probs, n: int, test, B: int, alpha, tie_policy: str = "randomized") -> Fraction:
+    """Exact rejection probability of a (method, mode) test on a table of n
+    draws from a law with rational cells.
+
+    The expectation runs over every table of n draws
+    (:func:`multinomial_expectation`).  A permutation test scores each
+    table on its nonempty support, as ``permutation._observed_statistic``
+    does, and rejects with the :func:`rejection_probability` of the support's
+    permutation law under the method's exact key; the law is enumerated once
+    per margins.  A classic test rejects where scipy's chi-squared tail of
+    its statistic is at most ``alpha``, on tables with positive margins only;
+    ``B`` and ``tie_policy`` do not enter it.
+    """
+    method, mode = test
+    if mode == "classic":
+        df = (len(probs) - 1) * (len(probs[0]) - 1)
+
+        def rejects(counts):
+            r, c = counts.sum(axis=1), counts.sum(axis=0)
+            if not (r.all() and c.all()):
+                return 0
+            if method == "pearson":
+                stat = float(pearson_exact(counts))
+            else:
+                stat = 2.0 * sum(
+                    o * math.log(o * n / (r[i] * c[j]))
+                    for (i, j), o in np.ndenumerate(counts) if o
+                )
+            return int(chi2.sf(stat, df) <= float(Fraction(alpha)))
+
+        return multinomial_expectation(probs, n, rejects)
+
+    key = _EXACT_KEYS[method]
+    laws = {}  # margins -> (law, keys, {k0: rejection probability})
+
+    def rejects(counts):
+        support = counts[counts.sum(axis=1) > 0][:, counts.sum(axis=0) > 0]
+        margins = (tuple(support.sum(axis=1)), tuple(support.sum(axis=0)))
+        if margins not in laws:
+            law = table_law(support)
+            laws[margins] = (law, [key(t) for t, _ in law], {})
+        law, keys, memo = laws[margins]
+        k0 = key(support.tolist())
+        if k0 not in memo:
+            memo[k0] = rejection_probability(law, keys, k0, B, alpha, tie_policy)
+        return memo[k0]
+
+    return multinomial_expectation(probs, n, rejects)
 
 
 def dhat_exact(counts) -> Fraction:

@@ -12,13 +12,9 @@ import numpy as np
 import pytest
 
 from oracles import dhat_bruteforce
-from usptest.asymptotics import (
-    g_asymptotic_size,
-    pearson_asymptotic_size,
-    size_curve,
-)
+from usptest.asymptotics import size_curve
 from usptest.datasets import get_dataset
-from usptest.numerics import RandomStream, chi2_quantile
+from usptest.numerics import chi2_quantile
 from usptest.permutation import PermutationConfig, permuted_tables, run_test
 from usptest.simulate import (
     AlternativeFamily,
@@ -158,8 +154,8 @@ def test_criterion_10_similar_power_on_dense_alternative():
 
 
 def test_criterion_11_asymptotic_size_features():
-    assert pearson_asymptotic_size(1.0, 0.05) == pytest.approx(0.0803, abs=1e-4)
-    assert g_asymptotic_size(1.0, 0.05) == pytest.approx(0.01899, abs=1e-4)
+    assert size_curve("pearson", 0.05, [1.0])[0].asymptotic_size == pytest.approx(0.0803, abs=1e-4)
+    assert size_curve("g", 0.05, [1.0])[0].asymptotic_size == pytest.approx(0.01899, abs=1e-4)
 
     # at the 1% level the Pearson curve spikes an order of magnitude above
     # nominal somewhere below lambda = 3
@@ -169,8 +165,9 @@ def test_criterion_11_asymptotic_size_features():
 
     # the G-test curve jumps where observing zero events first rejects
     lam_star = np.sqrt(chi2_quantile(0.95, 1) / 2.0)
-    below = g_asymptotic_size(lam_star - 1e-9, 0.05)
-    above = g_asymptotic_size(lam_star + 1e-9, 0.05)
+    below, above = (
+        pt.asymptotic_size for pt in size_curve("g", 0.05, [lam_star - 1e-9, lam_star + 1e-9])
+    )
     assert above - below >= 0.1
 
 

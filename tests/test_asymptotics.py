@@ -14,8 +14,6 @@ from usptest import asymptotics, numerics
 from usptest.asymptotics import (
     DEFAULT_LAMBDA_GRID,
     SizeCurvePoint,
-    g_asymptotic_size,
-    pearson_asymptotic_size,
     size_curve,
     size_curve_csv,
 )
@@ -63,7 +61,7 @@ class TestReferenceValues:
         # mu = 1, c_0.05 = 3.8415: rejection region is z >= 3, whose Poisson(1)
         # mass is 1 - (1 + 1 + 1/2)/e.
         want = 1.0 - 2.5 / math.e
-        got = pearson_asymptotic_size(1.0, 0.05)
+        got = size_curve("pearson", 0.05, [1.0])[0].asymptotic_size
         assert got == pytest.approx(want, abs=1e-10)
         assert got == pytest.approx(0.0803, abs=1e-4)
 
@@ -72,7 +70,7 @@ class TestReferenceValues:
         # g(4)=5.09, so the region beyond c_0.05 = 3.8415 is z >= 4 with
         # Poisson(1) mass 1 - (1 + 1 + 1/2 + 1/6)/e.
         want = 1.0 - (8 / 3) / math.e
-        got = g_asymptotic_size(1.0, 0.05)
+        got = size_curve("g", 0.05, [1.0])[0].asymptotic_size
         assert got == pytest.approx(want, abs=1e-10)
         assert got == pytest.approx(0.0190, abs=1e-4)
 
@@ -82,12 +80,11 @@ class TestReferenceValues:
             lam = float(rng.uniform(0.05, 3.0))
             alpha = float(rng.uniform(0.005, 0.2))
             mu = lam * lam
-            assert pearson_asymptotic_size(lam, alpha) == pytest.approx(
-                poisson_rejection_oracle(mu, alpha, pearson_limit), abs=1e-9
-            )
-            assert g_asymptotic_size(lam, alpha) == pytest.approx(
-                poisson_rejection_oracle(mu, alpha, g_limit), abs=1e-9
-            )
+            for test, statistic in (("pearson", pearson_limit), ("g", g_limit)):
+                [pt] = size_curve(test, alpha, [lam])
+                assert pt.asymptotic_size == pytest.approx(
+                    poisson_rejection_oracle(mu, alpha, statistic), abs=1e-9
+                )
 
     @pytest.mark.parametrize("alpha", [0.05, 0.01])
     def test_default_grid_matches_the_summation_oracle(self, alpha):
@@ -103,12 +100,11 @@ class TestReferenceValues:
         # the window keeps its accuracy where a sum from z = 0 runs out of
         # terms (mu = 10^6 at the cap)
         for alpha in (0.05, 0.01):
-            assert pearson_asymptotic_size(lam, alpha) == pytest.approx(
-                scipy_two_tail_size(lam, alpha, pearson_limit), abs=1e-12
-            )
-            assert g_asymptotic_size(lam, alpha) == pytest.approx(
-                scipy_two_tail_size(lam, alpha, g_limit), abs=1e-12
-            )
+            for test, statistic in (("pearson", pearson_limit), ("g", g_limit)):
+                [pt] = size_curve(test, alpha, [lam])
+                assert pt.asymptotic_size == pytest.approx(
+                    scipy_two_tail_size(lam, alpha, statistic), abs=1e-12
+                )
 
 
 class TestArrayPass:
@@ -140,16 +136,17 @@ class TestArrayPass:
 
     def test_a_size_depends_on_its_lambda_alone(self):
         # sizes are summed sequentially, so neither the grid's order nor the
-        # other lambdas sharing a chunk move a value by one bit
+        # other lambdas sharing a chunk move a value by one bit, and a
+        # one-point grid gives the size the whole grid does
         grid = [float(x) for x in np.linspace(0.05, 60.0, 300)] + self.MIXED
         shuffled = [grid[i] for i in np.random.default_rng(15).permutation(len(grid))]
-        for test, single in (("pearson", pearson_asymptotic_size), ("g", g_asymptotic_size)):
+        for test in ("pearson", "g"):
             by_lambda = {pt.lam: pt.asymptotic_size for pt in size_curve(test, 0.01, grid)}
             pts = size_curve(test, 0.01, shuffled)
             assert [pt.lam for pt in pts] == shuffled
             assert [pt.asymptotic_size for pt in pts] == [by_lambda[lam] for lam in shuffled]
             for lam in self.MIXED:
-                assert single(lam, 0.01) == by_lambda[lam]
+                assert size_curve(test, 0.01, [lam])[0].asymptotic_size == by_lambda[lam]
 
     @pytest.mark.parametrize(
         "grid, message",
@@ -193,18 +190,21 @@ class TestArrayPass:
 
 class TestCurveShape:
     def test_pearson_exceeds_double_nominal_somewhere(self):
-        sizes = [pearson_asymptotic_size(l, 0.05) for l in np.linspace(0.2, 3.0, 120)]
+        pts = size_curve("pearson", 0.05, np.linspace(0.2, 3.0, 120))
+        sizes = [pt.asymptotic_size for pt in pts]
         assert max(sizes) > 0.10
 
     def test_pearson_size_can_exceed_ten_percent_at_one_percent_level(self):
-        sizes = [pearson_asymptotic_size(l, 0.01) for l in DEFAULT_LAMBDA_GRID if l <= 3.0]
+        grid = DEFAULT_LAMBDA_GRID[DEFAULT_LAMBDA_GRID <= 3.0]
+        sizes = [pt.asymptotic_size for pt in size_curve("pearson", 0.01, grid)]
         assert max(sizes) >= 0.10
 
     def test_curves_oscillate(self):
         # Size is far from settling at alpha: both above and below by a wide
         # margin over moderate lambda.
-        for fn in (pearson_asymptotic_size, g_asymptotic_size):
-            sizes = np.array([fn(l, 0.05) for l in np.linspace(0.2, 5.0, 200)])
+        for test in ("pearson", "g"):
+            pts = size_curve(test, 0.05, np.linspace(0.2, 5.0, 200))
+            sizes = np.array([pt.asymptotic_size for pt in pts])
             assert sizes.max() > 0.07
             assert sizes.min() < 0.03
             assert sizes.max() - sizes.min() > 0.02
@@ -216,8 +216,8 @@ class TestCurveShape:
         for alpha in (0.05, 0.01):
             c = chi2_quantile(1.0 - alpha, 1)
             boundary = math.sqrt(c / 2.0)
-            below = g_asymptotic_size(boundary - 1e-6, alpha)
-            above = g_asymptotic_size(boundary + 1e-6, alpha)
+            pts = size_curve("g", alpha, [boundary - 1e-6, boundary + 1e-6])
+            below, above = (pt.asymptotic_size for pt in pts)
             assert abs(above - below) > 0.5 * math.exp(-c / 2.0)
             assert abs(above - below) > 0.01
 
@@ -226,8 +226,8 @@ class TestCurveShape:
         # lambda = sqrt(c_alpha).
         c = chi2_quantile(0.95, 1)
         boundary = math.sqrt(c)
-        below = pearson_asymptotic_size(boundary - 1e-6, 0.05)
-        above = pearson_asymptotic_size(boundary + 1e-6, 0.05)
+        pts = size_curve("pearson", 0.05, [boundary - 1e-6, boundary + 1e-6])
+        below, above = (pt.asymptotic_size for pt in pts)
         assert abs(above - below) > 0.01
 
 
@@ -275,39 +275,40 @@ class TestSizeCurve:
         assert SizeCurvePoint._fields == ("lam", "alpha", "asymptotic_size", "test")
         pt = SizeCurvePoint(lam=1.0, alpha=0.05, asymptotic_size=0.08, test="pearson")
         assert pt == (1.0, 0.05, 0.08, "pearson")
-        assert size_curve("pearson", 0.05, [1.0])[0] == SizeCurvePoint(
-            1.0, 0.05, pearson_asymptotic_size(1.0, 0.05), "pearson"
-        )
+        [got] = size_curve("pearson", 0.05, [1.0])
+        assert type(got) is SizeCurvePoint
+        assert got == (1.0, 0.05, got.asymptotic_size, "pearson")
 
     @pytest.mark.parametrize("lam", [1e-160, 1e-170, 1e-300])
     def test_tiny_lambda_warns_nothing(self, lam):
         # mu = lambda^2 is subnormal or 0; the size is P(Z >= 1) <= mu
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for fn in (pearson_asymptotic_size, g_asymptotic_size):
-                assert 0.0 <= fn(lam, 0.05) <= 2 * lam * lam + 1e-300
+            for test in ("pearson", "g"):
+                [pt] = size_curve(test, 0.05, [lam])
+                assert 0.0 <= pt.asymptotic_size <= 2 * lam * lam + 1e-300
 
 
 class TestDomain:
     def test_lambda_positive(self):
         with pytest.raises(DomainError):
-            pearson_asymptotic_size(0.0, 0.05)
+            size_curve("pearson", 0.05, [0.0])
         with pytest.raises(DomainError):
-            g_asymptotic_size(-1.0, 0.05)
+            size_curve("g", 0.05, [-1.0])
 
     def test_lambda_capped_and_finite(self):
-        assert 0.04 < pearson_asymptotic_size(1000.0, 0.05) < 0.06
+        assert 0.04 < size_curve("pearson", 0.05, [1000.0])[0].asymptotic_size < 0.06
         for lam in (1000.5, 1100.0, math.inf, math.nan):
             with pytest.raises(DomainError, match="1000"):
-                pearson_asymptotic_size(lam, 0.05)
+                size_curve("pearson", 0.05, [lam])
             with pytest.raises(DomainError, match="1000"):
                 size_curve("g", 0.05, [1.0, lam])
 
     def test_alpha_open_interval(self):
         with pytest.raises(DomainError):
-            pearson_asymptotic_size(1.0, 0.0)
+            size_curve("g", 0.0, [1.0])
         with pytest.raises(DomainError):
-            g_asymptotic_size(1.0, 1.0)
+            size_curve("g", 1.0, [1.0])
 
     @pytest.mark.parametrize(
         "alpha, message",
@@ -357,10 +358,21 @@ class TestFiniteSampleSize:
     def test_g_at_lambda_one_is_its_limit_from_n_ten_thousand(self):
         size, mass = classic_2x2_exact_size("g", 1.0, 10**4, 0.05)
         assert mass == pytest.approx(1.0, abs=1e-9)
-        assert size == pytest.approx(g_asymptotic_size(1.0, 0.05), abs=1e-4)
+        assert size == pytest.approx(size_curve("g", 0.05, [1.0])[0].asymptotic_size, abs=1e-4)
 
     def test_g_at_lambda_one_and_a_half_is_still_short_of_its_limit(self):
         # the limit is reached slowly here: 0.114 at n = 10^4 against 0.133
         size, _ = classic_2x2_exact_size("g", 1.5, 10**4, 0.05)
         assert size == pytest.approx(0.11403, abs=1e-4)
-        assert g_asymptotic_size(1.5, 0.05) == pytest.approx(0.13276, abs=1e-4)
+        assert size_curve("g", 0.05, [1.5])[0].asymptotic_size == pytest.approx(0.13276, abs=1e-4)
+
+    def test_pearson_at_n_ten_thousand_is_far_from_its_limit_on_both_sides(self):
+        # this pins the gap and asserts no convergence: at n = 10^4 Pearson's
+        # size is 0.0495 against a limit of 0.0803 at lambda = 1, and 0.0398
+        # against 0.0274 at lambda = 1.5
+        size, mass = classic_2x2_exact_size("pearson", 1.0, 10**4, 0.05)
+        assert mass == pytest.approx(1.0, abs=1e-9)
+        assert size == pytest.approx(0.0495, abs=1e-3)
+        assert size <= size_curve("pearson", 0.05, [1.0])[0].asymptotic_size - 0.025
+        size, _ = classic_2x2_exact_size("pearson", 1.5, 10**4, 0.05)
+        assert size > size_curve("pearson", 0.05, [1.5])[0].asymptotic_size + 0.01

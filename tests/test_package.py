@@ -2,6 +2,7 @@
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ from usptest.stats import METHODS
 
 MODULES = (asymptotics, datasets, errors, numerics, permutation, simulate, stats, table)
 SRC = Path(usptest.__file__).resolve().parent
+REPO = SRC.parents[1]
 
 
 class TestNamespace:
@@ -54,17 +56,30 @@ def _unused_imports(path: Path) -> list[str]:
 
 
 def _bound_name(top: ast.stmt) -> str | None:
-    # the name a module-level def, or an assignment to one name, binds
-    if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
+    # the name a module-level def or class, or an assignment to one name, binds
+    if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         return top.name
     targets = top.targets if isinstance(top, ast.Assign) else [getattr(top, "target", None)]
     return targets[0].id if len(targets) == 1 and isinstance(targets[0], ast.Name) else None
 
 
+def _uses(top: ast.stmt) -> set[str]:
+    # the names a module-level statement refers to, by name, attribute or
+    # import, leaving out the name it binds itself
+    used = set()
+    for node in ast.walk(top):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+    return used - {_bound_name(top)}
+
+
 def _unreferenced_private_names(paths) -> list[str]:
-    # module-level functions and constants named _x that no file of paths
-    # refers to, by name, attribute or import, except from inside their own
-    # def or assignment
+    # module-level functions, classes and constants named _x that no file of
+    # paths refers to, except from inside their own def or assignment
     defined, referenced = [], set()
     for path in paths:
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -72,19 +87,33 @@ def _unreferenced_private_names(paths) -> list[str]:
             own = _bound_name(top)
             if own and own.startswith("_") and not own.startswith("__"):
                 defined.append((path.name, top.lineno, own))
-            for node in ast.walk(top):
-                if isinstance(node, ast.Name):
-                    name = node.id
-                elif isinstance(node, ast.Attribute):
-                    name = node.attr
-                elif isinstance(node, ast.alias):
-                    name = node.name
-                else:
-                    continue
-                if name != own:
-                    referenced.add(name)
+            referenced |= _uses(top)
     return [
         f"{file}:{line}: {name}" for file, line, name in defined if name not in referenced
+    ]
+
+
+def _public_names_without_a_caller(paths, docs) -> list[str]:
+    # the names in a module's __all__ that no file of paths refers to, except
+    # from inside their own def, class or assignment, and that no document
+    # names as a word: a public name that only the tests call is an oracle.
+    # Dunders such as __version__ are read by convention, not called
+    public, referenced = [], set()
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            if _bound_name(top) == "__all__":
+                public += [
+                    (path.stem, c.value) for c in ast.walk(top.value)
+                    if isinstance(c, ast.Constant) and isinstance(c.value, str)
+                    and not c.value.startswith("__")
+                ]
+            else:
+                referenced |= _uses(top)
+    text = "\n".join(doc.read_text(encoding="utf-8") for doc in docs)
+    return [
+        f"{module}.{name}" for module, name in public
+        if name not in referenced and not re.search(rf"\b{re.escape(name)}\b", text)
     ]
 
 
@@ -129,6 +158,31 @@ class TestImports:
         )
         b.write_text("from a import _IMPORTED\nimport a\nprint(a._ATTR)\n")
         assert _unreferenced_private_names([a, b]) == ["a.py:1: _KNOB", "a.py:2: _TYPED"]
+
+    def test_every_public_name_has_a_caller_outside_tests(self):
+        # the library, the README or a demo uses every name it exports
+        docs = [REPO / "README.md", *sorted((REPO / "demos").glob("*.py"))]
+        assert _public_names_without_a_caller(sorted(SRC.glob("*.py")), docs) == []
+
+    def test_checker_sees_a_public_name_without_a_caller(self, tmp_path):
+        a, b, doc = tmp_path / "a.py", tmp_path / "b.py", tmp_path / "README.md"
+        a.write_text(
+            '__all__ = ["orphan", "Klass", "recursive", "imported", "attr", "documented",\n'
+            '           "__version__"]\n'
+            '__version__ = "1.0"\n'
+            "def orphan():\n    pass\n"
+            "class Klass:\n    def make(self):\n        return Klass()\n"
+            "def recursive(n):\n    return recursive(n - 1) if n else 0\n"
+            "def imported():\n    pass\n"
+            "def attr():\n    pass\n"
+            "def documented():\n    pass\n"
+            'CONSTANT = "orphan"\n'
+        )
+        b.write_text('__all__ = ["Klass"]\nfrom a import imported\nimport a\na.attr()\n')
+        doc.write_text("Call `documented()`; an orphaned or undocumented name is no caller.\n")
+        assert _public_names_without_a_caller([a, b], [doc]) == [
+            "a.orphan", "a.Klass", "a.recursive", "b.Klass",
+        ]
 
     def test_cli_import_leaves_the_pool_module_out(self):
         # only a study that starts a pool imports concurrent.futures

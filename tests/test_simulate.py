@@ -4,6 +4,7 @@ subsampling studies."""
 import hashlib
 import re
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from usptest.errors import (
     SubsampleTooLarge,
     UndefinedStatistic,
 )
+from oracles import exact_power
 from usptest import permutation, simulate
 from usptest.cli import main
 from usptest.permutation import PermutationConfig, _classic_scores, run_test
@@ -45,7 +47,7 @@ from usptest.simulate import (
 from usptest import stats
 from usptest.numerics import RandomStream
 from usptest.stats import dependence_measure
-from usptest.table import _sample_tables, sample_table, validate_table
+from usptest.table import JointDistribution, _sample_tables, sample_table, validate_table
 
 PERM_TESTS = [("usp", "permutation"), ("pearson", "permutation"), ("g", "permutation")]
 
@@ -70,7 +72,8 @@ class TestSparseFamily:
     def test_corner_cell_and_normalization(self):
         d = sparse_family(5, 8, 0.0)
         assert d.probs[0, 0] == pytest.approx(2048 / 7905, abs=1e-15)
-        assert d.is_product(tol=1e-14)
+        outer = np.outer(d.row_margins, d.col_margins)
+        np.testing.assert_allclose(d.probs, outer, rtol=0, atol=1e-14)
 
     def test_margins_unchanged_by_perturbation(self):
         base = sparse_family(5, 8, 0.0)
@@ -129,7 +132,9 @@ class TestDenseFamily:
             dense_family(6, 8, -1e-9)
 
     def test_odd_odd_needs_zero_epsilon(self):
-        assert dense_family(3, 3, 0.0).is_product(tol=1e-14)
+        d = dense_family(3, 3, 0.0)
+        outer = np.outer(d.row_margins, d.col_margins)
+        np.testing.assert_allclose(d.probs, outer, rtol=0, atol=1e-14)
         with pytest.raises(DomainError):
             dense_family(3, 3, 0.01)
         # one even dimension is enough to rebalance the checkerboard
@@ -140,7 +145,8 @@ class TestDenseFamily:
 class TestMultiplicativeFamily:
     def test_product_at_zero(self):
         d = multiplicative_family(0.0)
-        assert d.is_product(tol=1e-14)
+        outer = np.outer(d.row_margins, d.col_margins)
+        np.testing.assert_allclose(d.probs, outer, rtol=0, atol=1e-14)
         # normalization constant is (15/16)^2 at eps = 0
         assert d.probs[0, 0] == pytest.approx((1 / 4) / (225 / 256), abs=1e-15)
 
@@ -675,6 +681,52 @@ class TestStopping:
             chunks.clear()
             subsample_study(MARITAL, m=150, reps=reps, tests=PERM_TESTS, config=cfg, replace=False)
             assert chunks[0] == first
+
+
+class _FixedLaw:
+    # a family of one law: power_curve reads a family through
+    # at(epsilon).distribution() alone
+    def __init__(self, probs):
+        self.law = JointDistribution(probs)
+
+    def at(self, epsilon):
+        return self
+
+    def distribution(self):
+        return self.law
+
+
+class TestExactStudyRates:
+    # each study path's rejection count against the exact power of its test,
+    # summed over every table of n draws (tests/oracles.exact_power).  The
+    # cells are powers of 2, so the sampler draws from the law the oracle
+    # sums over; [[2, 1, 1], [1, 1, 2]] is the same law as an empirical one
+    LAW = [[Fraction(1, 4), Fraction(1, 8), Fraction(1, 8)],
+           [Fraction(1, 8), Fraction(1, 8), Fraction(1, 4)]]
+    TESTS = [("usp", "permutation"), ("pearson", "classic"), ("g", "classic")]
+    N, B, ALPHA, REPS = 8, 19, "0.1", 4000
+    CONFIG = PermutationConfig(B=B, alpha=float(ALPHA), seed=3)
+
+    @pytest.fixture(scope="class")
+    def powers(self):
+        # usp 0.158439 over the 1 287 tables of 8 draws
+        return [exact_power(self.LAW, self.N, test, self.B, self.ALPHA) for test in self.TESTS]
+
+    def assert_within_exact_power(self, rates, powers):
+        for rate, power, test in zip(rates, powers, self.TESTS):
+            assert (rate.method, rate.mode) == test
+            count = round(rate.rejection_rate * self.REPS)
+            lo, hi = scipy_stats.binom.interval(1 - 1e-6, self.REPS, float(power))
+            assert lo <= count <= hi, (test, count, float(power))
+
+    def test_power_curve(self, powers):
+        (point,) = power_curve(_FixedLaw(self.LAW), [0.0], self.N, self.REPS, self.TESTS, self.CONFIG)
+        self.assert_within_exact_power(point.rates, powers)
+
+    def test_subsample_study_with_replacement(self, powers):
+        table = validate_table([[2, 1, 1], [1, 1, 2]])
+        study = subsample_study(table, self.N, self.REPS, self.TESTS, self.CONFIG, replace=True)
+        self.assert_within_exact_power(study.rates, powers)
 
 
 class TestWorkerCount:

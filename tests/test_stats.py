@@ -1,19 +1,12 @@
-"""Tests for divergences, dependence measures, and table statistics."""
+"""Tests for the dependence measure and the table statistics."""
 
-import itertools
-import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import scipy.stats as scipy_stats
 
-from usptest.errors import (
-    DivergenceUndefined,
-    DomainError,
-    SampleTooSmall,
-    UndefinedStatistic,
-)
+from usptest.errors import DomainError, SampleTooSmall, UndefinedStatistic
 from oracles import (
     SampleTooLargeForOracle,
     dependence_exact,
@@ -27,7 +20,6 @@ from usptest.simulate import sparse_family
 from usptest.permutation import run_test
 from usptest.table import JointDistribution, expected_counts, validate_table
 from usptest.stats import (
-    chi2_divergence,
     dependence_measure,
     dhat_statistic,
     g_statistic,
@@ -56,52 +48,6 @@ def table_to_pairs(table):
     for (i, j), c in np.ndenumerate(table.counts):
         pairs.extend([(i, j)] * int(c))
     return pairs
-
-
-class TestChi2Divergence:
-    def test_identical_is_zero(self):
-        p = JointDistribution([[0.25, 0.25], [0.3, 0.2]])
-        assert chi2_divergence(p, p) == 0.0
-
-    def test_two_point_value(self):
-        # sum (p - r)^2 / r with r = (1/2, 1/2), p = (0.9, 0.1) gives 0.64.
-        p = JointDistribution([[0.9], [0.1]])
-        r = JointDistribution([[0.5], [0.5]])
-        assert chi2_divergence(p, r) == pytest.approx(0.64, abs=1e-15)
-
-    def test_asymmetric(self):
-        p = JointDistribution([[0.9], [0.1]])
-        r = JointDistribution([[0.5], [0.5]])
-        # Reversing the roles gives (0.5-0.9)^2/0.9 + (0.5-0.1)^2/0.1 = 16/9.
-        assert chi2_divergence(r, p) == pytest.approx(16 / 9, abs=1e-12)
-        assert chi2_divergence(r, p) != pytest.approx(chi2_divergence(p, r))
-
-    def test_undefined_when_ref_vanishes_on_support(self):
-        p = JointDistribution([[0.5, 0.5]])
-        r = JointDistribution([[1.0, 0.0]])
-        message = "reference cell (0,1) has zero probability but p has 0.5"
-        with pytest.raises(DivergenceUndefined, match=re.escape(message) + "$"):
-            chi2_divergence(p, r)
-
-    def test_sum_runs_over_full_reference_support(self):
-        # p puts no mass on the second cell, but that cell still contributes
-        # (0 - 0.5)^2 / 0.5 because the reference supports it.
-        p = JointDistribution([[1.0, 0.0]])
-        r = JointDistribution([[0.5, 0.5]])
-        assert chi2_divergence(p, r) == pytest.approx(1.0)
-
-    def test_jointly_null_cells_ignored(self):
-        # A cell where both laws put zero mass contributes nothing and must
-        # not produce a 0/0 indeterminate.
-        p = JointDistribution([[0.7, 0.3, 0.0]])
-        r = JointDistribution([[0.5, 0.5, 0.0]])
-        got = chi2_divergence(p, r)
-        assert np.isfinite(got)
-        assert got == pytest.approx(0.04 / 0.5 + 0.04 / 0.5)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DomainError):
-            chi2_divergence(JointDistribution([[1.0]]), JointDistribution([[0.5, 0.5]]))
 
 
 class TestDependenceMeasure:

@@ -216,16 +216,6 @@ class TestCoercionByDtype:
 
 
 class TestJointDistribution:
-    def test_product_detection(self):
-        q = np.array([0.3, 0.7])
-        r = np.array([0.25, 0.25, 0.5])
-        d = JointDistribution(np.outer(q, r))
-        assert d.is_product(tol=1e-12)
-
-    def test_non_product(self):
-        d = JointDistribution([[0.5, 0.0], [0.0, 0.5]])
-        assert not d.is_product(tol=1e-12)
-
     def test_sum_must_be_one(self):
         with pytest.raises(DomainError):
             JointDistribution([[0.5, 0.4]])
