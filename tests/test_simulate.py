@@ -712,21 +712,32 @@ class TestExactStudyRates:
         # usp 0.158439 over the 1 287 tables of 8 draws
         return [exact_power(self.LAW, self.N, test, self.B, self.ALPHA) for test in self.TESTS]
 
-    def assert_within_exact_power(self, rates, powers):
-        for rate, power, test in zip(rates, powers, self.TESTS):
-            assert (rate.method, rate.mode) == test
-            count = round(rate.rejection_rate * self.REPS)
-            lo, hi = scipy_stats.binom.interval(1 - 1e-6, self.REPS, float(power))
-            assert lo <= count <= hi, (test, count, float(power))
-
-    def test_power_curve(self, powers):
+    # each path runs once for all three tests, as a study scores them on the
+    # same tables; the tests below check one method's count each
+    @pytest.fixture(scope="class")
+    def power_curve_rates(self):
         (point,) = power_curve(_FixedLaw(self.LAW), [0.0], self.N, self.REPS, self.TESTS, self.CONFIG)
-        self.assert_within_exact_power(point.rates, powers)
+        return point.rates
 
-    def test_subsample_study_with_replacement(self, powers):
+    @pytest.fixture(scope="class")
+    def subsample_study_rates(self):
         table = validate_table([[2, 1, 1], [1, 1, 2]])
-        study = subsample_study(table, self.N, self.REPS, self.TESTS, self.CONFIG, replace=True)
-        self.assert_within_exact_power(study.rates, powers)
+        return subsample_study(table, self.N, self.REPS, self.TESTS, self.CONFIG, replace=True).rates
+
+    def assert_within_exact_power(self, rates, powers, index):
+        rate, power, test = rates[index], powers[index], self.TESTS[index]
+        assert (rate.method, rate.mode) == test
+        count = round(rate.rejection_rate * self.REPS)
+        lo, hi = scipy_stats.binom.interval(1 - 1e-6, self.REPS, float(power))
+        assert lo <= count <= hi, (test, count, float(power))
+
+    @pytest.mark.parametrize("index", range(len(TESTS)), ids=[m for m, _ in TESTS])
+    def test_power_curve(self, power_curve_rates, powers, index):
+        self.assert_within_exact_power(power_curve_rates, powers, index)
+
+    @pytest.mark.parametrize("index", range(len(TESTS)), ids=[m for m, _ in TESTS])
+    def test_subsample_study_with_replacement(self, subsample_study_rates, powers, index):
+        self.assert_within_exact_power(subsample_study_rates, powers, index)
 
 
 class TestWorkerCount:

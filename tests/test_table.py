@@ -216,6 +216,19 @@ class TestCoercionByDtype:
 
 
 class TestJointDistribution:
+    def test_margins_of_a_product_law(self):
+        q = np.array([0.3, 0.7])
+        r = np.array([0.25, 0.25, 0.5])
+        d = JointDistribution(np.outer(q, r))
+        np.testing.assert_allclose(d.row_margins, q, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(d.col_margins, r, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(d.probs, np.outer(d.row_margins, d.col_margins), rtol=0, atol=1e-15)
+
+    def test_margins_of_a_non_product_law(self):
+        d = JointDistribution([[0.5, 0.0], [0.0, 0.5]])
+        assert d.row_margins.tolist() == d.col_margins.tolist() == [0.5, 0.5]
+        assert np.outer(d.row_margins, d.col_margins).tolist() == [[0.25, 0.25], [0.25, 0.25]]
+
     def test_sum_must_be_one(self):
         with pytest.raises(DomainError):
             JointDistribution([[0.5, 0.4]])
